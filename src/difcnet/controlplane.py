@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dataplane import Decision, InstallRequest, Switch
-from .errors import CapacityExceeded
+from .errors import CapacityExceeded, UnknownHost
 from .netcl.compiler import (
     CompiledPolicy,
     SwitchConfig,
@@ -70,7 +70,7 @@ class ControlPlane:
         if req.decision is Decision.ALLOW:
             try:
                 src_switch = self.topology.switch_of_ip(req.key.src_ip)
-            except Exception:
+            except UnknownHost:  # spoofed or out-of-inventory source
                 src_switch = None
             if src_switch is not None:
                 rev = PendingInstall(src_switch, req.key.reversed(), req.decision, due)

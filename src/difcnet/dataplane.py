@@ -25,10 +25,10 @@ of such a false hit to one install delay.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import CapacityExceeded
-from .header import DifcHeader, FlowKey, buffer_slot
+from .header import DifcHeader, FlowKey
 from .labels import Label
 from .netcl.ast import Alert, Allow, Drop, Modify, Reroute
 from .netcl.compiler import PrivilegeEntry, SwitchConfig, TableEntry
@@ -92,14 +92,15 @@ class DecisionBuffer:
 
     def __init__(self, index_bits: int = DEFAULT_INDEX_BITS) -> None:
         self.index_bits = index_bits
+        self._mask = (1 << index_bits) - 1
         self._slots: dict[int, tuple[int, Decision]] = {}
         self.evictions = 0
 
     def insert(self, key: FlowKey, decision: Decision) -> bool:
         """Returns True when an existing occupant with a different hash was
-        evicted."""
-        slot = buffer_slot(key, self.index_bits)
+        evicted. The slot is the low index_bits of the CRC (buffer_slot)."""
         crc = key.crc32()
+        slot = crc & self._mask
         prev = self._slots.get(slot)
         self._slots[slot] = (crc, decision)
         evicted = prev is not None and prev[0] != crc
@@ -108,9 +109,9 @@ class DecisionBuffer:
         return evicted
 
     def lookup(self, key: FlowKey) -> Decision | None:
-        slot = buffer_slot(key, self.index_bits)
-        entry = self._slots.get(slot)
-        if entry is None or entry[0] != key.crc32():
+        crc = key.crc32()
+        entry = self._slots.get(crc & self._mask)
+        if entry is None or entry[0] != crc:
             return None
         return entry[1]
 
@@ -188,7 +189,7 @@ class InstallRequest:
     created_ns: int
 
 
-@dataclass
+@dataclass(slots=True)
 class PipelineResult:
     verdict: str  # forward | drop | recirculate
     packet: SimPacket
@@ -235,23 +236,17 @@ class Switch:
 
     # pipeline ------------------------------------------------------------
 
-    def enforces(self, dst_ip: str) -> bool:
-        return dst_ip in self._enforced
-
-    def _egress(self, dst_ip: str) -> int | None:
-        return self._forwarding.get(dst_ip)
-
     def _forward(self, pkt: SimPacket, source: str, log: list[str]) -> PipelineResult:
-        port = self._egress(pkt.dst_ip)
+        port = self._forwarding.get(pkt.dst_ip)
         if port is None:
             log.append(f"{self.switch_id} no-route dst={pkt.dst_ip}")
             return PipelineResult("drop", pkt, decision_source="forwarding", log=log)
         if pkt.ttl <= 1:
             log.append(f"{self.switch_id} ttl-expired {pkt.flow_key}")
             return PipelineResult("drop", pkt, decision_source="forwarding", log=log)
-        out = replace(pkt, ttl=pkt.ttl - 1)
         return PipelineResult(
-            "forward", out, egress_port=port, decision_source=source, log=log
+            "forward", pkt.with_ttl(pkt.ttl - 1), egress_port=port,
+            decision_source=source, log=log,
         )
 
     def _execute(
@@ -268,7 +263,7 @@ class Switch:
             if pkt.ttl <= 1:
                 log.append(f"{self.switch_id} ttl-expired {pkt.flow_key}")
                 return PipelineResult("drop", pkt, decision_source="policy", log=log)
-            out = replace(pkt, ttl=pkt.ttl - 1)
+            out = pkt.with_ttl(pkt.ttl - 1)
             log.append(
                 f"{self.switch_id} reroute port={action.port} {pkt.flow_key}"
             )
@@ -277,7 +272,7 @@ class Switch:
             )
         if isinstance(action, Modify):
             if action.field_name == "ttl":
-                pkt = replace(pkt, ttl=int(action.value))
+                pkt = pkt.with_ttl(int(action.value))
             log.append(
                 f"{self.switch_id} modify {action.field_name}={action.value} {pkt.flow_key}"
             )
@@ -291,7 +286,7 @@ class Switch:
         # outside the enforcement tables
         if pkt.control is not None:
             return self._forward(pkt, "control", log)
-        if not self.enforces(pkt.dst_ip):
+        if pkt.dst_ip not in self._enforced:
             return self._forward(pkt, "transit", log)
 
         key = pkt.flow_key
@@ -315,7 +310,7 @@ class Switch:
         if pkt.recirc_count >= self.recirc_limit:
             log.append(f"{self.switch_id} drop {key} recirc-limit")
             return PipelineResult("drop", pkt, decision_source="recirc_limit", log=log)
-        out = replace(pkt, recirc_count=pkt.recirc_count + 1)
+        out = pkt.recirculated()
         log.append(
             f"{self.switch_id} recirculate {key} n={out.recirc_count}"
         )
@@ -340,7 +335,7 @@ class Switch:
             self.config.privilege_entries, orig_bits, tracker, pkt.src_ip, pkt.dst_ip
         )
         if pkt.difc is not None and new_bits != orig_bits:
-            pkt = replace(pkt, difc=DifcHeader(Label(new_bits), tracker))
+            pkt = pkt.with_header(DifcHeader(Label(new_bits), tracker))
             log.append(
                 f"{self.switch_id} rewrite-label {key} "
                 f"{orig_bits:064x}->{new_bits:064x}"

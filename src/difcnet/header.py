@@ -15,10 +15,10 @@ src_ip . dst_ip . src_port . dst_port . protocol, all big-endian.
 
 from __future__ import annotations
 
-import ipaddress
 import struct
 import zlib
 from dataclasses import dataclass
+from socket import AF_INET, inet_pton
 
 from .errors import MalformedHeader
 from .labels import LABEL_MASK, Label
@@ -77,35 +77,71 @@ def decode_header(data: bytes) -> DifcHeader:
     return DifcHeader(Label(bits), tracker)
 
 
-def _ip_to_u32(ip: str) -> int:
-    return int(ipaddress.IPv4Address(ip))
+def ipv4_bytes(ip: str) -> bytes:
+    """The four network-order bytes of a dotted-quad address. As strict as
+    ipaddress.IPv4Address: leading zeros, missing or extra octets, values
+    above 255 and any other character raise a ValueError."""
+    try:
+        return inet_pton(AF_INET, ip)
+    except OSError:
+        raise ValueError(f"not an IPv4 address: {ip!r}") from None
 
 
-@dataclass(frozen=True)
+_PORTS_PROTO = struct.Struct(">HHB")
+
+
 class FlowKey:
-    """5-tuple identity of a connection."""
+    """5-tuple identity of a connection. Treat it as immutable: the hash is
+    computed in the constructor and the CRC on first use, and neither is
+    ever recomputed."""
 
-    src_ip: str
-    src_port: int
-    dst_ip: str
-    dst_port: int
-    protocol: int  # IP protocol number: 6 tcp, 17 udp, 1 icmp
+    __slots__ = ("src_ip", "src_port", "dst_ip", "dst_port", "protocol", "_hash", "_crc")
+
+    def __init__(self, src_ip: str, src_port: int, dst_ip: str, dst_port: int, protocol: int):
+        self.src_ip = src_ip
+        self.src_port = src_port
+        self.dst_ip = dst_ip
+        self.dst_port = dst_port
+        self.protocol = protocol  # IP protocol number: 6 tcp, 17 udp, 1 icmp
+        self._hash = hash((src_ip, src_port, dst_ip, dst_port, protocol))
+        self._crc = None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FlowKey:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.src_ip == other.src_ip
+            and self.src_port == other.src_port
+            and self.dst_ip == other.dst_ip
+            and self.dst_port == other.dst_port
+            and self.protocol == other.protocol
+        )
 
     def canonical_bytes(self) -> bytes:
-        return struct.pack(
-            ">IIHHB",
-            _ip_to_u32(self.src_ip),
-            _ip_to_u32(self.dst_ip),
-            self.src_port,
-            self.dst_port,
-            self.protocol,
+        return (
+            ipv4_bytes(self.src_ip)
+            + ipv4_bytes(self.dst_ip)
+            + _PORTS_PROTO.pack(self.src_port, self.dst_port, self.protocol)
         )
 
     def crc32(self) -> int:
-        return zlib.crc32(self.canonical_bytes()) & 0xFFFFFFFF
+        crc = self._crc
+        if crc is None:
+            crc = self._crc = zlib.crc32(self.canonical_bytes())
+        return crc
 
     def reversed(self) -> FlowKey:
         return FlowKey(self.dst_ip, self.dst_port, self.src_ip, self.src_port, self.protocol)
+
+    def __repr__(self) -> str:
+        return (
+            f"FlowKey(src_ip={self.src_ip!r}, src_port={self.src_port!r}, "
+            f"dst_ip={self.dst_ip!r}, dst_port={self.dst_port!r}, protocol={self.protocol!r})"
+        )
 
     def __str__(self) -> str:
         return (

@@ -20,9 +20,10 @@ Destinations always match the address field.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from ..errors import CompileError, PlacementError, UnknownName
+from ..errors import CompileError, PlacementError, UnknownEntry, UnknownHost, UnknownName
 from ..labels import Label, TagKind, TagRegistry, tag_bit
 from ..topology import Topology
 from .ast import (
@@ -291,7 +292,7 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
                     placements = tuple(
                         dict.fromkeys(topology.switch_of_ip(ip) for ip in ips)
                     )
-                except Exception:
+                except UnknownHost:
                     raise PlacementError(
                         f"line {rule.line}: destination {c.rhs!r} has no attached switch"
                     ) from None
@@ -454,13 +455,21 @@ def diff_configs(old: dict[str, SwitchConfig], new: dict[str, SwitchConfig]) -> 
 
 
 def apply_plan(cfg: SwitchConfig, update: SwitchUpdate) -> SwitchConfig:
-    """Pure application of one switch's update; raises KeyError style errors
-    via the control plane wrapper instead (see controlplane.apply_update)."""
+    """Pure application of one switch's update, in time linear in the
+    config and plan sizes. Each remove takes out the first remaining equal
+    entry of its table; removing an entry that is not installed raises
+    UnknownEntry."""
+    pending = Counter(update.removes)
     buckets: dict[str, list] = {k: [] for k in TABLE_KINDS}
-    for kind, entry in _config_items(cfg):
-        buckets[kind].append(entry)
-    for kind, entry in update.removes:
-        buckets[kind].remove(entry)
+    for item in _config_items(cfg):
+        if pending[item]:
+            pending[item] -= 1
+        else:
+            buckets[item[0]].append(item[1])
+    missing = [item for item, n in pending.items() if n]
+    if missing:
+        kind, entry = missing[0]
+        raise UnknownEntry(f"switch {cfg.switch_id}: no {kind} entry {entry} to remove")
     for kind, entry in update.adds:
         buckets[kind].append(entry)
     for kind in ("ternary", "exact", "tracker", "privilege"):

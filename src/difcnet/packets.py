@@ -2,13 +2,13 @@
 
 A SimPacket is the unit moved between hosts and switches. The reserved bit
 of the IP fragment field (the "evil bit") marks the presence of the label
-header; the invariant evil_bit <=> difc-present is enforced on every
-mutation helper here.
+header; the constructor enforces the invariant evil_bit <=> difc-present
+and the copy helpers preserve it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntFlag
 
 from .header import DifcHeader, FlowKey
@@ -37,23 +37,17 @@ class ControlKind(Enum):
     LABEL_INIT = "label_init"
 
 
-_next_packet_id = 0
+_SYN = int(TcpFlags.SYN)
+_new_packet = object.__new__
+_PROTO_TAG = {PROTO_TCP: "tcp", PROTO_UDP: "udp", PROTO_ICMP: "icmp"}
 
 
-def _fresh_packet_id() -> int:
-    global _next_packet_id
-    _next_packet_id += 1
-    return _next_packet_id
-
-
-def reset_packet_ids() -> None:
-    """Restart the id counter so repeated runs produce identical packets."""
-    global _next_packet_id
-    _next_packet_id = 0
-
-
-@dataclass
+@dataclass(slots=True)
 class SimPacket:
+    """A value: the pipeline never mutates a packet, it copies it. The flow
+    key is computed once, at construction; the copy helpers below share it
+    and skip the constructor's checks, which a copy cannot break."""
+
     src_ip: str
     dst_ip: str
     src_port: int
@@ -68,21 +62,20 @@ class SimPacket:
     seq: int = 0  # per-flow packet ordinal
     control: ControlKind | None = None
     recirc_count: int = 0
-    packet_id: int = field(default_factory=_fresh_packet_id)
+    flow_key: FlowKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.evil_bit != (self.difc is not None):
             raise ValueError("evil bit must mirror label-header presence")
         if self.protocol == PROTO_ICMP and self.icmp_kind is None and self.control is None:
             raise ValueError("icmp packet needs a kind")
-
-    @property
-    def flow_key(self) -> FlowKey:
-        return FlowKey(self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.protocol)
+        self.flow_key = FlowKey(
+            self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.protocol
+        )
 
     @property
     def is_syn(self) -> bool:
-        return self.protocol == PROTO_TCP and bool(self.tcp_flags & TcpFlags.SYN)
+        return self.protocol == PROTO_TCP and bool(int(self.tcp_flags) & _SYN)
 
     @property
     def is_initial(self) -> bool:
@@ -97,16 +90,45 @@ class SimPacket:
             return True
         return self.evil_bit
 
-    def with_header(self, header: DifcHeader) -> SimPacket:
-        return replace(self, difc=header, evil_bit=True)
+    # -- copies -----------------------------------------------------------
 
-    def without_header(self) -> SimPacket:
-        return replace(self, difc=None, evil_bit=False)
+    def _copy(self) -> SimPacket:
+        new = _new_packet(SimPacket)
+        new.src_ip = self.src_ip
+        new.dst_ip = self.dst_ip
+        new.src_port = self.src_port
+        new.dst_port = self.dst_port
+        new.protocol = self.protocol
+        new.tcp_flags = self.tcp_flags
+        new.icmp_kind = self.icmp_kind
+        new.evil_bit = self.evil_bit
+        new.ttl = self.ttl
+        new.difc = self.difc
+        new.payload_len = self.payload_len
+        new.seq = self.seq
+        new.control = self.control
+        new.recirc_count = self.recirc_count
+        new.flow_key = self.flow_key
+        return new
+
+    def with_ttl(self, ttl: int) -> SimPacket:
+        new = self._copy()
+        new.ttl = ttl
+        return new
+
+    def recirculated(self) -> SimPacket:
+        new = self._copy()
+        new.recirc_count = self.recirc_count + 1
+        return new
+
+    def with_header(self, header: DifcHeader) -> SimPacket:
+        new = self._copy()
+        new.difc = header
+        new.evil_bit = True
+        return new
 
     def describe(self) -> str:
-        tag = {PROTO_TCP: "tcp", PROTO_UDP: "udp", PROTO_ICMP: "icmp"}.get(
-            self.protocol, str(self.protocol)
-        )
+        tag = _PROTO_TAG.get(self.protocol) or str(self.protocol)
         marks = []
         if self.is_syn:
             marks.append("syn")

@@ -1,8 +1,8 @@
 """Deterministic packet-level event simulator.
 
 Single-threaded discrete event loop over integer nanosecond timestamps.
-Ties break on insertion order, packet ids restart at zero per run, and
-trace lines never include packet ids, so two runs of the same scenario
+Ties break on insertion order and nothing in a trace line depends on
+object identity or wall-clock time, so two runs of the same scenario
 produce byte-identical traces.
 """
 
@@ -24,7 +24,6 @@ from .packets import (
     IcmpKind,
     SimPacket,
     TcpFlags,
-    reset_packet_ids,
 )
 from .topology import DEFAULT_LINK_LATENCY_NS, Topology
 
@@ -66,12 +65,6 @@ class FlowRecord:
     def verdict(self) -> str:
         return "allow" if self.delivered > 0 else "drop"
 
-    def outcome_of_seq(self, seq: int) -> tuple[str, str] | None:
-        for s, status, where in self.outcomes:
-            if s == seq:
-                return status, where
-        return None
-
 
 class Network:
     def __init__(
@@ -80,7 +73,6 @@ class Network:
         compiled: CompiledPolicy,
         params: SimParams | None = None,
     ) -> None:
-        reset_packet_ids()
         self.topology = topology
         self.compiled = compiled
         self.params = params or SimParams()
@@ -113,6 +105,13 @@ class Network:
         self.now = 0
         self._heap: list = []
         self._evseq = 0
+        self._handlers = {
+            "send": self._on_send,
+            "switch": self._on_switch,
+            "deliver": self._on_deliver,
+            "install": self._on_install,
+            "call": self._on_call,
+        }
         self.trace: list[str] = []
         self.flows: dict[str, FlowRecord] = {}
         self._flow_by_key: dict = {}
@@ -202,12 +201,13 @@ class Network:
     # -- event loop -------------------------------------------------------
 
     def run(self, until_ns: int | None = None) -> None:
-        while self._heap:
-            if until_ns is not None and self._heap[0][0] > until_ns:
+        heap, handlers, pop = self._heap, self._handlers, heapq.heappop
+        while heap:
+            if until_ns is not None and heap[0][0] > until_ns:
                 break
-            at, _, kind, payload = heapq.heappop(self._heap)
+            at, _, kind, payload = pop(heap)
             self.now = at
-            getattr(self, f"_on_{kind}")(at, payload)
+            handlers[kind](at, payload)
 
     def _on_send(self, at: int, payload) -> None:
         src, pid, flow_id, base = payload

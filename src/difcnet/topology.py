@@ -79,6 +79,10 @@ class Topology:
                     raise DifcnetError(f"group {group} member {m} is not a host")
         self._ports: dict[str, list[str]] = {}
         self._forwarding: dict[str, dict[str, int]] = {}
+        self._latency: dict[tuple[str, str], int] = {}
+        for a, b, lat in self.links:  # the first link between two switches wins
+            self._latency.setdefault((a, b), lat)
+            self._latency.setdefault((b, a), lat)
         self._build_ports()
         self._build_forwarding()
 
@@ -102,9 +106,6 @@ class Topology:
         if ip == self.external_ip:
             return self.gateway
         raise UnknownHost(f"no switch attached to {ip}")
-
-    def host_ips(self) -> list[str]:
-        return [h.ip for h in self.hosts]
 
     def hosts_on(self, switch: str) -> list[Host]:
         return [h for h in self.hosts if h.switch == switch]
@@ -191,10 +192,7 @@ class Topology:
         return self._ports[switch][port]
 
     def link_latency(self, a: str, b: str) -> int:
-        for x, y, lat in self.links:
-            if {x, y} == {a, b}:
-                return lat
-        return DEFAULT_LINK_LATENCY_NS
+        return self._latency.get((a, b), DEFAULT_LINK_LATENCY_NS)
 
 
 def _looks_like_ip(name: str) -> bool:

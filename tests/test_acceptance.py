@@ -14,7 +14,7 @@ from difcnet.hostagent import HostAgent, SeqSource
 from difcnet.labels import LABEL_MASK, Label
 from difcnet.netcl import compile_program, merge_to_single_switch, parse
 from difcnet.netcl.ast import Drop
-from difcnet.packets import PROTO_TCP, SimPacket, TcpFlags, reset_packet_ids
+from difcnet.packets import PROTO_TCP, SimPacket, TcpFlags
 from difcnet.provenance import (
     backward_slice,
     file_entity,
@@ -553,7 +553,6 @@ def test_criterion_09_rate_limit_resilience():
         "S2", topo, compiled.configs["S2"],
         rate_limit=RATE_LIMIT, rate_window_ns=1_000_000_000,
     )
-    reset_packet_ids()
     dst = topo.host_by_name["C"].ip
     attacker = "10.66.0.9"
     admitted_attack = 0

@@ -1,9 +1,13 @@
 """Compilation: table selection, labeled-source semantics, placement,
 privilege entries, and the structural config diff."""
 
-import pytest
+from dataclasses import replace
 
-from difcnet.errors import CompileError, PlacementError
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from difcnet.errors import CompileError, PlacementError, UnknownEntry
 from difcnet.labels import TagKind, tag_bit
 from difcnet.netcl import (
     Allow,
@@ -14,6 +18,7 @@ from difcnet.netcl import (
     merge_to_single_switch,
     parse,
 )
+from difcnet.netcl.compiler import SwitchUpdate
 from tests.conftest import make_lan, make_split
 
 
@@ -359,6 +364,83 @@ def test_apply_plan_reaches_target_config():
     patched = apply_plan(old.configs["S2"], plan.per_switch["S2"])
     assert patched.all_entries() == new.configs["S2"].all_entries()
     assert patched.init_packets == new.configs["S2"].init_packets
+
+
+def _apply_plan_reference(cfg, update):
+    """The original quadratic application: list.remove per removed entry."""
+    buckets = {
+        "ternary": list(cfg.ternary_entries),
+        "exact": list(cfg.exact_entries),
+        "tracker": list(cfg.tracker_entries),
+        "privilege": list(cfg.privilege_entries),
+        "init": list(cfg.init_packets),
+    }
+    for kind, entry in update.removes:
+        buckets[kind].remove(entry)
+    for kind, entry in update.adds:
+        buckets[kind].append(entry)
+    for kind in ("ternary", "exact", "tracker", "privilege"):
+        buckets[kind].sort(key=lambda e: e.priority)
+    return buckets
+
+
+_POOL_CFG = compile_text(
+    LAN_RULES
+    + "if match(dst_ip==B) then allow\n"
+    + "if match(dst_ip==A) then drop\n"
+    + "if match(src_ip==A && dst_ip==C) then alert\n"
+).configs["S2"]
+# equal entries that differ only in source_line (which equality ignores)
+_POOL = [("ternary", e) for e in _POOL_CFG.ternary_entries] + [
+    ("exact", replace(e, source_line=line))
+    for e in _POOL_CFG.exact_entries
+    for line in (0, 7)
+]
+
+
+@given(
+    st.lists(st.sampled_from(range(len(_POOL))), max_size=12),
+    st.data(),
+    st.lists(st.sampled_from(range(len(_POOL))), max_size=4),
+)
+def test_apply_plan_matches_list_remove_reference(installed, data, added):
+    items = [_POOL[i] for i in installed]
+    cfg = replace(
+        _POOL_CFG,
+        ternary_entries=tuple(e for k, e in items if k == "ternary"),
+        exact_entries=tuple(e for k, e in items if k == "exact"),
+    )
+    removes = data.draw(st.permutations(items)).copy()
+    removes = removes[: data.draw(st.integers(min_value=0, max_value=len(removes)))]
+    update = SwitchUpdate(adds=tuple(_POOL[i] for i in added), removes=tuple(removes))
+    patched = apply_plan(cfg, update)
+    want = _apply_plan_reference(cfg, update)
+    for kind, got in (("ternary", patched.ternary_entries), ("exact", patched.exact_entries)):
+        assert [(e, e.source_line) for e in got] == [(e, e.source_line) for e in want[kind]]
+
+
+def test_apply_plan_unknown_entry_is_named():
+    old = compile_text(LAN_RULES)
+    stranger = compile_text("if match(dst_ip==B) then allow\n").configs["S2"].exact_entries[0]
+    update = SwitchUpdate(adds=(), removes=(("exact", stranger),))
+    with pytest.raises(UnknownEntry, match="S2.*exact"):
+        apply_plan(old.configs["S2"], update)
+    # removing one copy more than is installed is also unknown
+    installed = old.configs["S2"].exact_entries[0]
+    twice = SwitchUpdate(adds=(), removes=(("exact", installed), ("exact", installed)))
+    with pytest.raises(UnknownEntry):
+        apply_plan(old.configs["S2"], twice)
+
+
+def test_placement_lookup_errors_other_than_unknown_host_propagate(monkeypatch):
+    topo = make_lan()
+
+    def broken(ip):
+        raise RuntimeError("topology bug")
+
+    monkeypatch.setattr(topo, "switch_of_ip", broken)
+    with pytest.raises(RuntimeError, match="topology bug"):
+        compile_text("if match(dst_ip==C) then drop", topo)
 
 
 def test_rule_count_recorded():

@@ -55,6 +55,25 @@ def test_unknown_source_gets_no_reverse_install():
     assert len(pending) == 1
 
 
+def test_out_of_inventory_source_gets_only_the_forward_install():
+    _, _, _, cp = _env()
+    key = FlowKey("198.51.100.7", 9999, "10.6.3.20", 80, 6)
+    pending = cp.serve_conndec(InstallRequest("S3", key, Decision.ALLOW, 100))
+    assert pending == [PendingInstall("S3", key, Decision.ALLOW, 100 + RTT)]
+
+
+def test_source_lookup_errors_other_than_unknown_host_propagate(monkeypatch):
+    topo, _, _, cp = _env()
+
+    def broken(ip):
+        raise RuntimeError("topology bug")
+
+    monkeypatch.setattr(topo, "switch_of_ip", broken)
+    key = FlowKey("10.6.2.11", 41000, "10.6.3.20", 80, 6)
+    with pytest.raises(RuntimeError, match="topology bug"):
+        cp.serve_conndec(InstallRequest("S3", key, Decision.ALLOW, 0))
+
+
 def test_perform_install_and_capacity_failure():
     topo, compiled, switches, cp = _env()
     switches["S3"] = Switch("S3", topo, compiled.configs["S3"], conn_dec_capacity=1)

@@ -5,7 +5,9 @@ implementation of the reflected 0xEDB88320 polynomial, and the serialized
 layouts are compared byte for byte with hand-built reference buffers.
 """
 
+import ipaddress
 import struct
+import zlib
 
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from difcnet.header import (
     buffer_slot,
     decode_header,
     encode_header,
+    ipv4_bytes,
 )
 from difcnet.labels import LABEL_MASK, Label, tag_bit
 
@@ -72,6 +75,99 @@ def test_crc_agrees_with_bitwise_reference(src, sp, dst, dp, proto):
 
     key = FlowKey(dotted(src), sp, dotted(dst), dp, proto)
     assert key.crc32() == _crc32_bitwise(key.canonical_bytes())
+
+
+def _reference_ip(text):
+    """The slow reference parser: int value, or the ValueError subclass it
+    raised."""
+    try:
+        return int(ipaddress.IPv4Address(text))
+    except ValueError as exc:
+        return type(exc)
+
+
+def _fast_ip(text):
+    try:
+        return int.from_bytes(ipv4_bytes(text), "big")
+    except ValueError as exc:
+        return type(exc)
+
+
+def _agree(text):
+    ref, fast = _reference_ip(text), _fast_ip(text)
+    if isinstance(ref, int):
+        assert fast == ref
+    else:
+        assert isinstance(fast, type) and issubclass(fast, ValueError), (text, fast)
+
+
+@given(st.integers(min_value=0, max_value=0xFFFFFFFF))
+def test_fast_ipv4_parser_matches_ipaddress_on_valid(n):
+    text = str(ipaddress.IPv4Address(n))
+    assert _fast_ip(text) == n
+
+
+_octet_text = st.one_of(
+    st.integers(min_value=0, max_value=300).map(str),
+    st.integers(min_value=0, max_value=99).map(lambda n: f"0{n}"),  # leading zero
+    st.text(alphabet="0123456789xX+- ", max_size=4),
+    st.text(max_size=3),
+)
+
+
+@given(st.lists(_octet_text, min_size=1, max_size=6), st.sampled_from([".", "..", ":", ". "]))
+def test_fast_ipv4_parser_matches_ipaddress_on_malformed(octets, sep):
+    _agree(".".join(octets))
+    _agree(sep.join(octets))
+
+
+@given(st.text(max_size=20))
+def test_fast_ipv4_parser_matches_ipaddress_on_any_text(text):
+    _agree(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "1.2.3", "1.2.3.4.", "01.2.3.4", "1.2.3.00", "256.1.1.1", " 1.2.3.4",
+     "1.2.3.4\x00", "1.2.3.0x1", "\u0661.2.3.4", "\ud800", "1..2.3", "+1.2.3.4"],
+)
+def test_fast_ipv4_parser_rejects_like_ipaddress(text):
+    assert isinstance(_reference_ip(text), type)
+    _agree(text)
+
+
+@given(
+    st.integers(min_value=0, max_value=0xFFFFFFFF),
+    st.integers(min_value=0, max_value=65535),
+    st.integers(min_value=0, max_value=0xFFFFFFFF),
+    st.integers(min_value=0, max_value=65535),
+    st.integers(min_value=0, max_value=255),
+)
+def test_cached_crc_matches_reference_serialization(src, sp, dst, dp, proto):
+    src_ip, dst_ip = str(ipaddress.IPv4Address(src)), str(ipaddress.IPv4Address(dst))
+    key = FlowKey(src_ip, sp, dst_ip, dp, proto)
+    reference = struct.pack(">IIHHB", src, dst, sp, dp, proto)
+    assert key.canonical_bytes() == reference
+    assert key.crc32() == _crc32_bitwise(reference) == zlib.crc32(reference)
+    assert key.crc32() == key.crc32()  # the second call reads the cached value
+
+
+def test_flow_key_value_semantics():
+    a = FlowKey("10.0.0.1", 1234, "10.0.0.2", 80, 6)
+    b = FlowKey("10.0.0.1", 1234, "10.0.0.2", 80, 6)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != FlowKey("10.0.0.1", 1234, "10.0.0.2", 80, 17)
+    assert a != ("10.0.0.1", 1234, "10.0.0.2", 80, 6)
+    assert repr(a) == (
+        "FlowKey(src_ip='10.0.0.1', src_port=1234, dst_ip='10.0.0.2', dst_port=80, protocol=6)"
+    )
+    with pytest.raises(AttributeError):
+        a.extra = 1  # slotted
+
+
+def test_crc_of_malformed_address_raises_value_error():
+    with pytest.raises(ValueError):
+        FlowKey("10.0.0.01", 1, "10.0.0.2", 2, 6).crc32()
 
 
 def test_reversed_swaps_endpoints():
