@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from difcnet.cli import main
+from difcnet.scenario import load_scenario
 
 from tests.conftest import POLICY_DIR, SCENARIO_DIR, TOPOLOGY_DIR
 
@@ -76,6 +77,40 @@ def test_check_reports_tables(runner):
     assert res.exit_code == 0, res.output
     assert "rules" in res.output
     assert "ternary=" in res.output
+
+
+# `difcnet check` on each scenario's policy list and topology, recorded
+# from the three-table compiler; the per-table counts are storage
+# accounting and must not move when the tables' internal layout does.
+PINNED_CHECK = {
+    "scenario1": """\
+6 rules, 3 labeled hosts, 0 tracked files, 4 tags
+  S1: ternary=2 exact=0 tracker=0 privilege=0
+  S2: ternary=3 exact=1 tracker=0 privilege=0
+""",
+    "scenario2": """\
+5 rules, 5 labeled hosts, 0 tracked files, 4 tags
+  S2: ternary=2 exact=0 tracker=0 privilege=1
+  S3: ternary=2 exact=0 tracker=0 privilege=0
+  S4: ternary=2 exact=0 tracker=0 privilege=1
+""",
+    "scenario3": """\
+6 rules, 3 labeled hosts, 1 tracked files, 5 tags
+  S1: ternary=2 exact=0 tracker=1 privilege=0
+  S2: ternary=1 exact=0 tracker=0 privilege=0
+  S3: ternary=1 exact=2 tracker=0 privilege=1
+  S4: ternary=1 exact=0 tracker=0 privilege=0
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHECK))
+def test_check_output_pinned(runner, name):
+    scn = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    args = ["check", *map(str, scn.policy_paths), "--topology", str(scn.topology_path)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.output == PINNED_CHECK[name]
 
 
 def test_check_rejects_bad_policy(runner, tmp_path):
