@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -93,9 +94,10 @@ def check(policies: tuple[str, ...], topology_path: str) -> None:
     for sid, cfg in compiled.configs.items():
         if cfg.entry_count() == 0:
             continue
+        n = Counter(e.match.table for e in cfg.entries)
         click.echo(
-            f"  {sid}: ternary={len(cfg.ternary_entries)} exact={len(cfg.exact_entries)} "
-            f"tracker={len(cfg.tracker_entries)} privilege={len(cfg.privilege_entries)}"
+            f"  {sid}: ternary={n['ternary']} exact={n['exact']} "
+            f"tracker={n['tracker']} privilege={len(cfg.privilege_entries)}"
         )
 
 

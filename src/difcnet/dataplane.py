@@ -6,10 +6,10 @@ else is forwarded untouched. Enforcement order for an enforced packet:
 
   1. exact per-connection table (conn_dec) - a hit ends the pipeline
   2. initial packets: per-source rate check, then privilege stage
-     (declassify/endorse against the original label), then the three match
-     tables (ternary label, exact, tracker) with lowest priority number
-     winning and a default of drop; the verdict is written to the
-     direct-mapped decision buffer and an install request is emitted
+     (declassify/endorse against the original label), then the match
+     entries in ascending priority, where the first match wins and no match
+     means drop; the verdict is written to the direct-mapped decision
+     buffer and an install request is emitted
   3. non-initial packets: decision buffer lookup; a miss recirculates the
      packet after a delay longer than one RTT, bounded by a recirculation
      budget, after which it drops
@@ -147,16 +147,12 @@ class RateLimiter:
 def match_policies(
     config: SwitchConfig, label_bits: int, tracker: int, src_ip: str, dst_ip: str
 ) -> TableEntry | None:
-    """Consult all three match tables; the entry with the lowest priority
-    number wins regardless of which table holds it."""
-    best: TableEntry | None = None
-    for table in (config.ternary_entries, config.exact_entries, config.tracker_entries):
-        for entry in table:
-            if best is not None and entry.priority >= best.priority:
-                continue
-            if entry.match.matches(label_bits, tracker, src_ip, dst_ip):
-                best = entry
-    return best
+    """The first matching entry, which is the one with the lowest priority
+    number because the entries are in ascending priority."""
+    for entry in config.entries:
+        if entry.match.matches(label_bits, tracker, src_ip, dst_ip):
+            return entry
+    return None
 
 
 def apply_privileges(

@@ -5,11 +5,14 @@ rule's destination address(es); a destination of `any` (or no destination
 conjunct) places the rule on every host-attached switch plus the gateway.
 Intermediate switches never hold policy state.
 
-Table selection: a rule whose predicate constrains the packet label (via
-`contains`, or via a source name that carries a host-label assignment)
-compiles to a ternary entry; a rule keyed on a tracker id compiles to a
-tracker entry; everything else is exact-match. A ternary entry may also
-carry exact field values, so mixed predicates stay a single entry.
+Match entries: each switch holds one list of match entries in ascending
+priority, and the first entry that matches a packet decides it. The table a
+hardware target would store an entry in is storage accounting only, worked
+out by `MatchSpec.table`: a predicate on the packet label (via `contains`,
+or via a source name that carries a host-label assignment) needs a ternary
+entry, one keyed on a tracker id alone a tracker entry, and anything else
+an exact entry. A ternary entry may also carry exact field values, so mixed
+predicates stay a single entry.
 
 Source semantics: `src_ip==X` where X has a `label_host` assignment matches
 on the packet label (label must cover X's assigned tags), because the label
@@ -82,12 +85,14 @@ class MatchSpec:
         return True
 
     @property
-    def is_ternary(self) -> bool:
-        return self.label_mask != 0
-
-    @property
-    def is_tracker(self) -> bool:
-        return self.label_mask == 0 and self.tracker_match != 0
+    def table(self) -> str:
+        """"ternary", "tracker" or "exact": the table that stores this
+        pattern on a switch with TCAM, for occupancy accounting."""
+        if self.label_mask:
+            return "ternary"
+        if self.tracker_match:
+            return "tracker"
+        return "exact"
 
 
 @dataclass(frozen=True)
@@ -112,23 +117,24 @@ class PrivilegeEntry:
 
 @dataclass(frozen=True)
 class SwitchConfig:
+    """One switch's state. `entries` is in ascending priority, so the first
+    entry that matches a packet is the one with the lowest priority number."""
+
     switch_id: str
-    ternary_entries: tuple[TableEntry, ...] = ()
-    exact_entries: tuple[TableEntry, ...] = ()
-    tracker_entries: tuple[TableEntry, ...] = ()
+    entries: tuple[TableEntry, ...] = ()
     privilege_entries: tuple[PrivilegeEntry, ...] = ()
     init_packets: tuple[tuple[str, Label], ...] = ()  # (host ip, label)
 
-    def entry_count(self) -> int:
-        return (
-            len(self.ternary_entries)
-            + len(self.exact_entries)
-            + len(self.tracker_entries)
-            + len(self.privilege_entries)
-        )
+    def __post_init__(self):
+        for prev, entry in zip(self.entries, self.entries[1:]):
+            if entry.priority < prev.priority:
+                raise CompileError(
+                    f"switch {self.switch_id}: entry of priority {entry.priority} "
+                    f"follows priority {prev.priority}"
+                )
 
-    def all_entries(self) -> tuple[TableEntry, ...]:
-        return self.ternary_entries + self.exact_entries + self.tracker_entries
+    def entry_count(self) -> int:
+        return len(self.entries) + len(self.privilege_entries)
 
 
 @dataclass
@@ -227,9 +233,7 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
         (topology.gateway,) if topology.gateway not in topology.host_switches() else ()
     )
 
-    ternary: dict[str, list[TableEntry]] = {s: [] for s in topology.switches}
-    exact: dict[str, list[TableEntry]] = {s: [] for s in topology.switches}
-    tracker_tab: dict[str, list[TableEntry]] = {s: [] for s in topology.switches}
+    entries: dict[str, list[TableEntry]] = {s: [] for s in topology.switches}
     privilege: dict[str, list[PrivilegeEntry]] = {s: [] for s in topology.switches}
 
     for rule in program.rules:
@@ -332,14 +336,8 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
             continue
 
         entry = TableEntry(spec, rule.action, rule.priority, rule.line)
-        if spec.is_ternary:
-            target = ternary
-        elif spec.is_tracker:
-            target = tracker_tab
-        else:
-            target = exact
         for s in placements:
-            target[s].append(entry)
+            entries[s].append(entry)
 
     init: dict[str, list[tuple[str, Label]]] = {s: [] for s in topology.switches}
     for ip in sorted(host_labels):
@@ -348,9 +346,7 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
     configs = {
         s: SwitchConfig(
             switch_id=s,
-            ternary_entries=tuple(ternary[s]),
-            exact_entries=tuple(exact[s]),
-            tracker_entries=tuple(tracker_tab[s]),
+            entries=tuple(entries[s]),
             privilege_entries=tuple(privilege[s]),
             init_packets=tuple(init[s]),
         )
@@ -366,46 +362,32 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
     )
 
 
+def _priority(entry: TableEntry | PrivilegeEntry) -> int:
+    return entry.priority
+
+
 def merge_to_single_switch(compiled: CompiledPolicy, switch_id: str) -> SwitchConfig:
     """Collapse a deployment onto one switch holding every entry, used to
-    check that distribution never changes verdicts."""
-    tern: list[TableEntry] = []
-    exact: list[TableEntry] = []
-    track: list[TableEntry] = []
-    priv: list[PrivilegeEntry] = []
-    init: list[tuple[str, Label]] = []
-    for cfg in compiled.configs.values():
-        for e in cfg.ternary_entries:
-            if e not in tern:
-                tern.append(e)
-        for e in cfg.exact_entries:
-            if e not in exact:
-                exact.append(e)
-        for e in cfg.tracker_entries:
-            if e not in track:
-                track.append(e)
-        for e in cfg.privilege_entries:
-            if e not in priv:
-                priv.append(e)
-        init.extend(cfg.init_packets)
+    check that distribution never changes verdicts. An entry replicated on
+    several switches counts once, as its first occurrence."""
+    configs = compiled.configs.values()
+    entries = dict.fromkeys(e for cfg in configs for e in cfg.entries)
+    priv = dict.fromkeys(e for cfg in configs for e in cfg.privilege_entries)
     return SwitchConfig(
         switch_id=switch_id,
-        ternary_entries=tuple(sorted(tern, key=lambda e: e.priority)),
-        exact_entries=tuple(sorted(exact, key=lambda e: e.priority)),
-        tracker_entries=tuple(sorted(track, key=lambda e: e.priority)),
-        privilege_entries=tuple(sorted(priv, key=lambda e: e.priority)),
-        init_packets=tuple(init),
+        entries=tuple(sorted(entries, key=_priority)),
+        privilege_entries=tuple(sorted(priv, key=_priority)),
+        init_packets=tuple(p for cfg in configs for p in cfg.init_packets),
     )
 
 
 # --- dynamic update ------------------------------------------------------
 
-TABLE_KINDS = ("ternary", "exact", "tracker", "privilege", "init")
-
 
 @dataclass(frozen=True)
 class SwitchUpdate:
-    adds: tuple[tuple[str, object], ...]  # (table kind, entry)
+    # (kind, entry): a match entry's MatchSpec.table, "privilege" or "init"
+    adds: tuple[tuple[str, object], ...]
     removes: tuple[tuple[str, object], ...]
 
     @property
@@ -428,15 +410,12 @@ class UpdatePlan:
 
 
 def _config_items(cfg: SwitchConfig):
-    for kind, entries in (
-        ("ternary", cfg.ternary_entries),
-        ("exact", cfg.exact_entries),
-        ("tracker", cfg.tracker_entries),
-        ("privilege", cfg.privilege_entries),
-        ("init", cfg.init_packets),
-    ):
-        for e in entries:
-            yield (kind, e)
+    for e in cfg.entries:
+        yield (e.match.table, e)
+    for e in cfg.privilege_entries:
+        yield ("privilege", e)
+    for p in cfg.init_packets:
+        yield ("init", p)
 
 
 def diff_configs(old: dict[str, SwitchConfig], new: dict[str, SwitchConfig]) -> UpdatePlan:
@@ -457,28 +436,25 @@ def diff_configs(old: dict[str, SwitchConfig], new: dict[str, SwitchConfig]) -> 
 def apply_plan(cfg: SwitchConfig, update: SwitchUpdate) -> SwitchConfig:
     """Pure application of one switch's update, in time linear in the
     config and plan sizes. Each remove takes out the first remaining equal
-    entry of its table; removing an entry that is not installed raises
-    UnknownEntry."""
+    entry; removing an entry that is not installed raises UnknownEntry.
+    Added entries go after installed ones of the same priority."""
     pending = Counter(update.removes)
-    buckets: dict[str, list] = {k: [] for k in TABLE_KINDS}
+    kept = []
     for item in _config_items(cfg):
         if pending[item]:
             pending[item] -= 1
         else:
-            buckets[item[0]].append(item[1])
+            kept.append(item)
     missing = [item for item, n in pending.items() if n]
     if missing:
         kind, entry = missing[0]
         raise UnknownEntry(f"switch {cfg.switch_id}: no {kind} entry {entry} to remove")
-    for kind, entry in update.adds:
-        buckets[kind].append(entry)
-    for kind in ("ternary", "exact", "tracker", "privilege"):
-        buckets[kind].sort(key=lambda e: e.priority)
+    kept.extend(update.adds)
+    entries = [e for kind, e in kept if kind not in ("privilege", "init")]
+    privilege = [e for kind, e in kept if kind == "privilege"]
     return replace(
         cfg,
-        ternary_entries=tuple(buckets["ternary"]),
-        exact_entries=tuple(buckets["exact"]),
-        tracker_entries=tuple(buckets["tracker"]),
-        privilege_entries=tuple(buckets["privilege"]),
-        init_packets=tuple(buckets["init"]),
+        entries=tuple(sorted(entries, key=_priority)),
+        privilege_entries=tuple(sorted(privilege, key=_priority)),
+        init_packets=tuple(e for kind, e in kept if kind == "init"),
     )

@@ -349,7 +349,7 @@ def test_criterion_07_ternary_accounting():
     compiled = compile_program(parse("\n".join(lines) + "\n"), topo)
     merged = merge_to_single_switch(compiled, "all-in-one")
     single_table = merged.entry_count()  # every rule would need a ternary slot
-    multi_table = len(merged.ternary_entries)
+    multi_table = sum(e.match.table == "ternary" for e in merged.entries)
     assert single_table == 1_200
     assert multi_table == 100
     ratio = single_table / multi_table

@@ -26,6 +26,13 @@ def compile_text(text, topo=None):
     return compile_program(parse(text), topo or make_lan())
 
 
+def only_entry(cfg, table):
+    """The config's single match entry, checked to account to `table`."""
+    (entry,) = cfg.entries
+    assert entry.match.table == table
+    return entry
+
+
 # -- tag registration ------------------------------------------------------
 
 
@@ -111,12 +118,8 @@ def test_tracker_rule_compiles_to_tracker_table():
         "label_file(ip=A, file=/f)\n"
         "if match(tracker_id==/f@A && dst_ip==C) then drop\n"
     )
-    cfg = compiled.configs["S2"]
-    assert len(cfg.tracker_entries) == 1
-    entry = cfg.tracker_entries[0]
+    entry = only_entry(compiled.configs["S2"], "tracker")
     assert entry.match.tracker_match == 1
-    assert entry.match.is_tracker
-    assert not cfg.ternary_entries and not cfg.exact_entries
 
 
 def test_tracker_rule_without_file_is_an_error():
@@ -140,14 +143,12 @@ def test_labeled_source_compiles_to_ternary():
         "label_host(ip=A, label={X, Y})\n"
         "if match(src_ip==A && dst_ip==C) then allow\n"
     )
-    cfg = compiled.configs["S2"]
-    (entry,) = cfg.ternary_entries
+    entry = only_entry(compiled.configs["S2"], "ternary")
     want = tag_bit(0) | tag_bit(1)
     assert entry.match.label_mask == want
     assert entry.match.label_value == want
     assert entry.match.src is None  # provenance, not address, identifies A
     assert entry.match.dst is not None
-    assert not cfg.exact_entries
 
 
 def test_ternary_match_is_superset_semantics():
@@ -155,7 +156,7 @@ def test_ternary_match_is_superset_semantics():
         "label_host(ip=A, label={X})\n"
         "if match(src_ip==A && dst_ip==C) then allow\n"
     )
-    m = compiled.configs["S2"].ternary_entries[0].match
+    m = only_entry(compiled.configs["S2"], "ternary").match
     x = tag_bit(0)
     other = tag_bit(5)
     assert m.matches(x, 0, "10.9.9.9", "10.5.2.20")  # any src address
@@ -166,8 +167,7 @@ def test_ternary_match_is_superset_semantics():
 
 def test_unlabeled_source_compiles_to_exact():
     compiled = compile_text("if match(src_ip==B && dst_ip==C) then drop")
-    cfg = compiled.configs["S2"]
-    (entry,) = cfg.exact_entries
+    entry = only_entry(compiled.configs["S2"], "exact")
     assert entry.match.label_mask == 0
     assert entry.match.src.values == frozenset({"10.5.2.12"})
     assert entry.match.matches(0, 0, "10.5.2.12", "10.5.2.20")
@@ -176,13 +176,13 @@ def test_unlabeled_source_compiles_to_exact():
 
 def test_raw_ip_source():
     compiled = compile_text("if match(src_ip==192.0.2.9 && dst_ip==C) then drop")
-    (entry,) = compiled.configs["S2"].exact_entries
+    entry = only_entry(compiled.configs["S2"], "exact")
     assert entry.match.src.values == frozenset({"192.0.2.9"})
 
 
 def test_negated_unlabeled_source():
     compiled = compile_text("if match(src_ip!=B && dst_ip==C) then drop")
-    (entry,) = compiled.configs["S2"].exact_entries
+    entry = only_entry(compiled.configs["S2"], "exact")
     assert entry.match.src.negate
     assert not entry.match.matches(0, 0, "10.5.2.12", "10.5.2.20")
     assert entry.match.matches(0, 0, "10.5.2.11", "10.5.2.20")
@@ -201,7 +201,7 @@ def test_contains_and_labeled_source_masks_union():
         "label_host(ip=A, label={X})\n"
         "if match(src_ip==A && pkt_label contains Z && dst_ip==C) then drop\n"
     )
-    (entry,) = compiled.configs["S2"].ternary_entries
+    entry = only_entry(compiled.configs["S2"], "ternary")
     assert entry.match.label_mask == tag_bit(0) | tag_bit(1)
 
 
@@ -216,7 +216,7 @@ def test_unknown_name_is_an_error():
 def test_destination_rule_lands_only_at_destination_switch():
     split = make_split()
     compiled = compile_text("if match(src_ip==A && dst_ip==C) then allow", split)
-    assert len(compiled.configs["S3"].exact_entries) == 1
+    only_entry(compiled.configs["S3"], "exact")
     assert compiled.configs["S2"].entry_count() == 0
     assert compiled.configs["S1"].entry_count() == 0
 
@@ -225,7 +225,7 @@ def test_any_destination_lands_on_host_switches_and_gateway():
     split = make_split()
     compiled = compile_text("if match(dst_ip==any) then allow", split)
     for sid in ("S1", "S2", "S3"):
-        assert len(compiled.configs[sid].exact_entries) == 1
+        only_entry(compiled.configs[sid], "exact")
 
 
 def test_missing_destination_behaves_like_any():
@@ -249,7 +249,7 @@ def test_negated_destination_lands_everywhere():
     split = make_split()
     compiled = compile_text("if match(dst_ip!=C) then alert", split)
     for sid in ("S1", "S2", "S3"):
-        (entry,) = compiled.configs[sid].exact_entries
+        entry = only_entry(compiled.configs[sid], "exact")
         assert entry.match.dst.negate
 
 
@@ -282,7 +282,7 @@ def test_privilege_rule_compiles_to_privilege_stage():
     assert entry.mask == tag_bit(0)
     assert entry.match.label_mask == tag_bit(0)  # keyed on A's label
     # privilege rules never occupy the match tables
-    assert len(cfg.all_entries()) == 1
+    assert len(cfg.entries) == 1
 
 
 def test_endorse_direction():
@@ -302,7 +302,7 @@ def test_reroute_port_bounds_checked():
         compile_text("if match(dst_ip==C) then reroute(99)")
     # S2 has ports: S1 plus three hosts
     compiled = compile_text("if match(dst_ip==C) then reroute(1)")
-    assert compiled.configs["S2"].exact_entries[0].action.port == 1
+    assert only_entry(compiled.configs["S2"], "exact").action.port == 1
 
 
 def test_modify_restricted_to_known_fields():
@@ -323,8 +323,8 @@ def test_merge_deduplicates_replicated_entries():
     )
     merged = merge_to_single_switch(compiled, "one")
     # the any rule is replicated three times but counts once
-    assert len(merged.exact_entries) == 2
-    assert [e.priority for e in merged.exact_entries] == [0, 1]
+    assert [e.priority for e in merged.entries] == [0, 1]
+    assert [e.match.table for e in merged.entries] == ["exact", "exact"]
     assert merged.switch_id == "one"
 
 
@@ -362,19 +362,18 @@ def test_apply_plan_reaches_target_config():
     )
     plan = diff_configs(old.configs, new.configs)
     patched = apply_plan(old.configs["S2"], plan.per_switch["S2"])
-    assert patched.all_entries() == new.configs["S2"].all_entries()
+    assert patched.entries == new.configs["S2"].entries
     assert patched.init_packets == new.configs["S2"].init_packets
 
 
 def _apply_plan_reference(cfg, update):
-    """The original quadratic application: list.remove per removed entry."""
-    buckets = {
-        "ternary": list(cfg.ternary_entries),
-        "exact": list(cfg.exact_entries),
-        "tracker": list(cfg.tracker_entries),
-        "privilege": list(cfg.privilege_entries),
-        "init": list(cfg.init_packets),
-    }
+    """The original quadratic application: one list per table kind,
+    list.remove per removed entry, then each list sorted by priority."""
+    buckets = {"ternary": [], "exact": [], "tracker": []}
+    for e in cfg.entries:
+        buckets[e.match.table].append(e)
+    buckets["privilege"] = list(cfg.privilege_entries)
+    buckets["init"] = list(cfg.init_packets)
     for kind, entry in update.removes:
         buckets[kind].remove(entry)
     for kind, entry in update.adds:
@@ -391,9 +390,10 @@ _POOL_CFG = compile_text(
     + "if match(src_ip==A && dst_ip==C) then alert\n"
 ).configs["S2"]
 # equal entries that differ only in source_line (which equality ignores)
-_POOL = [("ternary", e) for e in _POOL_CFG.ternary_entries] + [
+_POOL = [("ternary", e) for e in _POOL_CFG.entries if e.match.table == "ternary"] + [
     ("exact", replace(e, source_line=line))
-    for e in _POOL_CFG.exact_entries
+    for e in _POOL_CFG.entries
+    if e.match.table == "exact"
     for line in (0, 7)
 ]
 
@@ -406,27 +406,30 @@ _POOL = [("ternary", e) for e in _POOL_CFG.ternary_entries] + [
 def test_apply_plan_matches_list_remove_reference(installed, data, added):
     items = [_POOL[i] for i in installed]
     cfg = replace(
-        _POOL_CFG,
-        ternary_entries=tuple(e for k, e in items if k == "ternary"),
-        exact_entries=tuple(e for k, e in items if k == "exact"),
+        _POOL_CFG, entries=tuple(sorted((e for _, e in items), key=lambda e: e.priority))
     )
     removes = data.draw(st.permutations(items)).copy()
     removes = removes[: data.draw(st.integers(min_value=0, max_value=len(removes)))]
     update = SwitchUpdate(adds=tuple(_POOL[i] for i in added), removes=tuple(removes))
     patched = apply_plan(cfg, update)
     want = _apply_plan_reference(cfg, update)
-    for kind, got in (("ternary", patched.ternary_entries), ("exact", patched.exact_entries)):
-        assert [(e, e.source_line) for e in got] == [(e, e.source_line) for e in want[kind]]
+    # no two kinds share a priority in the pool, so merging the reference's
+    # lists by priority gives one well-defined order
+    want_entries = sorted(want["ternary"] + want["exact"], key=lambda e: e.priority)
+    assert [(e, e.source_line) for e in patched.entries] == [
+        (e, e.source_line) for e in want_entries
+    ]
 
 
 def test_apply_plan_unknown_entry_is_named():
     old = compile_text(LAN_RULES)
-    stranger = compile_text("if match(dst_ip==B) then allow\n").configs["S2"].exact_entries[0]
+    (stranger,) = compile_text("if match(dst_ip==B) then allow\n").configs["S2"].entries
     update = SwitchUpdate(adds=(), removes=(("exact", stranger),))
     with pytest.raises(UnknownEntry, match="S2.*exact"):
         apply_plan(old.configs["S2"], update)
     # removing one copy more than is installed is also unknown
-    installed = old.configs["S2"].exact_entries[0]
+    installed = old.configs["S2"].entries[1]
+    assert installed.match.table == "exact"
     twice = SwitchUpdate(adds=(), removes=(("exact", installed), ("exact", installed)))
     with pytest.raises(UnknownEntry):
         apply_plan(old.configs["S2"], twice)

@@ -93,7 +93,7 @@ def test_apply_update_converges_to_new_policy():
     plan = cp.apply_update(switches, new_compiled)
     adds, removes = plan.counts()
     assert (adds, removes) == (1, 0)
-    assert switches["S2"].config.all_entries() == new_compiled.configs["S2"].all_entries()
+    assert switches["S2"].config.entries == new_compiled.configs["S2"].entries
     assert cp.compiled is new_compiled
     # rolling the same policy again is a no-op
     again = compile_program(parse(new_text), topo)
@@ -108,7 +108,7 @@ def test_apply_update_removal():
     plan = cp.apply_update(switches, new_compiled)
     _, removes = plan.counts()
     assert removes == 3  # B drop rule plus the two dst allows
-    assert switches["S2"].config.all_entries() == new_compiled.configs["S2"].all_entries()
+    assert switches["S2"].config.entries == new_compiled.configs["S2"].entries
 
 
 def test_placement_report_math():
