@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -44,28 +45,42 @@ def run(scenario: str, trace_path: str | None, quiet: bool) -> None:
         sys.exit(1)
 
 
+def _parse_rows(ctx, param, rows: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
+    spec = []
+    for text in rows:
+        m = re.fullmatch(r"(\d+):(\d+)", text)
+        if m is None or int(m[1]) < 1:
+            raise click.BadParameter(
+                f"{text!r} is not steps:allowed with steps >= 1, e.g. 4:2"
+            )
+        spec.append((int(m[1]), int(m[2])))
+    return tuple(spec)
+
+
 @main.command()
 @click.argument("topology", type=click.Path(exists=True))
 @click.option("--target", default=None, help="Target host (default: first host).")
-@click.option("--row", "rows", multiple=True,
+@click.option("--row", "rows", multiple=True, callback=_parse_rows,
               help="steps:allowed pair, e.g. 4:2 (repeatable). Defaults depend on the topology name.")
-def routes(topology: str, target: str | None, rows: tuple[str, ...]) -> None:
+def routes(topology: str, target: str | None, rows: tuple[tuple[int, int], ...]) -> None:
     """Count lateral attack routes and report blocked fractions."""
-    topo = load_topology(topology)
-    target = target or topo.hosts[0].name
-    if rows:
-        row_spec = tuple(
-            (int(r.split(":")[0]), int(r.split(":")[1])) for r in rows
-        )
-    else:
-        row_spec = DEFAULT_COVERAGE_ROWS.get(topo.name)
+    try:
+        topo = load_topology(topology)
+        target = target or next((h.name for h in topo.hosts), "")
+        if target not in topo.host_by_name:
+            raise click.BadParameter(
+                f"no host {target!r} in topology {topo.name!r}", param_hint="'--target'"
+            )
+        row_spec = rows or DEFAULT_COVERAGE_ROWS.get(topo.name)
         if row_spec is None:
             raise click.ClickException(
                 f"no default rows for topology {topo.name!r}; pass --row steps:allowed"
             )
-    n = len(topo.hosts) - 1
-    click.echo(f"topology={topo.name} hosts={len(topo.hosts)} target={target} candidates={n}")
-    report = coverage_report(topo, target, row_spec)
+        n = len(topo.hosts) - 1
+        click.echo(f"topology={topo.name} hosts={len(topo.hosts)} target={target} candidates={n}")
+        report = coverage_report(topo, target, row_spec)
+    except DifcnetError as exc:
+        raise click.ClickException(str(exc))
     click.echo(f"{'steps':>5} {'allowed':>7} {'routes':>12} {'filter%':>8} {'labels%':>8}  basis")
     for row in report:
         basis = f"sampled {row.evaluated}" if row.sampled else "exhaustive"
@@ -80,8 +95,8 @@ def routes(topology: str, target: str | None, rows: tuple[str, ...]) -> None:
 @click.option("--topology", "topology_path", required=True, type=click.Path(exists=True))
 def check(policies: tuple[str, ...], topology_path: str) -> None:
     """Parse and compile policies; report table usage per switch."""
-    topo = load_topology(topology_path)
     try:
+        topo = load_topology(topology_path)
         program = parse_files(list(policies))
         compiled = compile_program(program, topo)
     except DifcnetError as exc:
@@ -106,8 +121,8 @@ def check(policies: tuple[str, ...], topology_path: str) -> None:
 @click.option("--topology", "topology_path", required=True, type=click.Path(exists=True))
 def report(policies: tuple[str, ...], topology_path: str) -> None:
     """Show where entries land and the storage saved by placement."""
-    topo = load_topology(topology_path)
     try:
+        topo = load_topology(topology_path)
         compiled = compile_program(parse_files(list(policies)), topo)
     except DifcnetError as exc:
         raise click.ClickException(str(exc))
@@ -121,8 +136,8 @@ def report(policies: tuple[str, ...], topology_path: str) -> None:
 @click.option("--new", "new_paths", multiple=True, required=True, type=click.Path(exists=True))
 def apply(topology_path: str, old_paths: tuple[str, ...], new_paths: tuple[str, ...]) -> None:
     """Plan the incremental table update from one policy set to another."""
-    topo = load_topology(topology_path)
     try:
+        topo = load_topology(topology_path)
         old = compile_program(parse_files(list(old_paths)), topo)
         new = compile_program(parse_files(list(new_paths)), topo)
     except DifcnetError as exc:

@@ -350,5 +350,3 @@ class HostAgent:
         blob = self.snapshot()
         self.restore(blob, now_ns=now_ns)
         self._emit(now_ns, "reboot")
-
-    crash = reboot

@@ -206,6 +206,17 @@ def _check_privilege_kinds(action, registry: TagRegistry) -> None:
                 raise CompileError(f"endorse({t}) requires an integrity tag")
 
 
+def _check_modify(action: Modify, line: int) -> None:
+    if action.field_name not in MODIFIABLE_FIELDS:
+        raise CompileError(f"line {line}: field {action.field_name!r} is not modifiable")
+    if action.field_name == "ttl" and not (
+        action.value.isdecimal() and int(action.value) <= 255
+    ):
+        raise CompileError(
+            f"line {line}: ttl must be an integer from 0 to 255, not {action.value!r}"
+        )
+
+
 def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
     registry = TagRegistry()
     _register_tags(program, registry)
@@ -224,6 +235,11 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
             for ip in topology.resolve(stmt.host):
                 host_labels[ip] = host_labels.get(ip, Label(0)) | label
         elif isinstance(stmt, LabelFile):
+            if stmt.host not in topology.host_by_name:
+                raise CompileError(
+                    f"line {stmt.line}: label_file host {stmt.host!r} is not a host "
+                    f"in topology {topology.name!r}"
+                )
             key = (stmt.host, stmt.path)
             if key not in file_trackers:
                 file_trackers[key] = next_tracker
@@ -313,10 +329,8 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
                     raise CompileError(
                         f"line {rule.line}: switch {s} has no egress port {rule.action.port}"
                     )
-        if isinstance(rule.action, Modify) and rule.action.field_name not in MODIFIABLE_FIELDS:
-            raise CompileError(
-                f"line {rule.line}: field {rule.action.field_name!r} is not modifiable"
-            )
+        if isinstance(rule.action, Modify):
+            _check_modify(rule.action, rule.line)
 
         spec = MatchSpec(
             label_mask=label_mask,

@@ -95,10 +95,6 @@ def backward_slice(
     return result
 
 
-def ancestors_of_flow(events: list[AgentEvent], flow_key: str) -> set[Entity]:
-    return backward_slice(events, flow_entity(flow_key))
-
-
 def ancestors_of_file(events: list[AgentEvent], host: str, inode: int) -> set[Entity]:
     return backward_slice(events, file_entity(host, inode))
 

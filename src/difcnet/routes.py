@@ -55,7 +55,7 @@ def iter_routes(candidates: list[str], k: int):
 
 def make_policy_admit(compiled: CompiledPolicy, topology: Topology):
     """Static admission through the destination's enforcement switch:
-    privilege rewrite, then the match tables, default deny."""
+    privilege rewrite, then the first matching entry, default deny."""
 
     def admit(src_ip: str, dst_ip: str, label_bits: int) -> tuple[bool, int]:
         cfg = compiled.configs[topology.switch_of_ip(dst_ip)]

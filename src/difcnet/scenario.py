@@ -4,7 +4,7 @@ scenario resolve relative to the scenario file."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -28,7 +28,6 @@ class Scenario:
     events: list[dict]
     flows: list[dict]
     expect: dict
-    doc: dict = field(default_factory=dict)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -49,7 +48,6 @@ def load_scenario(path: str | Path) -> Scenario:
         events=list(doc.get("setup", [])) + list(doc.get("events", [])),
         flows=list(doc.get("flows", [])),
         expect=doc.get("expect", {}),
-        doc=doc,
     )
 
 

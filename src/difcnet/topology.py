@@ -50,6 +50,12 @@ class FirewallRule:
     src: frozenset[str] | None = None  # ips
     dst: frozenset[str] | None = None
 
+    def __post_init__(self):
+        if self.action not in ("allow", "deny"):
+            raise DifcnetError(
+                f"firewall rule action must be 'allow' or 'deny', not {self.action!r}"
+            )
+
 
 @dataclass
 class Topology:
@@ -64,6 +70,12 @@ class Topology:
     firewall: list[FirewallRule] = field(default_factory=list)
 
     def __post_init__(self):
+        if not self.switches:
+            raise DifcnetError("'switches' must list at least one switch")
+        for a, b, _lat in self.links:
+            for s in (a, b):
+                if s not in self.switches:
+                    raise DifcnetError(f"link {a}-{b} names unknown switch {s!r}")
         self.host_by_name = {h.name: h for h in self.hosts}
         self.host_by_ip = {h.ip: h for h in self.hosts}
         if len(self.host_by_name) != len(self.hosts) or len(self.host_by_ip) != len(self.hosts):
@@ -221,12 +233,21 @@ def _resolve_fw_side(value, topo_hosts, groups, external_ip) -> frozenset[str] |
 
 
 def load_topology(path: str) -> Topology:
+    """Errors in the document are raised with the file path in front."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
-    return topology_from_dict(doc)
+    try:
+        return topology_from_dict(doc)
+    except DifcnetError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def topology_from_dict(doc: dict) -> Topology:
+    if not isinstance(doc, dict):
+        raise DifcnetError("topology must be a mapping")
+    if "switches" not in doc:
+        raise DifcnetError("missing field 'switches'")
     links = []
     for entry in doc.get("links", []):
         if len(entry) == 2:
@@ -235,7 +256,12 @@ def topology_from_dict(doc: dict) -> Topology:
         else:
             a, b, lat = entry
         links.append((a, b, int(lat)))
-    hosts = [Host(h["name"], h["ip"], h["switch"]) for h in doc.get("hosts", [])]
+    hosts = []
+    for i, h in enumerate(doc.get("hosts", [])):
+        for key in ("name", "ip", "switch"):
+            if key not in h:
+                raise DifcnetError(f"hosts[{i}] ({h.get('name', '?')}): missing field {key!r}")
+        hosts.append(Host(h["name"], h["ip"], h["switch"]))
     ext = doc.get("external", {})
     groups = {k: tuple(v) for k, v in doc.get("groups", {}).items()}
 
@@ -255,7 +281,7 @@ def topology_from_dict(doc: dict) -> Topology:
     for r in doc.get("firewall", []):
         fw.append(
             FirewallRule(
-                action=r["action"],
+                action=r.get("action"),
                 src=_resolve_fw_side(r.get("src"), host_ips, groups, topo.external_ip),
                 dst=_resolve_fw_side(r.get("dst"), host_ips, groups, topo.external_ip),
             )

@@ -173,3 +173,60 @@ def test_apply_no_change(runner, tmp_path):
     )
     assert res.exit_code == 0, res.output
     assert "plan: +0 entries, -0 entries" in res.output
+
+
+@pytest.fixture
+def broken_topology(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("name: t\nswitches: [S1]\nhosts:\n  - {name: A, switch: S1}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", LISTING1, "--topology", "{topo}"],
+        ["report", LISTING1, "--topology", "{topo}"],
+        ["apply", "--topology", "{topo}", "--old", LISTING1, "--new", LISTING1],
+        ["routes", "{topo}", "--row", "2:1"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_bad_topology_is_a_click_error(runner, broken_topology, args):
+    res = runner.invoke(main, [a.format(topo=broken_topology) for a in args])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"Error: {broken_topology}: hosts[0] (A): missing field 'ip'" in res.output
+
+
+def test_routes_unknown_target_is_a_click_error(runner):
+    res = runner.invoke(main, ["routes", HOSPITAL, "--target", "Nobody", "--row", "2:2"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Invalid value for '--target': no host 'Nobody'" in res.output
+
+
+@pytest.mark.parametrize("row", ["4", "a:b", "0:2", "2:1:3"])
+def test_routes_malformed_row_is_a_click_error(runner, row):
+    res = runner.invoke(main, ["routes", HOSPITAL, "--target", "PACS", "--row", row])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert f"Invalid value for '--row': {row!r} is not steps:allowed" in res.output
+
+
+def test_apply_lists_a_switch_in_priority_order(runner, tmp_path):
+    old = tmp_path / "old.ncl"
+    new = tmp_path / "new.ncl"
+    old.write_text("label_host(ip=Host1, label={X})\nif match(dst_ip==PACS) then allow\n")
+    new.write_text(
+        "label_host(ip=Host1, label={X})\n"
+        "if match(src_ip==Host2 && dst_ip==PACS) then drop\n"
+        "if match(pkt_label contains X && dst_ip==PACS) then drop\n"
+        "if match(dst_ip==PACS) then allow\n"
+    )
+    res = runner.invoke(
+        main, ["apply", "--topology", HOSPITAL, "--old", str(old), "--new", str(new)]
+    )
+    assert res.exit_code == 0, res.output
+    tags = [line.split("]")[0].strip() for line in res.output.splitlines() if "[" in line]
+    assert tags == ["+ [exact", "+ [ternary", "+ [exact", "- [exact"]

@@ -113,6 +113,11 @@ def test_tracker_ids_assigned_in_order():
     assert compiled.file_trackers == {("A", "/one"): 1, ("A", "/two"): 2}
 
 
+def test_label_file_on_unknown_host_is_an_error():
+    with pytest.raises(CompileError, match="line 2: label_file host 'Nobody' is not a host"):
+        compile_text("label_file(ip=A, file=/one)\nlabel_file(ip=Nobody, file=/two)\n")
+
+
 def test_tracker_rule_compiles_to_tracker_table():
     compiled = compile_text(
         "label_file(ip=A, file=/f)\n"
@@ -309,6 +314,15 @@ def test_modify_restricted_to_known_fields():
     with pytest.raises(CompileError, match="not modifiable"):
         compile_text("if match(dst_ip==C) then modify(dscp=7)")
     compile_text("if match(dst_ip==C) then modify(ttl=4)")  # fine
+
+
+@pytest.mark.parametrize("value", ["abc", "256", "-1", "4.5"])
+def test_modify_ttl_must_be_a_byte(value):
+    text = f"if match(dst_ip==A) then allow\nif match(dst_ip==C) then modify(ttl={value})"
+    with pytest.raises(CompileError, match=f"line 2: ttl must be .* 0 to 255, not '{value}'"):
+        compile_text(text)
+    for ok in ("0", "255"):
+        compile_text(f"if match(dst_ip==C) then modify(ttl={ok})")
 
 
 # -- merge and diff --------------------------------------------------------

@@ -344,10 +344,6 @@ def test_corrupt_snapshots_rejected(mangle):
         b.restore(mangle(blob))
 
 
-def test_crash_is_reboot():
-    assert HostAgent.crash is HostAgent.reboot
-
-
 # -- event stream ----------------------------------------------------------
 
 

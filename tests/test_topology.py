@@ -107,6 +107,55 @@ def test_validation_errors():
         topology_from_dict(base)  # unknown switch
 
 
+def _small_doc():
+    return {
+        "name": "t",
+        "switches": ["S1", "S2"],
+        "links": [["S1", "S2"]],
+        "hosts": [{"name": "A", "ip": "10.0.0.1", "switch": "S2"}],
+    }
+
+
+def _broken(tmp_path, doc) -> str:
+    path = tmp_path / "topo.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(DifcnetError) as info:
+        load_topology(str(path))
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    return message
+
+
+def test_link_to_unknown_switch_is_named(tmp_path):
+    doc = _small_doc()
+    doc["links"].append(["S2", "S9"])
+    assert "link S2-S9 names unknown switch 'S9'" in _broken(tmp_path, doc)
+
+
+def test_host_without_ip_is_named(tmp_path):
+    doc = _small_doc()
+    del doc["hosts"][0]["ip"]
+    assert "hosts[0] (A): missing field 'ip'" in _broken(tmp_path, doc)
+
+
+def test_missing_switches_is_named(tmp_path):
+    doc = _small_doc()
+    del doc["switches"]
+    assert "missing field 'switches'" in _broken(tmp_path, doc)
+
+
+def test_empty_switches_is_named(tmp_path):
+    doc = {"name": "t", "switches": []}
+    assert "'switches' must list at least one switch" in _broken(tmp_path, doc)
+
+
+def test_unknown_firewall_action_is_named(tmp_path):
+    doc = _small_doc()
+    doc["firewall"] = [{"action": "permit", "dst": "A"}]
+    message = _broken(tmp_path, doc)
+    assert "firewall rule action must be 'allow' or 'deny', not 'permit'" in message
+
+
 def test_disconnected_switch_graph_rejected():
     with pytest.raises(DifcnetError, match="not connected"):
         topology_from_dict(
