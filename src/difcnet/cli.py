@@ -11,7 +11,10 @@ import click
 
 from .controlplane import ControlPlane
 from .errors import DifcnetError
+from .labels import Label, TagRegistry
 from .netcl import compile_program, diff_configs, parse_files
+from .netcl.ast import format_action
+from .netcl.compiler import PrivilegeEntry, TableEntry
 from .routes import DEFAULT_COVERAGE_ROWS, coverage_report
 from .scenario import load_scenario, run_scenario
 from .topology import load_topology
@@ -149,10 +152,33 @@ def apply(topology_path: str, old_paths: tuple[str, ...], new_paths: tuple[str, 
         if update.empty:
             continue
         click.echo(f"  {sid}: +{len(update.adds)} -{len(update.removes)}")
-        for kind, entry in update.adds:
-            click.echo(f"    + [{kind}] {entry}")
-        for kind, entry in update.removes:
-            click.echo(f"    - [{kind}] {entry}")
+        for kind, item in update.adds:
+            click.echo(f"    + [{kind}] {_format_plan_item(item, new.registry)}")
+        for kind, item in update.removes:
+            click.echo(f"    - [{kind}] {_format_plan_item(item, old.registry)}")
+
+
+def _format_plan_item(item, registry: TagRegistry) -> str:
+    """One plan entry on one line: priority, NetCL source line, action and
+    match, with tag names for label bits and sorted addresses."""
+    if isinstance(item, TableEntry):
+        action = format_action(item.action)
+    elif isinstance(item, PrivilegeEntry):
+        action = f"{item.direction}({registry.format_label(Label(item.mask))})"
+    else:
+        ip, label = item
+        return f"{ip} label {registry.format_label(label)}"
+    match = item.match
+    parts = []
+    if match.label_mask:
+        parts.append(f"label has {registry.format_label(Label(match.label_mask))}")
+    if match.tracker_match:
+        parts.append(f"tracker {match.tracker_match}")
+    for name, side in (("src", match.src), ("dst", match.dst)):
+        if side is not None:
+            parts.append(f"{name} {'not ' if side.negate else ''}{','.join(sorted(side.values))}")
+    condition = " and ".join(parts) or "any"
+    return f"priority {item.priority} line {item.source_line}: {action} if {condition}"
 
 
 if __name__ == "__main__":

@@ -91,10 +91,7 @@ class ControlPlane:
         return True
 
     def plan_update(self, new_compiled: CompiledPolicy) -> UpdatePlan:
-        return diff_configs(
-            {s: c for s, c in self.compiled.configs.items()},
-            {s: c for s, c in new_compiled.configs.items()},
-        )
+        return diff_configs(self.compiled.configs, new_compiled.configs)
 
     def apply_update(self, switches: dict[str, Switch], new_compiled: CompiledPolicy) -> UpdatePlan:
         """Applies only the difference; untouched entries keep their state.

@@ -23,8 +23,8 @@ Destinations always match the address field.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from ..errors import CompileError, PlacementError, UnknownEntry, UnknownHost, UnknownName
 from ..labels import Label, TagKind, TagRegistry, tag_bit
@@ -376,8 +376,7 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
     )
 
 
-def _priority(entry: TableEntry | PrivilegeEntry) -> int:
-    return entry.priority
+_priority = attrgetter("priority")
 
 
 def merge_to_single_switch(compiled: CompiledPolicy, switch_id: str) -> SwitchConfig:
@@ -423,52 +422,113 @@ class UpdatePlan:
         return adds, removes
 
 
-def _config_items(cfg: SwitchConfig):
-    for e in cfg.entries:
-        yield (e.match.table, e)
-    for e in cfg.privilege_entries:
-        yield ("privilege", e)
-    for p in cfg.init_packets:
-        yield ("init", p)
+def _unmatched(old, new) -> tuple[list, list]:
+    """(items of `new` equal to no item of `old`, items of `old` equal to no
+    item of `new`), each in its sequence's order. Equal entries have equal
+    priorities, so an entry is compared only with the other side's entries
+    of its own priority: one comparison per entry where a switch's
+    priorities are unique, as the compiler makes them."""
+    positions: dict[int, list[int]] = {}
+    for i, entry in enumerate(old):
+        positions.setdefault(entry.priority, []).append(i)
+    kept = [False] * len(old)
+    adds = []
+    for entry in new:
+        found = False
+        for i in positions.get(entry.priority, ()):
+            if old[i] == entry:
+                kept[i] = found = True
+        if not found:
+            adds.append(entry)
+    return adds, [entry for entry, k in zip(old, kept) if not k]
 
 
 def diff_configs(old: dict[str, SwitchConfig], new: dict[str, SwitchConfig]) -> UpdatePlan:
     """Entries common to both sides (structurally equal match, action, and
-    priority) are untouched; the plan lists only real adds and removes."""
+    priority) are untouched; the plan lists only real adds and removes:
+    match entries, then privilege entries, then init packets, each in
+    config order."""
     plan: dict[str, SwitchUpdate] = {}
     for s in dict.fromkeys(list(old) + list(new)):
-        old_items = list(_config_items(old[s])) if s in old else []
-        new_items = list(_config_items(new[s])) if s in new else []
-        old_set = set(old_items)
-        new_set = set(new_items)
-        adds = tuple(i for i in new_items if i not in old_set)
-        removes = tuple(i for i in old_items if i not in new_set)
-        plan[s] = SwitchUpdate(adds=adds, removes=removes)
+        a = old[s] if s in old else SwitchConfig(s)
+        b = new[s] if s in new else SwitchConfig(s)
+        entry_adds, entry_removes = _unmatched(a.entries, b.entries)
+        priv_adds, priv_removes = _unmatched(a.privilege_entries, b.privilege_entries)
+        old_init, new_init = set(a.init_packets), set(b.init_packets)
+        plan[s] = SwitchUpdate(
+            adds=(
+                *((e.match.table, e) for e in entry_adds),
+                *(("privilege", e) for e in priv_adds),
+                *(("init", p) for p in b.init_packets if p not in old_init),
+            ),
+            removes=(
+                *((e.match.table, e) for e in entry_removes),
+                *(("privilege", e) for e in priv_removes),
+                *(("init", p) for p in a.init_packets if p not in new_init),
+            ),
+        )
     return UpdatePlan(plan)
+
+
+def _same(item):
+    return item
+
+
+def _take(items, pending: dict, key) -> list:
+    """`items` without those that use up an equal pending remove, looked up
+    in the bucket `pending[key(item)]`. Removes that find no item stay in
+    `pending`."""
+    kept = []
+    for item in items:
+        bucket = pending.get(key(item))
+        if bucket and item in bucket:
+            bucket.remove(item)
+        else:
+            kept.append(item)
+    return kept
 
 
 def apply_plan(cfg: SwitchConfig, update: SwitchUpdate) -> SwitchConfig:
     """Pure application of one switch's update, in time linear in the
     config and plan sizes. Each remove takes out the first remaining equal
-    entry; removing an entry that is not installed raises UnknownEntry.
-    Added entries go after installed ones of the same priority."""
-    pending = Counter(update.removes)
-    kept = []
-    for item in _config_items(cfg):
-        if pending[item]:
-            pending[item] -= 1
+    entry; removing an entry that is not installed raises UnknownEntry,
+    naming the first such remove. Removes are found by priority, the only
+    part of an entry that is cheap to hash; init packets by value. Added
+    entries go after installed ones of the same priority."""
+    entries: dict[int, list] = {}
+    privilege: dict[int, list] = {}
+    init: dict[tuple, list] = {}
+    unknown = []  # removes that match no installed item
+    for kind, item in update.removes:
+        if kind == "init":
+            init.setdefault(item, []).append(item)
+        elif kind == "privilege":
+            privilege.setdefault(item.priority, []).append(item)
+        elif kind == item.match.table:
+            entries.setdefault(item.priority, []).append(item)
         else:
-            kept.append(item)
-    missing = [item for item, n in pending.items() if n]
-    if missing:
-        kind, entry = missing[0]
+            unknown.append((kind, item))
+    kept_entries = _take(cfg.entries, entries, _priority)
+    kept_privilege = _take(cfg.privilege_entries, privilege, _priority)
+    kept_init = _take(cfg.init_packets, init, _same)
+    unknown += [(e.match.table, e) for bucket in entries.values() for e in bucket]
+    unknown += [("privilege", e) for bucket in privilege.values() for e in bucket]
+    unknown += [("init", p) for bucket in init.values() for p in bucket]
+    if unknown:
+        kind, entry = next(r for r in update.removes if r in unknown)
         raise UnknownEntry(f"switch {cfg.switch_id}: no {kind} entry {entry} to remove")
-    kept.extend(update.adds)
-    entries = [e for kind, e in kept if kind not in ("privilege", "init")]
-    privilege = [e for kind, e in kept if kind == "privilege"]
+    for kind, item in update.adds:
+        if kind == "init":
+            kept_init.append(item)
+        elif kind == "privilege":
+            kept_privilege.append(item)
+        else:
+            kept_entries.append(item)
+    # kept entries and a plan's adds are each in priority order, so the
+    # stable sort merges two runs
     return replace(
         cfg,
-        entries=tuple(sorted(entries, key=_priority)),
-        privilege_entries=tuple(sorted(privilege, key=_priority)),
-        init_packets=tuple(e for kind, e in kept if kind == "init"),
+        entries=tuple(sorted(kept_entries, key=_priority)),
+        privilege_entries=tuple(sorted(kept_privilege, key=_priority)),
+        init_packets=tuple(kept_init),
     )

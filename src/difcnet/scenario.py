@@ -7,15 +7,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from .errors import ScenarioError
 from .netcl import compile_program, parse_files
 from .scenario_checks import evaluate_expectations
 from .sim import Network, SimParams
-from .topology import Topology, load_topology
+from .topology import Topology, load_topology, read_yaml
 
 MS = 1_000_000
+
+# fields an event op reads, checked when the scenario loads
+EVENT_FIELDS = {
+    "spawn": ("pid",),
+    "exit": ("pid",),
+    "read": ("pid", "path"),
+    "write": ("pid", "path"),
+    "create": ("pid", "path"),
+    "accept": ("pid", "flow"),
+    "update": ("policies",),
+}
 
 
 @dataclass
@@ -32,12 +41,28 @@ class Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    doc = yaml.safe_load(path.read_text())
+    doc = read_yaml(path)
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: scenario must be a mapping")
     for key in ("topology", "policies"):
         if key not in doc:
             raise ScenarioError(f"{path}: missing {key!r}")
+    for section in ("setup", "events"):
+        for i, event in enumerate(doc.get(section, [])):
+            if not isinstance(event, dict):
+                raise ScenarioError(f"{path}: {section}[{i}]: an event must be a mapping")
+            op = event.get("op")
+            where = f"{path}: {section}[{i}] (op {op!r})"
+            for name in EVENT_FIELDS.get(op, ()):
+                if name not in event:
+                    raise ScenarioError(f"{where}: missing field {name!r}")
+            if "pid" in event:
+                try:
+                    int(event["pid"])
+                except (TypeError, ValueError):
+                    raise ScenarioError(
+                        f"{where}: pid must be an integer, not {event['pid']!r}"
+                    ) from None
     base = path.parent
     return Scenario(
         name=doc.get("name", path.stem),

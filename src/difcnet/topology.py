@@ -232,10 +232,23 @@ def _resolve_fw_side(value, topo_hosts, groups, external_ip) -> frozenset[str] |
     return frozenset(ips)
 
 
+def read_yaml(path) -> object:
+    """The YAML document in `path`; a syntax error is a DifcnetError naming
+    the file and line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.MarkedYAMLError as exc:
+            mark = exc.problem_mark or exc.context_mark
+            where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
+            raise DifcnetError(f"{where}: invalid YAML: {exc.problem or exc.context}") from None
+        except yaml.YAMLError as exc:
+            raise DifcnetError(f"{path}: invalid YAML: {exc}") from None
+
+
 def load_topology(path: str) -> Topology:
     """Errors in the document are raised with the file path in front."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = read_yaml(path)
     try:
         return topology_from_dict(doc)
     except DifcnetError as exc:
@@ -249,13 +262,19 @@ def topology_from_dict(doc: dict) -> Topology:
     if "switches" not in doc:
         raise DifcnetError("missing field 'switches'")
     links = []
-    for entry in doc.get("links", []):
-        if len(entry) == 2:
-            a, b = entry
-            lat = DEFAULT_LINK_LATENCY_NS
-        else:
-            a, b, lat = entry
-        links.append((a, b, int(lat)))
+    for i, entry in enumerate(doc.get("links", [])):
+        if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 3):
+            raise DifcnetError(
+                f"links[{i}]: a link is [switch, switch] or [switch, switch, latency_ns], "
+                f"not {entry!r}"
+            )
+        try:
+            lat = int(entry[2]) if len(entry) == 3 else DEFAULT_LINK_LATENCY_NS
+        except (TypeError, ValueError):
+            raise DifcnetError(
+                f"links[{i}]: latency must be a number of ns, not {entry[2]!r}"
+            ) from None
+        links.append((entry[0], entry[1], lat))
     hosts = []
     for i, h in enumerate(doc.get("hosts", [])):
         for key in ("name", "ip", "switch"):

@@ -199,6 +199,32 @@ def test_bad_topology_is_a_click_error(runner, broken_topology, args):
     assert f"Error: {broken_topology}: hosts[0] (A): missing field 'ip'" in res.output
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("name: t\nswitches: [S1, S2\nhosts: []\n", "{path}:3: invalid YAML: "),
+        ("name: t\nswitches: [S1]\nlinks: [[S1]]\n", "{path}: links[0]: a link is "),
+    ],
+    ids=["yaml-syntax", "short-link"],
+)
+def test_check_reports_a_malformed_topology_without_traceback(runner, tmp_path, text, message):
+    path = tmp_path / "topo.yaml"
+    path.write_text(text)
+    res = runner.invoke(main, ["check", LISTING1, "--topology", str(path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: " + message.format(path=path))
+
+
+def test_run_reports_a_malformed_scenario_without_traceback(runner, tmp_path):
+    path = tmp_path / "scn.yaml"
+    path.write_text("topology: t.yaml\npolicies: [p.ncl\n")
+    res = runner.invoke(main, ["run", str(path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith(f"Error: {path}:3: invalid YAML: ")
+
+
 def test_routes_unknown_target_is_a_click_error(runner):
     res = runner.invoke(main, ["routes", HOSPITAL, "--target", "Nobody", "--row", "2:2"])
     assert res.exit_code == 2
@@ -230,3 +256,67 @@ def test_apply_lists_a_switch_in_priority_order(runner, tmp_path):
     assert res.exit_code == 0, res.output
     tags = [line.split("]")[0].strip() for line in res.output.splitlines() if "[" in line]
     assert tags == ["+ [exact", "+ [ternary", "+ [exact", "- [exact"]
+
+
+def test_apply_prints_one_short_line_per_plan_entry(runner, tmp_path):
+    old = tmp_path / "old.ncl"
+    new = tmp_path / "new.ncl"
+    old.write_text(
+        "label_host(ip=Host1, label={Host1})\n"
+        "label_host(ip=Host2, label={Host2, Top_Secret})\n"
+        "if match(pkt_label contains Top_Secret && dst_ip==external_network) then drop\n"
+        "if match(src_ip==Host1 && dst_ip==PACS) then allow\n"
+    )
+    new.write_text(
+        "label_host(ip=Host1, label={Host1})\n"
+        "label_host(ip=Host2, label={Host2, Top_Secret})\n"
+        "label_host(ip=PACS, label={PACS})\n"
+        "label_file(ip=PACS, file=/scans/a.dcm)\n"
+        "if match(pkt_label contains {Top_Secret, Host2} && dst_ip==external_network) then drop\n"
+        "if match(src_ip==PACS && dst_ip!=Host1) then declassify({PACS})\n"
+        "if match(tracker_id==/scans/a.dcm@PACS && dst_ip==Host2) then alert\n"
+        "if match(src_ip==Host1 && dst_ip==PACS) then allow\n"
+        "if match(src_ip==10.1.2.99 && dst_ip==any) then modify(ttl=9)\n"
+    )
+    res = runner.invoke(
+        main, ["apply", "--topology", HOSPITAL, "--old", str(old), "--new", str(new)]
+    )
+    assert res.exit_code == 0, res.output
+    assert res.output == (
+        "plan: +8 entries, -2 entries\n"
+        "  S1: +3 -1\n"
+        "    + [ternary] priority 0 line 5: drop if label has {Host2, Top_Secret} and dst 203.0.113.10\n"
+        "    + [exact] priority 4 line 9: modify(ttl=9) if src 10.1.2.99\n"
+        "    + [privilege] priority 1 line 6: declassify({PACS}) if label has {PACS} and dst not 10.1.2.11\n"
+        "    - [ternary] priority 0 line 3: drop if label has {Top_Secret} and dst 203.0.113.10\n"
+        "  S2: +5 -1\n"
+        "    + [tracker] priority 2 line 7: alert if tracker 1 and dst 10.1.2.12\n"
+        "    + [ternary] priority 3 line 8: allow if label has {Host1} and dst 10.1.2.20\n"
+        "    + [exact] priority 4 line 9: modify(ttl=9) if src 10.1.2.99\n"
+        "    + [privilege] priority 1 line 6: declassify({PACS}) if label has {PACS} and dst not 10.1.2.11\n"
+        "    + [init] 10.1.2.20 label {PACS}\n"
+        "    - [ternary] priority 1 line 4: allow if label has {Host1} and dst 10.1.2.20\n"
+    )
+
+
+def test_apply_lists_addresses_sorted(runner, tmp_path):
+    topo = tmp_path / "topo.yaml"
+    topo.write_text(
+        "name: t\nswitches: [S1]\n"
+        "hosts:\n"
+        "  - {name: B, ip: 10.0.0.7, switch: S1}\n"
+        "  - {name: A, ip: 10.0.0.5, switch: S1}\n"
+        "groups:\n  G: [B, A]\n"
+    )
+    old = tmp_path / "old.ncl"
+    new = tmp_path / "new.ncl"
+    old.write_text("")
+    new.write_text("if match(src_ip==G && dst_ip!=G) then drop\n")
+    res = runner.invoke(
+        main, ["apply", "--topology", str(topo), "--old", str(old), "--new", str(new)]
+    )
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[2] == (
+        "    + [exact] priority 0 line 1: drop if src 10.0.0.5,10.0.0.7"
+        " and dst not 10.0.0.5,10.0.0.7"
+    )

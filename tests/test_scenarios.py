@@ -106,3 +106,42 @@ def test_accept_of_unknown_flow(tmp_path):
     )
     with pytest.raises(ScenarioError, match="ghost"):
         run_scenario(scn)
+
+
+@pytest.mark.parametrize(
+    "event, missing",
+    [
+        ({"op": "spawn"}, "pid"),
+        ({"op": "exit"}, "pid"),
+        ({"op": "read", "pid": 1}, "path"),
+        ({"op": "read", "path": "/f"}, "pid"),
+        ({"op": "write", "pid": 1}, "path"),
+        ({"op": "write", "path": "/f"}, "pid"),
+        ({"op": "create", "pid": 1}, "path"),
+        ({"op": "create", "path": "/f"}, "pid"),
+        ({"op": "accept", "pid": 1}, "flow"),
+        ({"op": "accept", "flow": "f1"}, "pid"),
+        ({"op": "update"}, "policies"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v["op"],
+)
+def test_event_missing_field_fails_at_load(tmp_path, event, missing):
+    events = [{"host": "Host1", "op": "spawn", "pid": 1}, {"host": "Host1", **event}]
+    with pytest.raises(ScenarioError) as exc:
+        _minimal_scenario(tmp_path, {"events": events})
+    assert str(exc.value) == (
+        f"{tmp_path / 'scn.yaml'}: events[1] (op {event['op']!r}): missing field {missing!r}"
+    )
+
+
+def test_setup_event_missing_field_names_the_setup_list(tmp_path):
+    with pytest.raises(ScenarioError, match=r"setup\[0\] \(op 'spawn'\): missing field 'pid'"):
+        _minimal_scenario(tmp_path, {"setup": [{"host": "Host1", "op": "spawn"}]})
+    with pytest.raises(ScenarioError, match=r"setup\[0\]: an event must be a mapping"):
+        _minimal_scenario(tmp_path, {"setup": ["spawn"]})
+
+
+def test_event_pid_that_is_not_an_integer_fails_at_load(tmp_path):
+    events = [{"host": "Host1", "op": "spawn", "pid": "seven"}]
+    with pytest.raises(ScenarioError, match=r"events\[0\] \(op 'spawn'\): pid must be an integer"):
+        _minimal_scenario(tmp_path, {"events": events})

@@ -132,6 +132,29 @@ def test_link_to_unknown_switch_is_named(tmp_path):
     assert "link S2-S9 names unknown switch 'S9'" in _broken(tmp_path, doc)
 
 
+@pytest.mark.parametrize(
+    "link, problem",
+    [
+        (["S1"], "a link is [switch, switch] or [switch, switch, latency_ns], not ['S1']"),
+        (["S1", "S2", 5, 6], "a link is [switch, switch] or"),
+        ("S1", "a link is [switch, switch] or"),
+        (["S1", "S2", "slow"], "latency must be a number of ns, not 'slow'"),
+    ],
+)
+def test_malformed_link_is_named(tmp_path, link, problem):
+    doc = _small_doc()
+    doc["links"].insert(0, link)
+    assert f"links[0]: {problem}" in _broken(tmp_path, doc)
+
+
+def test_yaml_syntax_error_names_file_and_line(tmp_path):
+    path = tmp_path / "topo.yaml"
+    path.write_text("name: t\nswitches: [S1, S2\nhosts: []\n")
+    with pytest.raises(DifcnetError) as info:
+        load_topology(str(path))
+    assert str(info.value).startswith(f"{path}:3: invalid YAML: ")
+
+
 def test_host_without_ip_is_named(tmp_path):
     doc = _small_doc()
     del doc["hosts"][0]["ip"]
