@@ -5,12 +5,18 @@ attached hosts (or, at the gateway, to the external network). Everything
 else is forwarded untouched. Enforcement order for an enforced packet:
 
   1. exact per-connection table (conn_dec) - a hit ends the pipeline
-  2. initial packets: per-source rate check, then privilege stage
-     (declassify/endorse against the original label), then the match
-     entries in ascending priority, where the first match wins and no match
-     means drop; the verdict is written to the direct-mapped decision
-     buffer and an install request is emitted
-  3. non-initial packets: decision buffer lookup; a miss recirculates the
+  2. initial packets: per-source rate check, then classification, then the
+     matched entry's action; the verdict is written to the direct-mapped
+     decision buffer and an install request is emitted
+  3. classification of an initial packet: the switch's classification
+     cache, keyed on (original label bits, tracker id, source, destination),
+     answers with the rewritten label and the matched entry. A miss runs
+     the privilege stage (declassify/endorse against the original label),
+     then the match entries in ascending priority, where the first match
+     wins and no match means drop, and stores the answer. `set_config`
+     empties the cache, and a full cache (CLASSIFY_CACHE_CAPACITY keys) is
+     emptied before the next store
+  4. non-initial packets: decision buffer lookup; a miss recirculates the
      packet after a delay longer than one RTT, bounded by a recirculation
      budget, after which it drops
 
@@ -36,6 +42,7 @@ from .packets import PROTO_UDP, ControlKind, SimPacket
 from .topology import Topology
 
 CONN_DEC_CAPACITY = 220_000
+CLASSIFY_CACHE_CAPACITY = 4_096
 DEFAULT_INDEX_BITS = 16
 DEFAULT_RECIRC_LIMIT = 3
 DEFAULT_RATE_LIMIT = 128
@@ -221,6 +228,12 @@ class Switch:
         self.recirc_delay_ns = recirc_delay_ns
         self._enforced = set(topology.enforced_ips(switch_id))
         self._forwarding = topology.forwarding(switch_id)
+        # (orig label bits, tracker, src, dst) -> (rewritten bits, entry)
+        self._classified: dict[
+            tuple[int, int, str, str], tuple[int, TableEntry | None]
+        ] = {}
+        self.classify_hits = 0
+        self.classify_misses = 0
 
     # control plane hooks -------------------------------------------------
 
@@ -229,6 +242,7 @@ class Switch:
 
     def set_config(self, config: SwitchConfig) -> None:
         self.config = config
+        self._classified = {}
 
     # pipeline ------------------------------------------------------------
 
@@ -318,6 +332,27 @@ class Switch:
             log=log,
         )
 
+    def classify(
+        self, label_bits: int, tracker: int, src_ip: str, dst_ip: str
+    ) -> tuple[int, TableEntry | None]:
+        """(rewritten label bits, first matching entry or None) for an
+        initial packet under the current config, from the classification
+        cache or, on a miss, from the privilege stage and the match entries."""
+        ckey = (label_bits, tracker, src_ip, dst_ip)
+        cached = self._classified.get(ckey)
+        if cached is not None:
+            self.classify_hits += 1
+            return cached
+        self.classify_misses += 1
+        new_bits = apply_privileges(
+            self.config.privilege_entries, label_bits, tracker, src_ip, dst_ip
+        )
+        result = (new_bits, match_policies(self.config, new_bits, tracker, src_ip, dst_ip))
+        if len(self._classified) >= CLASSIFY_CACHE_CAPACITY:
+            self._classified.clear()
+        self._classified[ckey] = result
+        return result
+
     def _evaluate_initial(
         self, pkt: SimPacket, key: FlowKey, now_ns: int, log: list[str]
     ) -> PipelineResult:
@@ -327,9 +362,7 @@ class Switch:
 
         orig_bits = pkt.difc.label.bits if pkt.difc is not None else 0
         tracker = pkt.difc.tracker_id if pkt.difc is not None else 0
-        new_bits = apply_privileges(
-            self.config.privilege_entries, orig_bits, tracker, pkt.src_ip, pkt.dst_ip
-        )
+        new_bits, entry = self.classify(orig_bits, tracker, pkt.src_ip, pkt.dst_ip)
         if pkt.difc is not None and new_bits != orig_bits:
             pkt = pkt.with_header(DifcHeader(Label(new_bits), tracker))
             log.append(
@@ -337,9 +370,6 @@ class Switch:
                 f"{orig_bits:064x}->{new_bits:064x}"
             )
 
-        entry = match_policies(
-            self.config, new_bits, tracker, pkt.src_ip, pkt.dst_ip
-        )
         if entry is None:
             decision = Decision.DROP
             result = PipelineResult("drop", pkt, decision_source="policy", log=log)

@@ -101,12 +101,23 @@ class TagRegistry:
 
     A (name, index, kind) triple never changes once assigned. Indexes are
     handed out in registration order, which makes compilation deterministic
-    for a fixed policy source.
+    for a fixed policy source. The index-to-name map and the bitmap of each
+    kind are kept up to date as tags register, so no lookup scans the tags.
     """
 
     name_to_id: dict[str, int] = field(default_factory=dict)
     kind: dict[int, TagKind] = field(default_factory=dict)
     next_free: int = 0
+    _names: dict[int, str] = field(init=False, repr=False, compare=False)
+    _kind_masks: dict[TagKind, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._names = {}
+        for name, idx in self.name_to_id.items():
+            self._names.setdefault(idx, name)
+        self._kind_masks = dict.fromkeys(TagKind, 0)
+        for idx, k in self.kind.items():
+            self._kind_masks[k] |= tag_bit(idx)
 
     def register(self, name: str, kind: TagKind) -> int:
         if name in self.name_to_id:
@@ -122,6 +133,8 @@ class TagRegistry:
         idx = self.next_free
         self.name_to_id[name] = idx
         self.kind[idx] = kind
+        self._names[idx] = name
+        self._kind_masks[kind] |= tag_bit(idx)
         self.next_free += 1
         return idx
 
@@ -132,10 +145,10 @@ class TagRegistry:
             raise UnknownTag(f"unknown tag {name!r}") from None
 
     def name_of(self, index: int) -> str:
-        for name, idx in self.name_to_id.items():
-            if idx == index:
-                return name
-        raise UnknownTag(f"no tag registered at index {index}")
+        try:
+            return self._names[index]
+        except KeyError:
+            raise UnknownTag(f"no tag registered at index {index}") from None
 
     def label_of(self, names) -> Label:
         bits = 0
@@ -147,21 +160,21 @@ class TagRegistry:
         return self.kind[self.lookup(name)]
 
     def secrecy_part(self, label: Label) -> Label:
-        return Label(label.bits & self._kind_mask(TagKind.SECRECY))
+        return Label(label.bits & self._kind_masks[TagKind.SECRECY])
 
     def integrity_part(self, label: Label) -> Label:
-        return Label(label.bits & self._kind_mask(TagKind.INTEGRITY))
-
-    def _kind_mask(self, kind: TagKind) -> int:
-        mask = 0
-        for idx, k in self.kind.items():
-            if k is kind:
-                mask |= tag_bit(idx)
-        return mask
+        return Label(label.bits & self._kind_masks[TagKind.INTEGRITY])
 
     def format_label(self, label: Label) -> str:
-        names = sorted(self.name_of(i) for i in label.indexes())
-        return "{" + ", ".join(names) + "}"
+        """Tag names sorted by name. The set bits are walked from tag index
+        0 up, so an unregistered bit raises for the lowest such index."""
+        names = []
+        bits = label.bits
+        while bits:
+            top = bits.bit_length() - 1
+            names.append(self.name_of(TAG_SPACE - 1 - top))
+            bits ^= 1 << top
+        return "{" + ", ".join(sorted(names)) + "}"
 
 
 def merge(sender: Label, receiver: Label) -> Label:

@@ -49,7 +49,7 @@ from .ast import (
 MODIFIABLE_FIELDS = ("ttl", "options")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldMatch:
     """Exact match over an address field: membership in `values`, inverted
     when `negate` is set."""
@@ -61,7 +61,7 @@ class FieldMatch:
         return (ip in self.values) != self.negate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchSpec:
     """One compiled match pattern over label bits, tracker id, and exact
     address fields. label semantics are ternary: hits iff
@@ -95,7 +95,7 @@ class MatchSpec:
         return "exact"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableEntry:
     match: MatchSpec
     action: Action
@@ -103,7 +103,7 @@ class TableEntry:
     source_line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrivilegeEntry:
     """Declassify/endorse stage entry: on match, clear or set `mask` bits in
     the packet label. The tracker id is never touched."""

@@ -212,3 +212,59 @@ def test_registry_tag_space_exhaustion():
 def test_label_mask_constant():
     assert LABEL_MASK == (1 << 256) - 1
     assert Label(LABEL_MASK).indexes() == list(range(256))
+
+
+# -- registry lookups against the scans they replaced ------------------------
+
+
+def scan_name_of(reg, index):
+    for name, idx in reg.name_to_id.items():
+        if idx == index:
+            return name
+    raise UnknownTag(f"no tag registered at index {index}")
+
+
+def scan_format_label(reg, label):
+    names = sorted(scan_name_of(reg, i) for i in label.indexes())
+    return "{" + ", ".join(names) + "}"
+
+
+def scan_kind_part(reg, label, kind):
+    mask = 0
+    for idx, k in reg.kind.items():
+        if k is kind:
+            mask |= tag_bit(idx)
+    return Label(label.bits & mask)
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except UnknownTag as exc:
+        return "error", str(exc)
+
+
+@given(
+    st.lists(
+        st.tuples(st.text(alphabet="abXY_", min_size=1, max_size=3), st.sampled_from(TagKind)),
+        max_size=30,
+    ),
+    # mostly registered indexes, some never registered
+    st.sets(st.one_of(st.integers(0, 12), st.integers(0, TAG_SPACE - 1)), max_size=6),
+    st.integers(-1, TAG_SPACE),
+)
+def test_registry_lookups_equal_scans(registrations, indexes, index):
+    reg = TagRegistry()
+    for name, kind in registrations:
+        try:
+            reg.register(name, kind)
+        except UnknownTag:
+            pass  # a kind change is refused and leaves the registry as it was
+    label = Label.of(*indexes)
+    # a registry built from existing maps derives the same lookups
+    rebuilt = TagRegistry(dict(reg.name_to_id), dict(reg.kind), reg.next_free)
+    for r in (reg, rebuilt):
+        assert outcome(r.name_of, index) == outcome(scan_name_of, reg, index)
+        assert outcome(r.format_label, label) == outcome(scan_format_label, reg, label)
+        assert r.secrecy_part(label) == scan_kind_part(reg, label, TagKind.SECRECY)
+        assert r.integrity_part(label) == scan_kind_part(reg, label, TagKind.INTEGRITY)
