@@ -15,10 +15,6 @@ from .labels import (
     TagRegistry,
     declassify_label,
     endorse_label,
-    external_label,
-    merge,
-    message_deliverable,
-    safe_message,
     tag_bit,
 )
 from .header import DifcHeader, FlowKey, buffer_slot, decode_header, encode_header
@@ -34,10 +30,6 @@ __all__ = [
     "TagRegistry",
     "declassify_label",
     "endorse_label",
-    "external_label",
-    "merge",
-    "message_deliverable",
-    "safe_message",
     "tag_bit",
     "DifcHeader",
     "FlowKey",

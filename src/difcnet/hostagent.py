@@ -10,7 +10,6 @@ bookkeeping for what arrives, so taint survives file and process hops.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from .errors import (
     CorruptSnapshot,
@@ -50,18 +49,83 @@ class SeqSource:
         return self._n
 
 
-@dataclass(frozen=True)
+# Provenance entities. They are defined here so an event can name its edge
+# when it is made; provenance re-exports them.
+Entity = tuple
+
+
+def host_entity(host: str) -> Entity:
+    return ("host", host)
+
+
+def pid_entity(host: str, pid: int) -> Entity:
+    return ("pid", host, pid)
+
+
+def file_entity(host: str, inode: int) -> Entity:
+    return ("file", host, inode)
+
+
+def flow_entity(key: str) -> Entity:
+    return ("flow", key)
+
+
 class AgentEvent:
-    seq: int
-    time_ns: int
-    host: str
-    kind: str
-    pid: int = 0
-    inode: int = 0
-    path: str = ""
-    flow: str = ""
-    label_bits: int = 0
-    tracker: int = 0
+    """One agent log record. Treat it as immutable: the influence edge is
+    computed in the constructor, `source` -> `target`, both None for kinds
+    that move no state between entities (label-init, deliver, label-ack,
+    declassify, endorse, exit, restore, reboot). A spawn's edge is a strong
+    update; every other edge is weak."""
+
+    __slots__ = (
+        "seq", "time_ns", "host", "kind", "pid", "inode", "path", "flow",
+        "label_bits", "tracker", "source", "target",
+    )
+
+    def __init__(
+        self,
+        seq: int,
+        time_ns: int,
+        host: str,
+        kind: str,
+        pid: int = 0,
+        inode: int = 0,
+        path: str = "",
+        flow: str = "",
+        label_bits: int = 0,
+        tracker: int = 0,
+    ) -> None:
+        self.seq = seq
+        self.time_ns = time_ns
+        self.host = host
+        self.kind = kind
+        self.pid = pid
+        self.inode = inode
+        self.path = path
+        self.flow = flow
+        self.label_bits = label_bits
+        self.tracker = tracker
+        if kind == "send":
+            self.source, self.target = pid_entity(host, pid), flow_entity(flow)
+        elif kind == "accept":
+            self.source, self.target = flow_entity(flow), pid_entity(host, pid)
+        elif kind == "read":
+            self.source, self.target = file_entity(host, inode), pid_entity(host, pid)
+        elif kind == "write" or kind == "create":
+            self.source, self.target = pid_entity(host, pid), file_entity(host, inode)
+        elif kind == "spawn":
+            self.source, self.target = host_entity(host), pid_entity(host, pid)
+        elif kind == "label-file":
+            self.source, self.target = host_entity(host), file_entity(host, inode)
+        else:
+            self.source = self.target = None
+
+    def __repr__(self) -> str:
+        return (
+            f"AgentEvent(seq={self.seq!r}, time_ns={self.time_ns!r}, host={self.host!r}, "
+            f"kind={self.kind!r}, pid={self.pid!r}, inode={self.inode!r}, path={self.path!r}, "
+            f"flow={self.flow!r}, label_bits={self.label_bits!r}, tracker={self.tracker!r})"
+        )
 
 
 class HostAgent:

@@ -1,4 +1,5 @@
-"""Label algebra: tags, labels, capabilities, and the flow rules over them.
+"""Label algebra: tags, labels, capabilities, and the privileged label
+changes (declassify, endorse) they authorize.
 
 A label is a set of up to 256 tags, stored as a bitmap. Tag index 0 maps to
 the most significant bit of the first byte of the wire encoding, so the
@@ -60,9 +61,6 @@ class Label:
 
     def issuperset(self, other: Label) -> bool:
         return other.bits & ~self.bits == 0
-
-    def contains_all(self, mask: int) -> bool:
-        return self.bits & mask == mask
 
     def has(self, index: int) -> bool:
         return bool(self.bits & tag_bit(index))
@@ -177,27 +175,6 @@ class TagRegistry:
         return "{" + ", ".join(sorted(names)) + "}"
 
 
-def merge(sender: Label, receiver: Label) -> Label:
-    """Implicit label change on message receipt: the receiver absorbs the
-    sender's tags. Plain union over the whole bitmap."""
-    return sender.union(receiver)
-
-
-def safe_message(sender: Label, receiver: Label, registry: TagRegistry) -> bool:
-    """Check the explicit-flow rules: secrecy tags may only flow to a
-    superset, integrity tags only to a subset."""
-    s_p = registry.secrecy_part(sender)
-    s_q = registry.secrecy_part(receiver)
-    i_p = registry.integrity_part(sender)
-    i_q = registry.integrity_part(receiver)
-    return s_p.issubset(s_q) and i_p.issuperset(i_q)
-
-
-def message_deliverable(sender: Label, message: Label, receiver: Label) -> bool:
-    """A message labeled L_m is deliverable iff L_p <= L_m <= L_q."""
-    return sender.issubset(message) and message.issubset(receiver)
-
-
 def declassify_label(l: Label, mask: int, caps: CapabilitySet) -> Label:
     """Remove the tags in mask. Every removed tag must be authorized by a
     minus capability."""
@@ -212,9 +189,3 @@ def endorse_label(l: Label, mask: int, caps: CapabilitySet) -> Label:
     if mask & ~caps.plus:
         raise CapabilityViolation("endorsement mask exceeds plus capabilities")
     return Label((l.bits | mask) & LABEL_MASK)
-
-
-def external_label() -> Label:
-    """Remote, agent-less hosts are modeled as an untrusted process with an
-    empty label."""
-    return EMPTY_LABEL

@@ -17,12 +17,8 @@ from difcnet.netcl import compile_program, parse
 from difcnet.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from tests.conftest import make_lan
 from tests.test_dataplane import _syn
-from tests.test_first_match import IPS, TOPO, compile_lines, policies
+from tests.test_first_match import IPS, TOPO, compile_lines, label_bits, policies
 
-# every rule tag gets one of the indexes 0-3; index 4 is never registered
-label_bits = st.sets(st.integers(min_value=0, max_value=4), max_size=3).map(
-    lambda idxs: sum(tag_bit(i) for i in idxs)
-)
 keys = st.tuples(label_bits, st.sampled_from([0, 1, 2, 3]), st.sampled_from(IPS), st.sampled_from(IPS))
 
 

@@ -1,23 +1,28 @@
 """Provenance slicing over agent event logs.
 
-The reference model is a versioned dependency graph: every event that moves
-state appends a new version of its target whose parents are the source's
-current version and (for weak updates) the target's previous version. The
-ancestor set of an entity's latest version, projected back onto entities,
-is what backward_slice must return.
+There are two references. The first is a versioned dependency graph: every
+event that moves state appends a new version of its target whose parents
+are the source's current version and (for weak updates) the target's
+previous version. The ancestor set of an entity's latest version,
+projected back onto entities, is what backward_slice must return. The
+second is the earlier slice, which sorted by a (time_ns, seq) tuple and
+regenerated each event's edges on every call; on any log, in any list
+order, it must give the same answer as the slice over the edges that
+events fix when they are made.
 """
 
 import random
 
-from difcnet.hostagent import HostAgent, SeqSource
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from difcnet.hostagent import AgentEvent, HostAgent, SeqSource
 from difcnet.labels import Label, tag_bit
 from difcnet.packets import PROTO_TCP, SimPacket, TcpFlags
 from difcnet.provenance import (
-    ancestors_of_file,
     backward_slice,
     file_entity,
     flow_entity,
-    format_entity,
     host_entity,
     merged_events,
     pid_entity,
@@ -68,6 +73,43 @@ class VersionedGraph:
         return {ent for ent, _ in seen}
 
 
+def _flow_edges(ev):
+    """Yields (source, target, strong) influence edges for one event."""
+    if ev.kind == "spawn":
+        yield host_entity(ev.host), pid_entity(ev.host, ev.pid), True
+    elif ev.kind == "read":
+        yield file_entity(ev.host, ev.inode), pid_entity(ev.host, ev.pid), False
+    elif ev.kind in ("write", "create"):
+        yield pid_entity(ev.host, ev.pid), file_entity(ev.host, ev.inode), False
+    elif ev.kind == "accept":
+        yield flow_entity(ev.flow), pid_entity(ev.host, ev.pid), False
+    elif ev.kind == "send":
+        yield pid_entity(ev.host, ev.pid), flow_entity(ev.flow), False
+    elif ev.kind == "label-file":
+        yield host_entity(ev.host), file_entity(ev.host, ev.inode), False
+    # label-init, deliver, label-ack, declassify, endorse, exit, restore,
+    # reboot: no cross-entity flow
+
+
+def reference_slice(events, sink, *, until_seq=None):
+    """The earlier backward_slice: a tuple-keyed sort and a fresh edge
+    generator per event on every call."""
+    active = {sink}
+    result = {sink}
+    ordered = sorted(events, key=lambda e: (e.time_ns, e.seq))
+    for ev in reversed(ordered):
+        if until_seq is not None and ev.seq > until_seq:
+            continue
+        for source, target, strong in _flow_edges(ev):
+            if target not in active:
+                continue
+            active.add(source)
+            result.add(source)
+            if strong:
+                active.discard(target)
+    return result
+
+
 # -- hand-built cases ------------------------------------------------------
 
 
@@ -101,7 +143,7 @@ def test_cross_host_chain():
     b.create(200, "/b/copy", now_ns=50)
 
     events = merged_events(a.events, b.events)
-    result = ancestors_of_file(events, "HB", b.inode_of("/b/copy"))
+    result = backward_slice(events, file_entity("HB", b.inode_of("/b/copy")))
     assert result == {
         file_entity("HB", b.inode_of("/b/copy")),
         pid_entity("HB", 200),
@@ -120,7 +162,7 @@ def test_unrelated_activity_is_excluded():
     a.create(101, "/a/noise", now_ns=12)  # different pid, no edge to sink
     a.create(100, "/a/out", now_ns=20)
 
-    result = ancestors_of_file(a.events, "HA", a.inode_of("/a/out"))
+    result = backward_slice(a.events, file_entity("HA", a.inode_of("/a/out")))
     assert pid_entity("HA", 101) not in result
     assert file_entity("HA", a.inode_of("/a/noise")) not in result
 
@@ -133,7 +175,7 @@ def test_respawned_pid_does_not_leak_old_incarnation():
     a.spawn(100, now_ns=40)  # same number, new incarnation
     a.create(100, "/a/clean", now_ns=50)
 
-    result = ancestors_of_file(a.events, "HA", a.inode_of("/a/clean"))
+    result = backward_slice(a.events, file_entity("HA", a.inode_of("/a/clean")))
     # the secret was only touched by the first incarnation
     assert file_entity("HA", a.inode_of("/a/secret")) not in result
     # but the pid itself (current incarnation) is part of the answer
@@ -168,11 +210,94 @@ def test_merged_events_total_order():
     assert [e.seq for e in ev] == sorted(e.seq for e in ev)
 
 
-def test_format_entity():
-    assert format_entity(host_entity("H")) == "host:H"
-    assert format_entity(pid_entity("H", 3)) == "pid:H/3"
-    assert format_entity(file_entity("H", 9)) == "file:H/inode9"
-    assert format_entity(flow_entity("k")) == "flow:k"
+EDGE_KINDS = ("spawn", "read", "write", "create", "accept", "send", "label-file")
+KINDS = EDGE_KINDS + (
+    "label-init", "deliver", "label-ack", "declassify", "endorse", "exit",
+    "restore", "reboot",
+)
+
+
+@given(
+    st.sampled_from(KINDS),
+    st.sampled_from(("HA", "HB")),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.sampled_from(("", "f0", "f1")),
+)
+def test_event_edge_is_the_generated_edge(kind, host, pid, inode, flow):
+    ev = AgentEvent(1, 0, host, kind, pid=pid, inode=inode, flow=flow)
+    edges = list(_flow_edges(ev))
+    if not edges:
+        assert ev.source is None and ev.target is None
+    else:
+        [(source, target, strong)] = edges
+        assert (ev.source, ev.target) == (source, target)
+        assert strong == (kind == "spawn")
+
+
+@st.composite
+def event_logs(draw):
+    """(events in a shuffled list order, one or two hosts). seqs are
+    distinct, as a shared SeqSource makes them, but time_ns is drawn from
+    a few values independently of seq, so ties and times that run against
+    seq are common. Small pid, inode and flow spaces make pid reuse
+    (repeated spawns), reboots and restores land on live entities."""
+    hosts = draw(st.sampled_from((("HA",), ("HA", "HB"))))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(hosts),
+                # edge kinds twice as often, so chains through entities form
+                st.sampled_from(EDGE_KINDS + KINDS),
+                st.integers(0, 4),
+                st.integers(1, 2),
+                st.integers(1, 2),
+                st.sampled_from(("f0", "f1")),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    events = [
+        AgentEvent(seq, time_ns, host, kind, pid=pid, inode=inode, flow=flow)
+        for seq, (host, kind, time_ns, pid, inode, flow) in enumerate(rows, start=1)
+    ]
+    return draw(st.permutations(events)), hosts
+
+
+@st.composite
+def slice_queries(draw):
+    """A log, a sink and a cut. Each event's target is three times as
+    likely a sink as any other entity, so most slices reach past the sink
+    itself."""
+    events, hosts = draw(event_logs())
+    targets = [ev.target for ev in events if ev.target is not None]
+    entities = (
+        [host_entity(h) for h in hosts]
+        + [pid_entity(h, p) for h in hosts for p in (1, 2)]
+        + [file_entity(h, i) for h in hosts for i in (1, 2)]
+        + [flow_entity(f) for f in ("f0", "f1")]
+    )
+    sink = draw(st.sampled_from(targets * 3 + entities))
+    until_seq = draw(st.one_of(st.none(), st.integers(0, len(events) + 1)))
+    return events, sink, until_seq
+
+
+@settings(max_examples=400, deadline=None)
+@given(slice_queries())
+def test_slice_equals_reference_on_random_logs(query):
+    events, sink, until_seq = query
+    assert backward_slice(events, sink, until_seq=until_seq) == reference_slice(
+        events, sink, until_seq=until_seq
+    )
+
+
+@given(event_logs(), st.integers(1, 3))
+def test_merged_events_sort_by_time_then_seq(log, parts):
+    events, _ = log
+    lists = [events[i::parts] for i in range(parts)]
+    merged = merged_events(*lists)
+    assert merged == sorted(events, key=lambda e: (e.time_ns, e.seq))
 
 
 # -- randomized comparison against the versioned graph ---------------------
