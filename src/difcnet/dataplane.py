@@ -194,11 +194,15 @@ class InstallRequest:
 
 @dataclass(slots=True)
 class PipelineResult:
+    """One packet's outcome at one switch. Only an initial packet's
+    evaluation generates packets or install requests; every other hop
+    leaves both as the shared empty tuple."""
+
     verdict: str  # forward | drop | recirculate
     packet: SimPacket
     egress_port: int | None = None
-    generated: list[SimPacket] = field(default_factory=list)
-    install_requests: list[InstallRequest] = field(default_factory=list)
+    generated: list[SimPacket] | tuple[()] = ()
+    install_requests: list[InstallRequest] | tuple[()] = ()
     recirculate_delay_ns: int = 0
     decision_source: str = ""
     log: list[str] = field(default_factory=list)
@@ -381,11 +385,9 @@ class Switch:
             )
 
         self.buffer.insert(key, decision)
-        result.install_requests.append(
-            InstallRequest(self.switch_id, key, decision, now_ns)
-        )
+        result.install_requests = [InstallRequest(self.switch_id, key, decision, now_ns)]
         if pkt.protocol == PROTO_UDP and pkt.difc is not None:
-            result.generated.append(
+            result.generated = [
                 SimPacket(
                     src_ip=pkt.dst_ip,
                     dst_ip=pkt.src_ip,
@@ -395,6 +397,6 @@ class Switch:
                     control=ControlKind.LABEL_ACK,
                     payload_len=0,
                 )
-            )
+            ]
             log.append(f"{self.switch_id} label-ack {key}")
         return result

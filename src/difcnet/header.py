@@ -92,10 +92,14 @@ _PORTS_PROTO = struct.Struct(">HHB")
 
 class FlowKey:
     """5-tuple identity of a connection. Treat it as immutable: the hash is
-    computed in the constructor and the CRC on first use, and neither is
-    ever recomputed."""
+    computed in the constructor, the CRC and the text (`str`) on first use,
+    and none of them is ever recomputed. A simulated flow builds one key and
+    every packet and copy of the flow shares it, so the CRC and the text are
+    worked out once per flow."""
 
-    __slots__ = ("src_ip", "src_port", "dst_ip", "dst_port", "protocol", "_hash", "_crc")
+    __slots__ = (
+        "src_ip", "src_port", "dst_ip", "dst_port", "protocol", "_hash", "_crc", "_text",
+    )
 
     def __init__(self, src_ip: str, src_port: int, dst_ip: str, dst_port: int, protocol: int):
         self.src_ip = src_ip
@@ -105,6 +109,7 @@ class FlowKey:
         self.protocol = protocol  # IP protocol number: 6 tcp, 17 udp, 1 icmp
         self._hash = hash((src_ip, src_port, dst_ip, dst_port, protocol))
         self._crc = None
+        self._text = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -144,10 +149,13 @@ class FlowKey:
         )
 
     def __str__(self) -> str:
-        return (
-            f"{self.src_ip}:{self.src_port}>{self.dst_ip}:{self.dst_port}"
-            f"/{self.protocol}"
-        )
+        text = self._text
+        if text is None:
+            text = self._text = (
+                f"{self.src_ip}:{self.src_port}>{self.dst_ip}:{self.dst_port}"
+                f"/{self.protocol}"
+            )
+        return text
 
 
 def buffer_slot(key: FlowKey, index_bits: int) -> int:

@@ -301,30 +301,36 @@ class HostAgent:
                     self.udp_sent[key] = sent + 1
         if wants_header and (label.bits or tracker):
             pkt = pkt.with_header(DifcHeader(label, tracker))
-        self._emit(
-            now_ns, "send", pid=pid, flow=str(key),
-            label_bits=label.bits if pkt.evil_bit else 0,
-            tracker=tracker if pkt.evil_bit else 0,
-        )
+        labeled = pkt.evil_bit
+        # per packet, so the event is built here rather than through _emit
+        self.events.append(AgentEvent(
+            self._seq.next(), now_ns, self.host, "send", pid, 0, "", str(key),
+            label.bits if labeled else 0, tracker if labeled else 0,
+        ))
         return pkt
 
     def deliver(self, pkt: SimPacket, now_ns: int = 0) -> None:
         if pkt.control is ControlKind.LABEL_ACK:
-            self.udp_acked.add(pkt.flow_key.reversed())
-            self._emit(now_ns, "label-ack", flow=str(pkt.flow_key.reversed()))
+            acked = pkt.flow_key.reversed()
+            self.udp_acked.add(acked)
+            self._emit(now_ns, "label-ack", flow=str(acked))
             return
         key = pkt.flow_key
-        if pkt.difc is not None:
+        difc = pkt.difc
+        if difc is not None:
             label, tracker = self.in_labels.get(key, (Label(0), 0))
-            label = label | pkt.difc.label
-            if pkt.difc.tracker_id:
-                tracker = pkt.difc.tracker_id
+            label = label | difc.label
+            if difc.tracker_id:
+                tracker = difc.tracker_id
             self.in_labels[key] = (label, tracker)
-        self._emit(
-            now_ns, "deliver", flow=str(key),
-            label_bits=pkt.difc.label.bits if pkt.difc else 0,
-            tracker=pkt.difc.tracker_id if pkt.difc else 0,
-        )
+            got_bits, got_tracker = difc.label.bits, difc.tracker_id
+        else:
+            got_bits = got_tracker = 0
+        # per packet, so the event is built here rather than through _emit
+        self.events.append(AgentEvent(
+            self._seq.next(), now_ns, self.host, "deliver", 0, 0, "", str(key),
+            got_bits, got_tracker,
+        ))
 
     def accept(self, pid: int, key: FlowKey, now_ns: int = 0) -> None:
         """The receiving process takes ownership of data from `key`; its

@@ -99,23 +99,19 @@ class TagRegistry:
 
     A (name, index, kind) triple never changes once assigned. Indexes are
     handed out in registration order, which makes compilation deterministic
-    for a fixed policy source. The index-to-name map and the bitmap of each
-    kind are kept up to date as tags register, so no lookup scans the tags.
+    for a fixed policy source. The index-to-name map is kept up to date as
+    tags register, so no lookup scans the tags.
     """
 
     name_to_id: dict[str, int] = field(default_factory=dict)
     kind: dict[int, TagKind] = field(default_factory=dict)
     next_free: int = 0
     _names: dict[int, str] = field(init=False, repr=False, compare=False)
-    _kind_masks: dict[TagKind, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._names = {}
         for name, idx in self.name_to_id.items():
             self._names.setdefault(idx, name)
-        self._kind_masks = dict.fromkeys(TagKind, 0)
-        for idx, k in self.kind.items():
-            self._kind_masks[k] |= tag_bit(idx)
 
     def register(self, name: str, kind: TagKind) -> int:
         if name in self.name_to_id:
@@ -132,7 +128,6 @@ class TagRegistry:
         self.name_to_id[name] = idx
         self.kind[idx] = kind
         self._names[idx] = name
-        self._kind_masks[kind] |= tag_bit(idx)
         self.next_free += 1
         return idx
 
@@ -156,12 +151,6 @@ class TagRegistry:
 
     def kind_of(self, name: str) -> TagKind:
         return self.kind[self.lookup(name)]
-
-    def secrecy_part(self, label: Label) -> Label:
-        return Label(label.bits & self._kind_masks[TagKind.SECRECY])
-
-    def integrity_part(self, label: Label) -> Label:
-        return Label(label.bits & self._kind_masks[TagKind.INTEGRITY])
 
     def format_label(self, label: Label) -> str:
         """Tag names sorted by name. The set bits are walked from tag index

@@ -2,8 +2,16 @@
 
 A SimPacket is the unit moved between hosts and switches. The reserved bit
 of the IP fragment field (the "evil bit") marks the presence of the label
-header; the constructor enforces the invariant evil_bit <=> difc-present
+header; both constructors enforce the invariant evil_bit <=> difc-present
 and the copy helpers preserve it.
+
+What is fixed per flow is worked out once per flow. The simulator builds
+one FlowKey for a flow and makes each of its packets with
+`SimPacket.of_flow`, which takes the five address fields from that key, so
+every packet and every copy of the flow shares one key object, its hash,
+CRC and text. A packet's `describe()` text is cached on the packet and
+shared by its copies; only `with_header` clears it, because a new header
+sets the evil bit the text shows.
 """
 
 from __future__ import annotations
@@ -45,8 +53,15 @@ _PROTO_TAG = {PROTO_TCP: "tcp", PROTO_UDP: "udp", PROTO_ICMP: "icmp"}
 @dataclass(slots=True)
 class SimPacket:
     """A value: the pipeline never mutates a packet, it copies it. The flow
-    key is computed once, at construction; the copy helpers below share it
-    and skip the constructor's checks, which a copy cannot break."""
+    key is made by the constructor from the address fields, or handed in by
+    `of_flow`, which takes the address fields from it; the copy helpers
+    below share it and skip the constructor's checks, which a copy cannot
+    break. `dataclasses.replace` goes through the constructor, so a copy
+    with a changed address or port gets a key of its own.
+
+    `describe()` renders its text once and caches it. `with_ttl` and
+    `recirculated` carry the cache over, since neither field is in the
+    text; `with_header` clears it, because the header sets the evil bit."""
 
     src_ip: str
     dst_ip: str
@@ -63,15 +78,57 @@ class SimPacket:
     control: ControlKind | None = None
     recirc_count: int = 0
     flow_key: FlowKey = field(init=False, repr=False, compare=False)
+    _text: str | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        self._check()
+        self.flow_key = FlowKey(
+            self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.protocol
+        )
+
+    @classmethod
+    def of_flow(
+        cls,
+        key: FlowKey,
+        *,
+        tcp_flags: TcpFlags = TcpFlags.NONE,
+        icmp_kind: IcmpKind | None = None,
+        evil_bit: bool = False,
+        ttl: int = 64,
+        difc: DifcHeader | None = None,
+        payload_len: int = 0,
+        seq: int = 0,
+        control: ControlKind | None = None,
+        recirc_count: int = 0,
+    ) -> SimPacket:
+        """A packet of the flow `key`, sharing that key object: the same
+        packet as the constructor makes from the key's five fields, checked
+        the same way, without building a key of its own."""
+        new = _new_packet(cls)
+        new.src_ip = key.src_ip
+        new.dst_ip = key.dst_ip
+        new.src_port = key.src_port
+        new.dst_port = key.dst_port
+        new.protocol = key.protocol
+        new.tcp_flags = tcp_flags
+        new.icmp_kind = icmp_kind
+        new.evil_bit = evil_bit
+        new.ttl = ttl
+        new.difc = difc
+        new.payload_len = payload_len
+        new.seq = seq
+        new.control = control
+        new.recirc_count = recirc_count
+        new._check()
+        new.flow_key = key
+        new._text = None
+        return new
+
+    def _check(self) -> None:
         if self.evil_bit != (self.difc is not None):
             raise ValueError("evil bit must mirror label-header presence")
         if self.protocol == PROTO_ICMP and self.icmp_kind is None and self.control is None:
             raise ValueError("icmp packet needs a kind")
-        self.flow_key = FlowKey(
-            self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.protocol
-        )
 
     @property
     def is_syn(self) -> bool:
@@ -109,6 +166,7 @@ class SimPacket:
         new.control = self.control
         new.recirc_count = self.recirc_count
         new.flow_key = self.flow_key
+        new._text = self._text
         return new
 
     def with_ttl(self, ttl: int) -> SimPacket:
@@ -125,16 +183,22 @@ class SimPacket:
         new = self._copy()
         new.difc = header
         new.evil_bit = True
+        new._text = None
         return new
 
     def describe(self) -> str:
-        tag = _PROTO_TAG.get(self.protocol) or str(self.protocol)
-        marks = []
-        if self.is_syn:
-            marks.append("syn")
-        if self.evil_bit:
-            marks.append("labeled")
-        if self.control is not None:
-            marks.append(self.control.value)
-        suffix = "+".join(marks)
-        return f"{self.flow_key}[{tag}{('/' + suffix) if suffix else ''}#{self.seq}]"
+        text = self._text
+        if text is None:
+            tag = _PROTO_TAG.get(self.protocol) or str(self.protocol)
+            marks = []
+            if self.is_syn:
+                marks.append("syn")
+            if self.evil_bit:
+                marks.append("labeled")
+            if self.control is not None:
+                marks.append(self.control.value)
+            suffix = "+".join(marks)
+            text = self._text = (
+                f"{self.flow_key}[{tag}{('/' + suffix) if suffix else ''}#{self.seq}]"
+            )
+        return text

@@ -10,7 +10,7 @@ from pathlib import Path
 from .errors import ScenarioError
 from .netcl import compile_program, parse_files
 from .scenario_checks import evaluate_expectations
-from .sim import Network, SimParams
+from .sim import FLOW_PROTOCOLS, Network, SimParams
 from .topology import Topology, load_topology, read_yaml
 
 MS = 1_000_000
@@ -25,6 +25,8 @@ EVENT_FIELDS = {
     "accept": ("pid", "flow"),
     "update": ("policies",),
 }
+# fields every flow entry needs, checked when the scenario loads
+FLOW_FIELDS = ("id", "src", "dst")
 
 
 @dataclass
@@ -63,6 +65,18 @@ def load_scenario(path: str | Path) -> Scenario:
                     raise ScenarioError(
                         f"{where}: pid must be an integer, not {event['pid']!r}"
                     ) from None
+    for i, flow in enumerate(doc.get("flows", [])):
+        if not isinstance(flow, dict):
+            raise ScenarioError(f"{path}: flows[{i}]: a flow must be a mapping")
+        where = f"{path}: flows[{i}] (id {flow.get('id')!r})"
+        for name in FLOW_FIELDS:
+            if name not in flow:
+                raise ScenarioError(f"{where}: missing field {name!r}")
+        if flow.get("protocol", "tcp") not in FLOW_PROTOCOLS:
+            raise ScenarioError(
+                f"{where}: protocol must be one of {', '.join(FLOW_PROTOCOLS)}, "
+                f"not {flow['protocol']!r}"
+            )
     base = path.parent
     return Scenario(
         name=doc.get("name", path.stem),
@@ -125,22 +139,19 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 
 def _schedule_flows(net: Network, scn: Scenario) -> None:
     for raw in scn.flows:
-        try:
-            net.send_flow(
-                flow_id=raw["id"],
-                src=raw["src"],
-                dst=raw["dst"],
-                at_ns=int(raw.get("at_ms", 0) * MS),
-                protocol=raw.get("protocol", "tcp"),
-                src_port=int(raw.get("src_port", 41000)),
-                dst_port=int(raw.get("dst_port", 80)),
-                pid=raw.get("pid"),
-                accept_pid=raw.get("accept_pid"),
-                packets=int(raw.get("packets", 3)),
-                payload_len=int(raw.get("payload_len", 512)),
-            )
-        except KeyError as exc:
-            raise ScenarioError(f"flow entry missing {exc}") from None
+        net.send_flow(
+            flow_id=raw["id"],
+            src=raw["src"],
+            dst=raw["dst"],
+            at_ns=int(raw.get("at_ms", 0) * MS),
+            protocol=raw.get("protocol", "tcp"),
+            src_port=int(raw.get("src_port", 41000)),
+            dst_port=int(raw.get("dst_port", 80)),
+            pid=raw.get("pid"),
+            accept_pid=raw.get("accept_pid"),
+            packets=int(raw.get("packets", 3)),
+            payload_len=int(raw.get("payload_len", 512)),
+        )
 
 
 def _schedule_events(net: Network, topology: Topology, compiled, scn: Scenario) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .controlplane import ControlPlane, PendingInstall, label_init_plan
 from .dataplane import Switch
+from .errors import DifcnetError
 from .header import FlowKey
 from .hostagent import HostAgent, SeqSource
 from .labels import Label
@@ -28,6 +29,7 @@ from .packets import (
 from .topology import DEFAULT_LINK_LATENCY_NS, Topology
 
 _PROTO_BY_NAME = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP}
+FLOW_PROTOCOLS = tuple(_PROTO_BY_NAME)  # the names send_flow accepts
 
 
 @dataclass
@@ -101,6 +103,7 @@ class Network:
             )
             for s in topology.switches
         }
+        self._next_hops = {s: topology.next_hops(s) for s in self.switches}
         self.control = ControlPlane(topology, compiled, p.rtt_ns)
         self.now = 0
         self._heap: list = []
@@ -159,7 +162,12 @@ class Network:
         payload_len: int = 512,
         gap_ns: int | None = None,
     ) -> FlowRecord:
-        proto = _PROTO_BY_NAME[protocol]
+        proto = _PROTO_BY_NAME.get(protocol)
+        if proto is None:
+            raise DifcnetError(
+                f"flow {flow_id!r}: unknown protocol {protocol!r}, "
+                f"expected one of {', '.join(FLOW_PROTOCOLS)}"
+            )
         gap = self.params.packet_gap_ns if gap_ns is None else gap_ns
         src_ip = self._endpoint_ip(src)
         dst_ip = self._endpoint_ip(dst)
@@ -167,22 +175,16 @@ class Network:
         rec = FlowRecord(flow_id, src, dst, key, accept_pid=accept_pid)
         self.flows[flow_id] = rec
         self._flow_by_key[key] = rec
+        # every packet of the flow is made from this one key (see _on_send)
+        icmp_kind = IcmpKind.REQUEST if proto == PROTO_ICMP else None
         for i in range(packets):
             flags = TcpFlags.NONE
             if proto == PROTO_TCP:
                 flags = TcpFlags.SYN if i == 0 else TcpFlags.ACK
-            base = dict(
-                src_ip=src_ip,
-                dst_ip=dst_ip,
-                src_port=src_port,
-                dst_port=dst_port,
-                protocol=proto,
-                tcp_flags=flags,
-                icmp_kind=IcmpKind.REQUEST if proto == PROTO_ICMP else None,
-                payload_len=0 if (proto == PROTO_TCP and i == 0) else payload_len,
-                seq=i,
+            size = 0 if (proto == PROTO_TCP and i == 0) else payload_len
+            self._push(
+                at_ns + i * gap, "send", (src, pid, flow_id, key, flags, icmp_kind, size, i)
             )
-            self._push(at_ns + i * gap, "send", (src, pid, flow_id, base))
         return rec
 
     def _endpoint_ip(self, name: str) -> str:
@@ -210,8 +212,10 @@ class Network:
             handlers[kind](at, payload)
 
     def _on_send(self, at: int, payload) -> None:
-        src, pid, flow_id, base = payload
-        pkt = SimPacket(**base)
+        src, pid, flow_id, key, flags, icmp_kind, payload_len, seq = payload
+        pkt = SimPacket.of_flow(
+            key, tcp_flags=flags, icmp_kind=icmp_kind, payload_len=payload_len, seq=seq
+        )
         agent = self.agents.get(src)
         if agent is not None and pid is not None:
             pkt = agent.label_outgoing(pid, pkt, now_ns=at)
@@ -245,13 +249,10 @@ class Network:
                 at + result.recirculate_delay_ns, "switch", (sid, result.packet)
             )
         else:
-            out = result.packet
-            target = self.topology.port_target(sid, result.egress_port)
-            latency = self.topology.link_latency(sid, target)
-            if target in self.switches:
-                self._push(at + latency, "switch", (target, out))
-            else:
-                self._push(at + latency, "deliver", (target, out))
+            target, latency, is_switch = self._next_hops[sid][result.egress_port]
+            self._push(
+                at + latency, "switch" if is_switch else "deliver", (target, result.packet)
+            )
 
     def _on_deliver(self, at: int, payload) -> None:
         target, pkt = payload

@@ -97,6 +97,11 @@ class Topology:
             self._latency.setdefault((b, a), lat)
         self._build_ports()
         self._build_forwarding()
+        switches = set(self.switches)
+        self._next_hops = {
+            s: tuple((t, self.link_latency(s, t), t in switches) for t in ports)
+            for s, ports in self._ports.items()
+        }
 
     # --- name resolution -------------------------------------------------
 
@@ -205,6 +210,11 @@ class Topology:
 
     def link_latency(self, a: str, b: str) -> int:
         return self._latency.get((a, b), DEFAULT_LINK_LATENCY_NS)
+
+    def next_hops(self, switch: str) -> tuple[tuple[str, int, bool], ...]:
+        """Per port of `switch`, built at load: (port_target,
+        link_latency to it, whether it is a switch)."""
+        return self._next_hops[switch]
 
 
 def _looks_like_ip(name: str) -> bool:

@@ -225,6 +225,25 @@ def test_run_reports_a_malformed_scenario_without_traceback(runner, tmp_path):
     assert res.output.startswith(f"Error: {path}:3: invalid YAML: ")
 
 
+def test_run_reports_an_unknown_flow_protocol_at_load(runner, tmp_path):
+    text = (SCENARIO_DIR / "scenario1.yaml").read_text()
+    assert text.count("protocol: udp") == 1
+    text = (
+        text.replace("protocol: udp", "protocol: sctp")
+        .replace("topology: topologies/", f"topology: {SCENARIO_DIR}/topologies/")
+        .replace("  - policies/", f"  - {SCENARIO_DIR}/policies/")
+    )
+    path = tmp_path / "scn.yaml"
+    path.write_text(text)
+    res = runner.invoke(main, ["run", str(path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == (
+        f"Error: {path}: flows[5] (id 'benign_out'): "
+        "protocol must be one of tcp, udp, icmp, not 'sctp'\n"
+    )
+
+
 def test_routes_unknown_target_is_a_click_error(runner):
     res = runner.invoke(main, ["routes", HOSPITAL, "--target", "Nobody", "--row", "2:2"])
     assert res.exit_code == 2

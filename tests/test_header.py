@@ -177,6 +177,23 @@ def test_reversed_swaps_endpoints():
     assert rev.reversed() == key
 
 
+@given(
+    st.integers(min_value=0, max_value=0xFFFFFFFF),
+    st.integers(min_value=0, max_value=65535),
+    st.integers(min_value=0, max_value=0xFFFFFFFF),
+    st.integers(min_value=0, max_value=65535),
+    st.integers(min_value=0, max_value=255),
+)
+def test_cached_key_text_matches_uncached_format(src, sp, dst, dp, proto):
+    src_ip, dst_ip = str(ipaddress.IPv4Address(src)), str(ipaddress.IPv4Address(dst))
+    key = FlowKey(src_ip, sp, dst_ip, dp, proto)
+    first = str(key)
+    assert first == f"{src_ip}:{sp}>{dst_ip}:{dp}/{proto}"
+    assert str(key) is first  # the second call reads the cached text
+    assert f"{key}" is first
+    assert str(key.reversed()) == f"{dst_ip}:{dp}>{src_ip}:{sp}/{proto}"
+
+
 def test_key_string_form():
     assert (
         str(FlowKey("10.1.2.20", 41005, "203.0.113.10", 443, 6))

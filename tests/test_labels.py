@@ -137,23 +137,6 @@ def test_registry_label_of_and_format():
     assert reg.format_label(EMPTY_LABEL) == "{}"
 
 
-def _kinds_registry():
-    """Secrecy tags s0-s3 at indexes 0-3, integrity tags i0-i3 at 4-7."""
-    reg = TagRegistry()
-    for name in ("s0", "s1", "s2", "s3"):
-        reg.register(name, TagKind.SECRECY)
-    for name in ("i0", "i1", "i2", "i3"):
-        reg.register(name, TagKind.INTEGRITY)
-    return reg
-
-
-def test_registry_kind_partition():
-    reg = _kinds_registry()
-    both = Label.of(0, 1, 4, 5)
-    assert reg.secrecy_part(both).indexes() == [0, 1]
-    assert reg.integrity_part(both).indexes() == [4, 5]
-
-
 def test_registry_tag_space_exhaustion():
     reg = TagRegistry()
     for i in range(TAG_SPACE):
@@ -180,14 +163,6 @@ def scan_name_of(reg, index):
 def scan_format_label(reg, label):
     names = sorted(scan_name_of(reg, i) for i in label.indexes())
     return "{" + ", ".join(names) + "}"
-
-
-def scan_kind_part(reg, label, kind):
-    mask = 0
-    for idx, k in reg.kind.items():
-        if k is kind:
-            mask |= tag_bit(idx)
-    return Label(label.bits & mask)
 
 
 def outcome(fn, *args):
@@ -219,5 +194,3 @@ def test_registry_lookups_equal_scans(registrations, indexes, index):
     for r in (reg, rebuilt):
         assert outcome(r.name_of, index) == outcome(scan_name_of, reg, index)
         assert outcome(r.format_label, label) == outcome(scan_format_label, reg, label)
-        assert r.secrecy_part(label) == scan_kind_part(reg, label, TagKind.SECRECY)
-        assert r.integrity_part(label) == scan_kind_part(reg, label, TagKind.INTEGRITY)

@@ -1,6 +1,8 @@
-"""Packet model: construction checks, flags, and the copy helpers the
-pipeline uses per hop, checked against dataclasses.replace as the
-reference on random packets."""
+"""Packet model: construction checks, flags, the copy helpers the pipeline
+uses per hop, checked against dataclasses.replace as the reference on
+random packets, and the per-flow sharing: packets made from a flow's key
+against packets built fresh, and the cached describe() text against a
+fresh rendering."""
 
 import ipaddress
 from dataclasses import fields, replace
@@ -33,17 +35,21 @@ _headers = st.builds(
 
 
 @st.composite
-def packets(draw):
-    protocol = draw(st.sampled_from([PROTO_TCP, PROTO_UDP, PROTO_ICMP]))
+def keys(draw):
+    return FlowKey(
+        draw(_ips), draw(_ports), draw(_ips), draw(_ports),
+        draw(st.sampled_from([PROTO_TCP, PROTO_UDP, PROTO_ICMP])),
+    )
+
+
+@st.composite
+def non_address_fields(draw, protocol):
+    """Every constructor argument but the five address fields, valid for
+    `protocol`."""
     control = draw(st.none() | st.sampled_from(list(ControlKind)))
     icmp_kind = draw(st.sampled_from(list(IcmpKind))) if protocol == PROTO_ICMP else None
     difc = draw(st.none() | _headers)
-    return SimPacket(
-        src_ip=draw(_ips),
-        dst_ip=draw(_ips),
-        src_port=draw(_ports),
-        dst_port=draw(_ports),
-        protocol=protocol,
+    return dict(
         tcp_flags=draw(st.sampled_from(list(TcpFlags) + [TcpFlags.SYN | TcpFlags.ACK])),
         icmp_kind=icmp_kind,
         evil_bit=difc is not None,
@@ -54,6 +60,22 @@ def packets(draw):
         control=control,
         recirc_count=draw(st.integers(min_value=0, max_value=8)),
     )
+
+
+def _fresh(key: FlowKey, **kw) -> SimPacket:
+    """The packet the constructor builds from the key's fields."""
+    return SimPacket(key.src_ip, key.dst_ip, key.src_port, key.dst_port, key.protocol, **kw)
+
+
+@st.composite
+def packets(draw):
+    """Random packets, half built by the constructor and half made from a
+    flow key the way the simulator makes them."""
+    key = draw(keys())
+    kw = draw(non_address_fields(key.protocol))
+    if draw(st.booleans()):
+        return SimPacket.of_flow(key, **kw)
+    return _fresh(key, **kw)
 
 
 def _same(copy: SimPacket, reference: SimPacket) -> None:
@@ -105,6 +127,93 @@ def test_constructor_checks_the_evil_bit_and_icmp_kind():
         SimPacket("1.1.1.1", "2.2.2.2", 1, 2, PROTO_TCP, evil_bit=True)
     with pytest.raises(ValueError, match="icmp"):
         SimPacket("1.1.1.1", "2.2.2.2", 1, 2, PROTO_ICMP)
+    with pytest.raises(ValueError, match="evil bit"):
+        SimPacket.of_flow(FlowKey("1.1.1.1", 1, "2.2.2.2", 2, PROTO_TCP), evil_bit=True)
+    with pytest.raises(ValueError, match="evil bit"):
+        SimPacket.of_flow(FlowKey("1.1.1.1", 1, "2.2.2.2", 2, PROTO_UDP), difc=DifcHeader())
+    with pytest.raises(ValueError, match="icmp"):
+        SimPacket.of_flow(FlowKey("1.1.1.1", 1, "2.2.2.2", 2, PROTO_ICMP))
+    # a control packet needs no ICMP kind, either way it is made
+    ack = SimPacket.of_flow(
+        FlowKey("1.1.1.1", 1, "2.2.2.2", 2, PROTO_ICMP), control=ControlKind.LABEL_ACK
+    )
+    assert ack == SimPacket("1.1.1.1", "2.2.2.2", 1, 2, PROTO_ICMP, control=ControlKind.LABEL_ACK)
+
+
+def _same_key(got: FlowKey, want: FlowKey) -> None:
+    assert got == want
+    assert (got.src_ip, got.src_port, got.dst_ip, got.dst_port, got.protocol) == (
+        want.src_ip, want.src_port, want.dst_ip, want.dst_port, want.protocol
+    )
+    assert str(got) == str(want) and hash(got) == hash(want) and got.crc32() == want.crc32()
+
+
+@given(keys().flatmap(lambda k: st.tuples(st.just(k), non_address_fields(k.protocol))))
+def test_packet_made_from_a_flow_key_equals_a_fresh_packet(key_and_fields):
+    key, kw = key_and_fields
+    str(key)  # a flow key renders its text before most of its packets are made
+    got = SimPacket.of_flow(key, **kw)
+    want = _fresh(key, **kw)
+    _same(got, want)
+    assert got.flow_key is key
+    _same_key(got.flow_key, want.flow_key)
+
+
+_address_changes = st.one_of(
+    _ips.map(lambda v: {"src_ip": v}),
+    _ips.map(lambda v: {"dst_ip": v}),
+    _ports.map(lambda v: {"src_port": v}),
+    _ports.map(lambda v: {"dst_port": v}),
+)
+
+
+@given(packets(), _address_changes)
+def test_replace_with_a_new_address_or_port_rebuilds_the_key(pkt, change):
+    pkt.describe()
+    str(pkt.flow_key)
+    pkt.flow_key.crc32()
+    out = replace(pkt, **change)
+    want = FlowKey(out.src_ip, out.src_port, out.dst_ip, out.dst_port, out.protocol)
+    _same_key(out.flow_key, want)
+    assert out.describe() == describe_reference(out)
+
+
+def describe_reference(pkt: SimPacket) -> str:
+    """describe() worked out from the packet's fields alone, with no cache."""
+    tag = {PROTO_TCP: "tcp", PROTO_UDP: "udp", PROTO_ICMP: "icmp"}[pkt.protocol]
+    marks = []
+    if pkt.protocol == PROTO_TCP and pkt.tcp_flags & TcpFlags.SYN:
+        marks.append("syn")
+    if pkt.evil_bit:
+        marks.append("labeled")
+    if pkt.control is not None:
+        marks.append(pkt.control.value)
+    shown = f"/{'+'.join(marks)}" if marks else ""
+    key = f"{pkt.src_ip}:{pkt.src_port}>{pkt.dst_ip}:{pkt.dst_port}/{pkt.protocol}"
+    return f"{key}[{tag}{shown}#{pkt.seq}]"
+
+
+_steps = st.one_of(
+    st.tuples(st.just("ttl"), st.integers(min_value=0, max_value=255)),
+    st.tuples(st.just("recirc"), st.none()),
+    st.tuples(st.just("header"), _headers),
+    st.tuples(st.just("describe"), st.none()),
+)
+
+
+@given(packets(), st.lists(_steps, max_size=8))
+def test_cached_describe_equals_a_fresh_rendering_after_any_copies(pkt, steps):
+    assert pkt.describe() == describe_reference(pkt)
+    for op, arg in steps:
+        if op == "ttl":
+            pkt = pkt.with_ttl(arg)
+        elif op == "recirc":
+            pkt = pkt.recirculated()
+        elif op == "header":
+            pkt = pkt.with_header(arg)
+        else:
+            assert pkt.describe() == describe_reference(pkt)
+    assert pkt.describe() == describe_reference(pkt)
 
 
 def test_packets_are_slotted():

@@ -89,11 +89,34 @@ def test_event_requires_known_host(tmp_path):
 
 
 def test_flow_entry_missing_field(tmp_path):
-    scn = _minimal_scenario(
-        tmp_path, {"flows": [{"id": "f", "src": "Host1"}]}  # no dst
-    )
-    with pytest.raises(ScenarioError, match="missing"):
-        run_scenario(scn)
+    # caught when the scenario loads, not when the flow is scheduled
+    with pytest.raises(ScenarioError, match="missing") as exc:
+        _minimal_scenario(tmp_path, {"flows": [{"id": "f", "src": "Host1"}]})  # no dst
+    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: flows[0] (id 'f'): missing field 'dst'"
+
+
+@pytest.mark.parametrize(
+    "flow, problem",
+    [
+        ({"src": "Host1", "dst": "Host2"}, "missing field 'id'"),
+        ({"id": "f", "dst": "Host2"}, "missing field 'src'"),
+        ({"id": "f", "src": "Host1", "dst": "Host2", "protocol": "sctp"},
+         "protocol must be one of tcp, udp, icmp, not 'sctp'"),
+        ({"id": "f", "src": "Host1", "dst": "Host2", "protocol": ["tcp"]},
+         "protocol must be one of tcp, udp, icmp, not ['tcp']"),
+    ],
+    ids=["id", "src", "sctp", "list"],
+)
+def test_flow_entry_fails_at_load_naming_file_index_and_field(tmp_path, flow, problem):
+    ok = {"id": "g", "src": "Host1", "dst": "Host2", "protocol": "udp"}
+    with pytest.raises(ScenarioError) as exc:
+        _minimal_scenario(tmp_path, {"flows": [ok, flow]})
+    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: flows[1] (id {flow.get('id')!r}): {problem}"
+
+
+def test_flow_entry_that_is_not_a_mapping_fails_at_load(tmp_path):
+    with pytest.raises(ScenarioError, match=r"flows\[0\]: a flow must be a mapping"):
+        _minimal_scenario(tmp_path, {"flows": ["f1"]})
 
 
 def test_accept_of_unknown_flow(tmp_path):

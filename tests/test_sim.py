@@ -4,8 +4,10 @@ trace determinism."""
 
 import pytest
 
-from difcnet.dataplane import Decision
+from difcnet.dataplane import Decision, Switch
+from difcnet.errors import DifcnetError
 from difcnet.header import FlowKey, buffer_slot
+from difcnet.hostagent import HostAgent
 from difcnet.netcl import compile_program, parse
 from difcnet.sim import Network, SimParams
 from tests.conftest import LAN_POLICY, make_lan, make_split
@@ -253,3 +255,45 @@ def test_run_until_bound():
     net.run(until_ns=100 * MS)
     assert net.flows["f"].delivered == 1
     assert net.flows["late"].sent == 0  # still queued beyond the horizon
+
+
+def test_send_flow_rejects_an_unknown_protocol():
+    net = lan_network()
+    with pytest.raises(DifcnetError) as exc:
+        net.send_flow(flow_id="f", src="A", dst="C", at_ns=1 * MS, protocol="sctp")
+    assert str(exc.value) == "flow 'f': unknown protocol 'sctp', expected one of tcp, udp, icmp"
+    assert not net.flows and not net._heap
+
+
+def test_packets_of_a_flow_share_one_key(monkeypatch):
+    seen = []
+
+    def spy(original):
+        def wrapper(self, pkt, *args, **kwargs):
+            seen.append(pkt)
+            return original(self, pkt, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Switch, "process_packet", spy(Switch.process_packet))
+    monkeypatch.setattr(HostAgent, "deliver", spy(HostAgent.deliver))
+    net = split_network(
+        "label_host(ip=A, label={TA})\n"
+        "if match(pkt_label contains TA) then allow\n"
+    )
+    net.agents["A"].spawn(100)
+    net.agents["C"].spawn(300)
+    flows = [
+        net.send_flow(flow_id="t", src="A", dst="C", at_ns=1 * MS, pid=100, packets=4),
+        net.send_flow(flow_id="u", src="A", dst="C", at_ns=2 * MS, pid=100,
+                      protocol="udp", dst_port=53, packets=5),
+        net.send_flow(flow_id="i", src="A", dst="B", at_ns=3 * MS, pid=100, protocol="icmp"),
+        net.send_flow(flow_id="r", src="C", dst="A", at_ns=4 * MS, pid=300,
+                      src_port=80, dst_port=41000),
+    ]
+    net.run()
+    by_value = {rec.key: rec.key for rec in flows}
+    data = [pkt for pkt in seen if pkt.control is None]
+    assert len(data) > sum(rec.sent for rec in flows)  # every hop and delivery is seen
+    assert all(pkt.flow_key is by_value[pkt.flow_key] for pkt in data)
+    assert {id(pkt.flow_key) for pkt in data} == {id(rec.key) for rec in flows}
+    assert any(pkt.control is not None for pkt in seen)  # label acks carry keys of their own

@@ -75,6 +75,42 @@ def test_link_latency_lookup():
     assert topo.link_latency("S2", "A") == DEFAULT_LINK_LATENCY_NS
 
 
+def _next_hops_reference(topo, switch):
+    """The three lookups the per-switch table replaces, one port at a time."""
+    out = []
+    for port in range(len(topo.ports(switch))):
+        target = topo.port_target(switch, port)
+        out.append((target, topo.link_latency(switch, target), target in topo.switches))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("fname", ["cisco.yaml", "enterprise.yaml", "hospital.yaml", "stanford.yaml"])
+def test_next_hops_equal_port_target_latency_and_kind(fname):
+    topo = load_topology(TOPOLOGY_DIR / fname)
+    for s in topo.switches:
+        assert topo.next_hops(s) == _next_hops_reference(topo, s), s
+
+
+def test_next_hops_keep_the_first_link_latency():
+    topo = topology_from_dict(
+        {
+            "name": "t",
+            "switches": ["S1", "S2"],
+            "links": [["S1", "S2", 250_000], ["S2", "S1", 900_000]],
+            "hosts": [{"name": "A", "ip": "10.0.0.1", "switch": "S2"}],
+            "external": {"gateway": "S1"},
+        }
+    )
+    assert topo.next_hops("S1") == (
+        ("S2", 250_000, True), ("S2", 250_000, True), ("external", DEFAULT_LINK_LATENCY_NS, False),
+    )
+    assert topo.next_hops("S2") == (
+        ("S1", 250_000, True), ("S1", 250_000, True), ("A", DEFAULT_LINK_LATENCY_NS, False),
+    )
+    for s in topo.switches:
+        assert topo.next_hops(s) == _next_hops_reference(topo, s)
+
+
 def test_default_gateway_is_first_switch():
     topo = topology_from_dict(
         {
