@@ -31,7 +31,7 @@ of such a false hit to one install delay.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapacityExceeded
 from .header import DifcHeader, FlowKey
@@ -192,6 +192,11 @@ class InstallRequest:
     created_ns: int
 
 
+# a hop's trace lines: a list on the paths that write one, else the shared
+# empty tuple, so a hop that writes nothing allocates nothing
+Log = list[str] | tuple[()]
+
+
 @dataclass(slots=True)
 class PipelineResult:
     """One packet's outcome at one switch. Only an initial packet's
@@ -205,7 +210,7 @@ class PipelineResult:
     install_requests: list[InstallRequest] | tuple[()] = ()
     recirculate_delay_ns: int = 0
     decision_source: str = ""
-    log: list[str] = field(default_factory=list)
+    log: Log = ()
 
 
 class Switch:
@@ -250,90 +255,83 @@ class Switch:
 
     # pipeline ------------------------------------------------------------
 
-    def _forward(self, pkt: SimPacket, source: str, log: list[str]) -> PipelineResult:
+    def _forward(self, pkt: SimPacket, source: str, log: Log = ()) -> PipelineResult:
         port = self._forwarding.get(pkt.dst_ip)
         if port is None:
-            log.append(f"{self.switch_id} no-route dst={pkt.dst_ip}")
+            log = [*log, f"{self.switch_id} no-route dst={pkt.dst_ip}"]
             return PipelineResult("drop", pkt, decision_source="forwarding", log=log)
         if pkt.ttl <= 1:
-            log.append(f"{self.switch_id} ttl-expired {pkt.flow_key}")
+            log = [*log, f"{self.switch_id} ttl-expired {pkt.flow_key}"]
             return PipelineResult("drop", pkt, decision_source="forwarding", log=log)
         return PipelineResult(
             "forward", pkt.with_ttl(pkt.ttl - 1), egress_port=port,
             decision_source=source, log=log,
         )
 
-    def _execute(
-        self, pkt: SimPacket, entry: TableEntry, log: list[str]
-    ) -> PipelineResult:
+    def _execute(self, pkt: SimPacket, entry: TableEntry, log: Log) -> PipelineResult:
         action = entry.action
         if isinstance(action, Drop):
-            log.append(f"{self.switch_id} drop {pkt.flow_key} rule@{entry.priority}")
+            log = [*log, f"{self.switch_id} drop {pkt.flow_key} rule@{entry.priority}"]
             return PipelineResult("drop", pkt, decision_source="policy", log=log)
         if isinstance(action, Alert):
-            log.append(f"{self.switch_id} alert {pkt.flow_key} rule@{entry.priority}")
+            log = [*log, f"{self.switch_id} alert {pkt.flow_key} rule@{entry.priority}"]
             return self._forward(pkt, "policy", log)
         if isinstance(action, Reroute):
             if pkt.ttl <= 1:
-                log.append(f"{self.switch_id} ttl-expired {pkt.flow_key}")
+                log = [*log, f"{self.switch_id} ttl-expired {pkt.flow_key}"]
                 return PipelineResult("drop", pkt, decision_source="policy", log=log)
             out = pkt.with_ttl(pkt.ttl - 1)
-            log.append(
-                f"{self.switch_id} reroute port={action.port} {pkt.flow_key}"
-            )
+            log = [*log, f"{self.switch_id} reroute port={action.port} {pkt.flow_key}"]
             return PipelineResult(
                 "forward", out, egress_port=action.port, decision_source="policy", log=log
             )
         if isinstance(action, Modify):
             if action.field_name == "ttl":
                 pkt = pkt.with_ttl(int(action.value))
-            log.append(
-                f"{self.switch_id} modify {action.field_name}={action.value} {pkt.flow_key}"
-            )
+            log = [
+                *log,
+                f"{self.switch_id} modify {action.field_name}={action.value} {pkt.flow_key}",
+            ]
             return self._forward(pkt, "policy", log)
         assert isinstance(action, Allow)
         return self._forward(pkt, "policy", log)
 
     def process_packet(self, pkt: SimPacket, now_ns: int) -> PipelineResult:
-        log: list[str] = []
         # control traffic (label acks, init) is switch generated and rides
         # outside the enforcement tables
         if pkt.control is not None:
-            return self._forward(pkt, "control", log)
+            return self._forward(pkt, "control")
         if pkt.dst_ip not in self._enforced:
-            return self._forward(pkt, "transit", log)
+            return self._forward(pkt, "transit")
 
         key = pkt.flow_key
         held = self.conn_dec.lookup(key, now_ns)
         if held is not None:
             if held is Decision.DROP:
-                log.append(f"{self.switch_id} drop {key} conn_dec")
+                log = [f"{self.switch_id} drop {key} conn_dec"]
                 return PipelineResult("drop", pkt, decision_source="conn_dec", log=log)
-            return self._forward(pkt, "conn_dec", log)
+            return self._forward(pkt, "conn_dec")
 
         if pkt.is_initial:
-            return self._evaluate_initial(pkt, key, now_ns, log)
+            return self._evaluate_initial(pkt, key, now_ns)
 
         buffered = self.buffer.lookup(key)
         if buffered is not None:
             if buffered is Decision.DROP:
-                log.append(f"{self.switch_id} drop {key} buffer")
+                log = [f"{self.switch_id} drop {key} buffer"]
                 return PipelineResult("drop", pkt, decision_source="buffer", log=log)
-            return self._forward(pkt, "buffer", log)
+            return self._forward(pkt, "buffer")
 
         if pkt.recirc_count >= self.recirc_limit:
-            log.append(f"{self.switch_id} drop {key} recirc-limit")
+            log = [f"{self.switch_id} drop {key} recirc-limit"]
             return PipelineResult("drop", pkt, decision_source="recirc_limit", log=log)
         out = pkt.recirculated()
-        log.append(
-            f"{self.switch_id} recirculate {key} n={out.recirc_count}"
-        )
         return PipelineResult(
             "recirculate",
             out,
             recirculate_delay_ns=self.recirc_delay_ns,
             decision_source="recirc",
-            log=log,
+            log=[f"{self.switch_id} recirculate {key} n={out.recirc_count}"],
         )
 
     def classify(
@@ -357,27 +355,26 @@ class Switch:
         self._classified[ckey] = result
         return result
 
-    def _evaluate_initial(
-        self, pkt: SimPacket, key: FlowKey, now_ns: int, log: list[str]
-    ) -> PipelineResult:
+    def _evaluate_initial(self, pkt: SimPacket, key: FlowKey, now_ns: int) -> PipelineResult:
         if not self.limiter.allow(pkt.src_ip, now_ns):
-            log.append(f"{self.switch_id} drop {key} rate-limited")
+            log = [f"{self.switch_id} drop {key} rate-limited"]
             return PipelineResult("drop", pkt, decision_source="rate", log=log)
 
         orig_bits = pkt.difc.label.bits if pkt.difc is not None else 0
         tracker = pkt.difc.tracker_id if pkt.difc is not None else 0
         new_bits, entry = self.classify(orig_bits, tracker, pkt.src_ip, pkt.dst_ip)
+        log: Log = ()
         if pkt.difc is not None and new_bits != orig_bits:
             pkt = pkt.with_header(DifcHeader(Label(new_bits), tracker))
-            log.append(
+            log = [
                 f"{self.switch_id} rewrite-label {key} "
                 f"{orig_bits:064x}->{new_bits:064x}"
-            )
+            ]
 
         if entry is None:
             decision = Decision.DROP
+            log = [*log, f"{self.switch_id} drop {key} default-deny"]
             result = PipelineResult("drop", pkt, decision_source="policy", log=log)
-            log.append(f"{self.switch_id} drop {key} default-deny")
         else:
             result = self._execute(pkt, entry, log)
             decision = (
@@ -398,5 +395,5 @@ class Switch:
                     payload_len=0,
                 )
             ]
-            log.append(f"{self.switch_id} label-ack {key}")
+            result.log = [*result.log, f"{self.switch_id} label-ack {key}"]
         return result

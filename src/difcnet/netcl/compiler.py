@@ -19,6 +19,13 @@ on the packet label (label must cover X's assigned tags), because the label
 is what identifies traffic that originated from, or was relayed through, X.
 A raw address or unlabeled name matches the source address field exactly.
 Destinations always match the address field.
+
+Sharing: one `compile_program` call works out each distinct conjunct's
+effect once (its label bits, tracker id, address match, and for a
+destination its placements) and reuses it for every rule that holds an
+equal conjunct, so rules with the same source or destination share one
+`FieldMatch`. The memo lives for that call only. Checks that depend on the
+action (reroute port, `modify` field, privilege tag kinds) stay per rule.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .ast import (
     Action,
     Allow,
     Alert,
-    Comparison,
+    Conjunct,
     Contains,
     Declassify,
     Drop,
@@ -217,6 +224,70 @@ def _check_modify(action: Modify, line: int) -> None:
         )
 
 
+# (label bits, tracker id or 0, source match, destination match, placements):
+# what one conjunct adds to a rule. Bits are or-ed in; any other part that is
+# not 0 or None replaces the rule's value, so a later conjunct wins.
+_Effect = tuple[int, int, FieldMatch | None, FieldMatch | None, tuple[str, ...] | None]
+
+
+def _conjunct_effect(
+    c: Conjunct,
+    line: int,
+    registry: TagRegistry,
+    topology: Topology,
+    directive_labels: dict[str, Label],
+    file_trackers: dict[tuple[str, str], int],
+    all_placements: tuple[str, ...],
+) -> _Effect:
+    """The effect of conjunct `c`, first met on source line `line`. It
+    depends on the conjunct alone, never on the rule or its action, so a
+    compile shares it among every rule holding an equal conjunct."""
+    if isinstance(c, Contains):
+        return _tag_mask(c.tags, registry), 0, None, None, None
+    if c.lhs == "tracker_id":
+        if c.op != "==":
+            raise CompileError(f"line {line}: tracker predicates support == only")
+        if "@" not in c.rhs:
+            raise CompileError(f"line {line}: tracker value must be <path>@<host>")
+        path, host = c.rhs.rsplit("@", 1)
+        key = (host, path)
+        if key not in file_trackers:
+            raise CompileError(f"line {line}: no tracker assigned for {c.rhs}")
+        return 0, file_trackers[key], None, None, None
+    if c.lhs == "src_ip":
+        if c.rhs == "any":
+            return 0, 0, None, None, None
+        if c.op == "==" and c.rhs in directive_labels:
+            # labeled source: match provenance via the label bits
+            return directive_labels[c.rhs].bits, 0, None, None, None
+        if c.op == "!=" and c.rhs in directive_labels:
+            raise CompileError(
+                f"line {line}: != is not supported on labeled source {c.rhs!r}"
+            )
+        try:
+            ips = topology.resolve(c.rhs)
+        except UnknownName as exc:
+            raise CompileError(f"line {line}: {exc}") from None
+        return 0, 0, FieldMatch(frozenset(ips), negate=(c.op == "!=")), None, None
+    # dst_ip
+    if c.rhs == "any":
+        return 0, 0, None, None, all_placements
+    try:
+        ips = topology.resolve(c.rhs)
+    except UnknownName as exc:
+        raise CompileError(f"line {line}: {exc}") from None
+    if c.op != "==":
+        # negated destination can match traffic to any switch
+        return 0, 0, None, FieldMatch(frozenset(ips), negate=True), all_placements
+    try:
+        placements = tuple(dict.fromkeys(topology.switch_of_ip(ip) for ip in ips))
+    except UnknownHost:
+        raise PlacementError(
+            f"line {line}: destination {c.rhs!r} has no attached switch"
+        ) from None
+    return 0, 0, None, FieldMatch(frozenset(ips)), placements
+
+
 def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
     registry = TagRegistry()
     _register_tags(program, registry)
@@ -252,6 +323,8 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
     entries: dict[str, list[TableEntry]] = {s: [] for s in topology.switches}
     privilege: dict[str, list[PrivilegeEntry]] = {s: [] for s in topology.switches}
 
+    # one compile call works out each distinct conjunct's effect once
+    effects: dict[Conjunct, _Effect] = {}
     for rule in program.rules:
         label_mask = 0
         tracker_match = 0
@@ -260,65 +333,22 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
         placements: tuple[str, ...] | None = None
 
         for c in rule.conjuncts:
-            if isinstance(c, Contains):
-                label_mask |= _tag_mask(c.tags, registry)
-                continue
-            assert isinstance(c, Comparison)
-            if c.lhs == "tracker_id":
-                if c.op != "==":
-                    raise CompileError(
-                        f"line {rule.line}: tracker predicates support == only"
-                    )
-                if "@" not in c.rhs:
-                    raise CompileError(
-                        f"line {rule.line}: tracker value must be <path>@<host>"
-                    )
-                path, host = c.rhs.rsplit("@", 1)
-                key = (host, path)
-                if key not in file_trackers:
-                    raise CompileError(
-                        f"line {rule.line}: no tracker assigned for {c.rhs}"
-                    )
-                tracker_match = file_trackers[key]
-                continue
-            if c.lhs == "src_ip":
-                if c.rhs == "any":
-                    continue
-                if c.op == "==" and c.rhs in directive_labels:
-                    # labeled source: match provenance via the label bits
-                    label_mask |= directive_labels[c.rhs].bits
-                    continue
-                if c.op == "!=" and c.rhs in directive_labels:
-                    raise CompileError(
-                        f"line {rule.line}: != is not supported on labeled source {c.rhs!r}"
-                    )
-                try:
-                    ips = topology.resolve(c.rhs)
-                except UnknownName as exc:
-                    raise CompileError(f"line {rule.line}: {exc}") from None
-                src_field = FieldMatch(frozenset(ips), negate=(c.op == "!="))
-                continue
-            # dst_ip
-            if c.rhs == "any":
-                placements = all_placements
-                continue
-            try:
-                ips = topology.resolve(c.rhs)
-            except UnknownName as exc:
-                raise CompileError(f"line {rule.line}: {exc}") from None
-            dst_field = FieldMatch(frozenset(ips), negate=(c.op == "!="))
-            if c.op == "==":
-                try:
-                    placements = tuple(
-                        dict.fromkeys(topology.switch_of_ip(ip) for ip in ips)
-                    )
-                except UnknownHost:
-                    raise PlacementError(
-                        f"line {rule.line}: destination {c.rhs!r} has no attached switch"
-                    ) from None
-            else:
-                # negated destination can match traffic to any switch
-                placements = all_placements
+            effect = effects.get(c)
+            if effect is None:
+                effect = effects[c] = _conjunct_effect(
+                    c, rule.line, registry, topology, directive_labels, file_trackers,
+                    all_placements,
+                )
+            bits, tracker, src, dst, where = effect
+            label_mask |= bits
+            if tracker:
+                tracker_match = tracker
+            if src is not None:
+                src_field = src
+            if dst is not None:
+                dst_field = dst
+            if where is not None:
+                placements = where
 
         if placements is None:
             placements = all_placements

@@ -16,6 +16,14 @@ Grammar, one statement per line:
 `#` starts a comment. A line beginning with `...` is an elision marker for
 policies intentionally omitted from an excerpt and is ignored. Names
 resolve later, at compile time, against the topology bindings.
+
+Policies repeat most of their conjunct and action texts, so one `parse`
+call parses each distinct text once and shares the frozen node among the
+rules that contain it. The memo lives for that call only. A text is first
+parsed on the line where it first appears, so the first error raised is
+the one a text-by-text parse would raise. An error's column is the
+1-based position of the offending conjunct in the raw line, leading
+indentation included; it is worked out only for a text not seen before.
 """
 
 from __future__ import annotations
@@ -24,9 +32,11 @@ import re
 
 from ..errors import NetclSyntaxError
 from .ast import (
+    Action,
     Alert,
     Allow,
     Comparison,
+    Conjunct,
     Contains,
     Declassify,
     Drop,
@@ -52,6 +62,7 @@ _COMPARISON = re.compile(
 )
 _ACTION_CALL = re.compile(r"^(?P<name>[a-z_]+)\((?P<args>.*)\)$")
 _NAME = re.compile(r"^[\w.\-/@]+$")
+_TAG = re.compile(r"\w+")
 
 
 def _parse_tag_list(text: str, line_no: int) -> tuple[str, ...]:
@@ -60,7 +71,7 @@ def _parse_tag_list(text: str, line_no: int) -> tuple[str, ...]:
         name = part.strip()
         if not name:
             continue
-        if not re.fullmatch(r"\w+", name):
+        if not _TAG.fullmatch(name):
             raise NetclSyntaxError(f"bad tag name {name!r}", line_no)
         tags.append(name)
     if not tags:
@@ -78,7 +89,6 @@ def _parse_tag_set(text: str, line_no: int) -> tuple[str, ...]:
 
 
 def _parse_conjunct(text: str, line_no: int, column: int):
-    text = text.strip()
     m = _CONTAINS.match(text)
     if m:
         return Contains(_parse_tag_set(m.group("rhs"), line_no))
@@ -96,7 +106,6 @@ def _parse_conjunct(text: str, line_no: int, column: int):
 
 
 def _parse_action(text: str, line_no: int):
-    text = text.strip()
     if text == "drop":
         return Drop()
     if text == "allow":
@@ -128,6 +137,8 @@ def parse(source: str) -> Program:
     and column information on the first malformed statement."""
     statements = []
     priority = 0
+    conjunct_nodes: dict[str, Conjunct] = {}  # stripped text -> node
+    action_nodes: dict[str, Action] = {}
     for line_no, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line or line.startswith("..."):
@@ -146,10 +157,21 @@ def parse(source: str) -> Program:
         m = _RULE.match(line)
         if m:
             conjuncts = []
+            at = m.start("pred")  # offset of the chunk in the stripped line
             for chunk in m.group("pred").split("&&"):
-                column = raw.find(chunk.strip()) + 1
-                conjuncts.append(_parse_conjunct(chunk, line_no, column))
-            action = _parse_action(m.group("action"), line_no)
+                text = chunk.strip()
+                node = conjunct_nodes.get(text)
+                if node is None:
+                    column = (
+                        len(raw) - len(raw.lstrip()) + at + len(chunk) - len(chunk.lstrip()) + 1
+                    )
+                    node = conjunct_nodes[text] = _parse_conjunct(text, line_no, column)
+                conjuncts.append(node)
+                at += len(chunk) + 2  # the chunk and its "&&"
+            text = m.group("action")  # the stripped line leaves it stripped
+            action = action_nodes.get(text)
+            if action is None:
+                action = action_nodes[text] = _parse_action(text, line_no)
             statements.append(Rule(tuple(conjuncts), action, priority, line_no))
             priority += 1
             continue

@@ -175,7 +175,11 @@ class Network:
         rec = FlowRecord(flow_id, src, dst, key, accept_pid=accept_pid)
         self.flows[flow_id] = rec
         self._flow_by_key[key] = rec
-        # every packet of the flow is made from this one key (see _on_send)
+        # every packet of the flow is made from this one key and enters at
+        # this one switch, labelled by this one agent (see _on_send)
+        host = self.topology.host_by_name.get(src)
+        entry = host.switch if host is not None else self.topology.gateway
+        agent = self.agents.get(src) if pid is not None else None
         icmp_kind = IcmpKind.REQUEST if proto == PROTO_ICMP else None
         for i in range(packets):
             flags = TcpFlags.NONE
@@ -183,7 +187,9 @@ class Network:
                 flags = TcpFlags.SYN if i == 0 else TcpFlags.ACK
             size = 0 if (proto == PROTO_TCP and i == 0) else payload_len
             self._push(
-                at_ns + i * gap, "send", (src, pid, flow_id, key, flags, icmp_kind, size, i)
+                at_ns + i * gap,
+                "send",
+                (src, entry, agent, pid, flow_id, key, flags, icmp_kind, size, i),
             )
         return rec
 
@@ -212,24 +218,17 @@ class Network:
             handlers[kind](at, payload)
 
     def _on_send(self, at: int, payload) -> None:
-        src, pid, flow_id, key, flags, icmp_kind, payload_len, seq = payload
+        src, entry, agent, pid, flow_id, key, flags, icmp_kind, payload_len, seq = payload
         pkt = SimPacket.of_flow(
             key, tcp_flags=flags, icmp_kind=icmp_kind, payload_len=payload_len, seq=seq
         )
-        agent = self.agents.get(src)
-        if agent is not None and pid is not None:
+        if agent is not None:
             pkt = agent.label_outgoing(pid, pkt, now_ns=at)
         rec = self.flows.get(flow_id)
         if rec is not None:
             rec.sent += 1
         self._log(at, f"send host={src} {pkt.describe()}")
-        entry = self._entry_switch(src)
         self._push(at + DEFAULT_LINK_LATENCY_NS, "switch", (entry, pkt))
-
-    def _entry_switch(self, endpoint: str) -> str:
-        if endpoint in self.topology.host_by_name:
-            return self.topology.host_by_name[endpoint].switch
-        return self.topology.gateway
 
     def _on_switch(self, at: int, payload) -> None:
         sid, pkt = payload
@@ -243,7 +242,12 @@ class Network:
         for gen in result.generated:
             self._push(at, "switch", (sid, gen))
         if result.verdict == "drop":
-            self._record_outcome(result.packet, "dropped", f"{sid}:{result.decision_source}")
+            self._record_outcome(
+                self._flow_by_key.get(result.packet.flow_key),
+                result.packet,
+                "dropped",
+                f"{sid}:{result.decision_source}",
+            )
         elif result.verdict == "recirculate":
             self._push(
                 at + result.recirculate_delay_ns, "switch", (sid, result.packet)
@@ -256,20 +260,17 @@ class Network:
 
     def _on_deliver(self, at: int, payload) -> None:
         target, pkt = payload
-        if target in self.agents:
-            agent = self.agents[target]
+        key = pkt.flow_key
+        rec = self._flow_by_key.get(key)
+        agent = self.agents.get(target)
+        if agent is not None:
             agent.deliver(pkt, now_ns=at)
-            rec = self._flow_by_key.get(pkt.flow_key)
-            if (
-                rec is not None
-                and rec.accept_pid is not None
-                and pkt.flow_key in agent.in_labels
-            ):
-                agent.accept(rec.accept_pid, pkt.flow_key, now_ns=at)
+            if rec is not None and rec.accept_pid is not None and key in agent.in_labels:
+                agent.accept(rec.accept_pid, key, now_ns=at)
         else:
             self.external_deliveries.append(pkt)
         if pkt.control is None:
-            self._record_outcome(pkt, "delivered", target)
+            self._record_outcome(rec, pkt, "delivered", target)
         self._log(at, f"deliver host={target} {pkt.describe()}")
 
     def _on_install(self, at: int, pending: PendingInstall) -> None:
@@ -287,8 +288,9 @@ class Network:
             self._log(at, label)
         fn()
 
-    def _record_outcome(self, pkt: SimPacket, status: str, where: str) -> None:
-        rec = self._flow_by_key.get(pkt.flow_key)
+    def _record_outcome(
+        self, rec: FlowRecord | None, pkt: SimPacket, status: str, where: str
+    ) -> None:
         if rec is None:
             return
         rec.outcomes.append((pkt.seq, status, where))

@@ -33,6 +33,9 @@ import yaml
 from .errors import DifcnetError, UnknownHost, UnknownName
 
 DEFAULT_LINK_LATENCY_NS = 100_000  # 0.1 ms per link
+# libyaml's loader parses about eight times faster than the pure-Python one
+# and builds equal documents; pyyaml without libyaml still loads, slowly
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 @dataclass(frozen=True)
@@ -247,7 +250,7 @@ def read_yaml(path) -> object:
     the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=YAML_LOADER)
         except yaml.MarkedYAMLError as exc:
             mark = exc.problem_mark or exc.context_mark
             where = f"{path}:{mark.line + 1}" if mark is not None else str(path)

@@ -447,3 +447,26 @@ def test_alert_action_forwards():
     assert res.verdict == "forward"
     assert any("alert" in l for l in res.log)
     assert res.install_requests[0].decision is Decision.ALLOW
+
+
+def test_hops_that_write_no_line_share_the_empty_log():
+    sw, _ = _switch()
+    ack = SimPacket(
+        src_ip=C, dst_ip=A, src_port=80, dst_port=41000, protocol=PROTO_UDP,
+        control=ControlKind.LABEL_ACK,
+    )
+    held = _data(B, C, sport=41001)
+    sw.install_conn_dec(held.flow_key, Decision.ALLOW, 50)
+    hops = [
+        (ack, "control"),
+        (_data(A, "203.0.113.10"), "transit"),
+        (held, "conn_dec"),
+        (_syn(A, C, Label(tag_bit(0))), "policy"),
+        (_data(A, C), "buffer"),
+    ]
+    for pkt, source in hops:
+        res = sw.process_packet(pkt, 100)
+        assert (res.verdict, res.decision_source) == ("forward", source)
+        assert res.log == (), source  # a list, even an empty one, is not ()
+    res = sw.process_packet(_syn(B, C, sport=41002), 100)
+    assert res.log == [f"S2 drop {res.packet.flow_key} default-deny"]

@@ -124,6 +124,25 @@ def test_syntax_error_carries_line_number():
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "line, column",
+    [
+        # the bad text also occurs inside the first conjunct
+        ("if match(dst_ip==x && x) then drop", 23),
+        # leading indentation counts
+        ("    if match(src_ip==A &&  A) then drop", 28),
+        # a comment holding the bad text comes after it on the line
+        ("if match(dst_ip==B && pkt_label==T) then drop  # pkt_label==T", 23),
+        ("if match(x && dst_ip==x && x) then drop  # x", 10),
+    ],
+)
+def test_syntax_error_column_is_the_bad_conjuncts_own(line, column):
+    with pytest.raises(NetclSyntaxError) as err:
+        parse("if match(dst_ip==A) then allow\n" + line)
+    assert (err.value.line, err.value.column) == (2, column)
+    assert str(err.value).startswith(f"line 2, col {column}: ")
+
+
 def test_pkt_label_equality_is_rejected():
     with pytest.raises(NetclSyntaxError) as err:
         parse("if match(pkt_label==T) then drop")

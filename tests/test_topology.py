@@ -3,15 +3,22 @@
 import pytest
 import yaml
 
+from difcnet import topology
 from difcnet.errors import DifcnetError, UnknownHost, UnknownName
+from difcnet.scenario import load_scenario
 from difcnet.topology import (
     DEFAULT_LINK_LATENCY_NS,
     FirewallRule,
     firewall_admits,
     load_topology,
+    read_yaml,
     topology_from_dict,
 )
-from tests.conftest import TOPOLOGY_DIR, make_lan, make_split
+from tests.conftest import SCENARIO_DIR, TOPOLOGY_DIR, make_lan, make_split
+
+# read_yaml uses libyaml when pyyaml was built with it, else the pure-Python
+# loader; errors must name the same file and line under either
+YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 
 def test_resolve_host_group_external_raw(lan):
@@ -300,3 +307,35 @@ def test_enterprise_shape():
     assert topo.host_switches() == ["S2", "S3", "S4"]
     assert topo.gateway == "S1"
     assert len(topo.firewall) == 6
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SCENARIO_DIR.rglob("*.yaml")), ids=lambda p: p.relative_to(SCENARIO_DIR).as_posix()
+)
+def test_read_yaml_equals_the_pure_python_loader(path):
+    with open(path, encoding="utf-8") as fh:
+        want = yaml.load(fh, Loader=yaml.SafeLoader)
+    assert read_yaml(path) == want
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("name: t\nswitches: [S1, S2\nhosts: []\n", 3),  # unclosed [
+        ("a: {b: c\n", 2),  # unclosed {
+        ("name: t\n  bad: indent\n", 2),
+        ("a: b\n\tc: d\n", 2),  # tab indentation
+        ("- x\ny: z\n", 2),
+        ("a: *nope\n", 1),  # undefined alias
+        ("a: !!python/object:os.system x\n", 1),  # no unsafe tags
+    ],
+)
+def test_yaml_errors_name_the_file_and_line(tmp_path, monkeypatch, loader, text, line):
+    monkeypatch.setattr(topology, "YAML_LOADER", loader)
+    path = tmp_path / "doc.yaml"
+    path.write_text(text)
+    for load in (read_yaml, load_topology, load_scenario):
+        with pytest.raises(DifcnetError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}:{line}: invalid YAML: "), load
