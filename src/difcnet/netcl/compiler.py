@@ -161,38 +161,33 @@ def _register_tags(program: Program, registry: TagRegistry) -> None:
     # Kind inference: a tag endorsed anywhere is integrity, everything else
     # (labeled, contained, declassified) is secrecy. A tag pulled both ways
     # by privilege actions is a contradiction. Bit positions follow first
-    # appearance in source order, independent of kind.
-    required: dict[str, TagKind] = {}
+    # appearance in source order, independent of kind. `parse` shares equal
+    # conjunct and action nodes, so the distinct nodes (by identity, in
+    # source order) are gathered first and each is looked at once: a node
+    # met again adds no tag and no kind. Tags register once kinds are known.
+    nodes: dict[int, object] = {}
     for stmt in program.statements:
-        if not isinstance(stmt, Rule):
-            continue
-        if isinstance(stmt.action, Endorse):
-            kind = TagKind.INTEGRITY
-        elif isinstance(stmt.action, Declassify):
-            kind = TagKind.SECRECY
-        else:
-            continue
-        for t in stmt.action.tags:
-            if required.setdefault(t, kind) is not kind:
-                raise CompileError(
-                    f"tag {t!r} cannot be both declassified and endorsed"
-                )
-
-    def kind_for(t: str) -> TagKind:
-        return required.get(t, TagKind.SECRECY)
-
-    for stmt in program.statements:
-        if isinstance(stmt, LabelHost):
-            for t in stmt.tags:
-                registry.register(t, kind_for(t))
-        elif isinstance(stmt, Rule):
+        if isinstance(stmt, Rule):
             for c in stmt.conjuncts:
-                if isinstance(c, Contains):
-                    for t in c.tags:
-                        registry.register(t, kind_for(t))
-            if isinstance(stmt.action, (Endorse, Declassify)):
-                for t in stmt.action.tags:
-                    registry.register(t, kind_for(t))
+                nodes[id(c)] = c
+            nodes[id(stmt.action)] = stmt.action
+        else:
+            nodes[id(stmt)] = stmt
+    required: dict[str, TagKind] = {}
+    order: dict[str, None] = {}  # tags in order of first appearance
+    for node in nodes.values():
+        if isinstance(node, (LabelHost, Contains)):
+            order.update(dict.fromkeys(node.tags))
+        elif isinstance(node, (Endorse, Declassify)):
+            kind = TagKind.INTEGRITY if isinstance(node, Endorse) else TagKind.SECRECY
+            for t in node.tags:
+                if required.setdefault(t, kind) is not kind:
+                    raise CompileError(
+                        f"tag {t!r} cannot be both declassified and endorsed"
+                    )
+                order[t] = None
+    for t in order:
+        registry.register(t, required.get(t, TagKind.SECRECY))
 
 
 def _tag_mask(tags, registry: TagRegistry) -> int:
@@ -303,7 +298,11 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
         if isinstance(stmt, LabelHost):
             label = registry.label_of(stmt.tags)
             directive_labels[stmt.host] = directive_labels.get(stmt.host, Label(0)) | label
-            for ip in topology.resolve(stmt.host):
+            try:
+                ips = topology.resolve(stmt.host)
+            except UnknownName as exc:
+                raise CompileError(f"line {stmt.line}: {exc}") from None
+            for ip in ips:
                 host_labels[ip] = host_labels.get(ip, Label(0)) | label
         elif isinstance(stmt, LabelFile):
             if stmt.host not in topology.host_by_name:

@@ -4,6 +4,7 @@ scenario resolve relative to the scenario file."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +28,58 @@ EVENT_FIELDS = {
 }
 # fields every flow entry needs, checked when the scenario loads
 FLOW_FIELDS = ("id", "src", "dst")
+
+# Numbers checked when the scenario loads, by kind: "ms" is a time or a
+# duration in milliseconds, "count" a whole number, "port" a whole number
+# that fits the 16-bit port field and "pid" a whole number or null (a flow
+# with no pid). Strings and booleans are never numbers.
+NUMBER_KINDS = {
+    "ms": "a number >= 0",
+    "count": "an integer >= 0",
+    "port": "an integer from 0 to 65535",
+    "pid": "an integer >= 0 or null",
+}
+FLOW_NUMBERS = {
+    "at_ms": "ms",
+    "packets": "count",
+    "src_port": "port",
+    "dst_port": "port",
+    "payload_len": "count",
+    "pid": "pid",
+    "accept_pid": "pid",
+}
+EVENT_NUMBERS = {"at_ms": "ms", "idle_ms": "ms", "pid": "count"}
+# scenario params -> (kind, SimParams field); a *_ms value is stored in ns
+PARAMS = {
+    "rtt_ms": ("ms", "rtt_ns"),
+    "recirc_delay_ms": ("ms", "recirc_delay_ns"),
+    "rate_window_ms": ("ms", "rate_window_ns"),
+    "recirc_limit": ("count", "recirc_limit"),
+    "index_bits": ("count", "index_bits"),
+    "conn_dec_capacity": ("count", "conn_dec_capacity"),
+    "rate_limit": ("count", "rate_limit"),
+    "udp_label_prefix": ("count", "udp_label_prefix"),
+}
+
+
+def _number_problem(value, kind: str) -> str | None:
+    """Why `value` is not a number of `kind`, or None when it is one."""
+    if value is None and kind == "pid":
+        good = True
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        good = False
+    elif kind == "ms":
+        good = math.isfinite(value) and value >= 0
+    else:
+        good = isinstance(value, int) and 0 <= value <= (65_535 if kind == "port" else math.inf)
+    return None if good else f"must be {NUMBER_KINDS[kind]}, not {value!r}"
+
+
+def _check_numbers(where: str, entry: dict, kinds: dict[str, str]) -> None:
+    for name, kind in kinds.items():
+        problem = _number_problem(entry[name], kind) if name in entry else None
+        if problem:
+            raise ScenarioError(f"{where}: {name} {problem}")
 
 
 @dataclass
@@ -58,13 +111,7 @@ def load_scenario(path: str | Path) -> Scenario:
             for name in EVENT_FIELDS.get(op, ()):
                 if name not in event:
                     raise ScenarioError(f"{where}: missing field {name!r}")
-            if "pid" in event:
-                try:
-                    int(event["pid"])
-                except (TypeError, ValueError):
-                    raise ScenarioError(
-                        f"{where}: pid must be an integer, not {event['pid']!r}"
-                    ) from None
+            _check_numbers(where, event, EVENT_NUMBERS)
     for i, flow in enumerate(doc.get("flows", [])):
         if not isinstance(flow, dict):
             raise ScenarioError(f"{path}: flows[{i}]: a flow must be a mapping")
@@ -77,13 +124,26 @@ def load_scenario(path: str | Path) -> Scenario:
                 f"{where}: protocol must be one of {', '.join(FLOW_PROTOCOLS)}, "
                 f"not {flow['protocol']!r}"
             )
+        _check_numbers(where, flow, FLOW_NUMBERS)
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ScenarioError(f"{path}: params must be a mapping")
+    for name, value in params.items():
+        if name not in PARAMS:
+            raise ScenarioError(
+                f"{path}: params.{name}: unknown parameter, expected one of "
+                f"{', '.join(PARAMS)}"
+            )
+        problem = _number_problem(value, PARAMS[name][0])
+        if problem:
+            raise ScenarioError(f"{path}: params.{name} {problem}")
     base = path.parent
     return Scenario(
         name=doc.get("name", path.stem),
         base_dir=base,
         topology_path=base / doc["topology"],
         policy_paths=[base / p for p in doc["policies"]],
-        params=doc.get("params", {}),
+        params=params,
         events=list(doc.get("setup", [])) + list(doc.get("events", [])),
         flows=list(doc.get("flows", [])),
         expect=doc.get("expect", {}),
@@ -91,22 +151,11 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def build_params(raw: dict) -> SimParams:
+    """SimParams from a scenario's params, checked by load_scenario."""
     p = SimParams()
-    if "rtt_ms" in raw:
-        p.rtt_ns = int(raw["rtt_ms"] * MS)
-    if "recirc_delay_ms" in raw:
-        p.recirc_delay_ns = int(raw["recirc_delay_ms"] * MS)
-    for name in (
-        "recirc_limit",
-        "index_bits",
-        "conn_dec_capacity",
-        "rate_limit",
-        "udp_label_prefix",
-    ):
-        if name in raw:
-            setattr(p, name, int(raw[name]))
-    if "rate_window_ms" in raw:
-        p.rate_window_ns = int(raw["rate_window_ms"] * MS)
+    for name, value in raw.items():
+        kind, attr = PARAMS[name]
+        setattr(p, attr, int(value * MS) if kind == "ms" else value)
     return p
 
 

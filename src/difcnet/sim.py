@@ -4,12 +4,31 @@ Single-threaded discrete event loop over integer nanosecond timestamps.
 Ties break on insertion order and nothing in a trace line depends on
 object identity or wall-clock time, so two runs of the same scenario
 produce byte-identical traces.
+
+Flows are scheduled one packet at a time. `send_flow` pushes only a flow's
+first send event, and each send event pushes the flow's next packet, so
+the heap holds one pending send per unfinished flow plus the events in
+flight rather than every future packet. The order is exactly that of
+pushing every packet up front:
+
+- `send_flow` reserves the flow's event numbers when it is called, one
+  per packet, so packet i carries the key (at_ns + i*gap, base + i + 1)
+  whenever it is pushed: the key it would get if all were pushed at once.
+- Along a flow the keys rise, because the gap is at least 0 and the
+  reserved numbers rise. So at any moment the flow's pending packet has
+  the smallest key of the flow's packets still to send, and the heap's
+  minimum is the one an up-front heap would have. Each pop therefore
+  takes the same event, ties included, and the handlers push the same
+  events with the same numbers.
+- Every push, reserved or not, advances `_evseq`, so it still counts
+  every event the run makes.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .controlplane import ControlPlane, PendingInstall, label_init_plan
 from .dataplane import Switch
@@ -28,6 +47,7 @@ from .packets import (
 )
 from .topology import DEFAULT_LINK_LATENCY_NS, Topology
 
+_heappush = heapq.heappush
 _PROTO_BY_NAME = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP}
 FLOW_PROTOCOLS = tuple(_PROTO_BY_NAME)  # the names send_flow accepts
 
@@ -66,6 +86,31 @@ class FlowRecord:
     @property
     def verdict(self) -> str:
         return "allow" if self.delivered > 0 else "drop"
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+class _FlowPlan(NamedTuple):
+    """What is fixed for every packet of one flow, worked out by
+    `send_flow`. Packet i (from 0) is sent at at_ns + i*gap with the event
+    number base + i + 1. `first` is the first packet's (tcp_flags,
+    payload_len) and `later` that of every later packet."""
+
+    src: str
+    entry: str  # the switch the flow's packets enter at
+    agent: HostAgent | None  # labels the packets, when the flow has a pid
+    pid: int | None
+    rec: FlowRecord
+    key: FlowKey
+    first: tuple[TcpFlags, int]
+    later: tuple[TcpFlags, int]
+    icmp_kind: IcmpKind | None
+    at_ns: int
+    gap: int
+    packets: int
+    base: int
 
 
 class Network:
@@ -136,7 +181,7 @@ class Network:
 
     def _push(self, at_ns: int, kind: str, payload) -> None:
         self._evseq += 1
-        heapq.heappush(self._heap, (at_ns, self._evseq, kind, payload))
+        _heappush(self._heap, (at_ns, self._evseq, kind, payload))
 
     def _log(self, at_ns: int, text: str) -> None:
         self.trace.append(f"t={at_ns} {text}")
@@ -168,29 +213,42 @@ class Network:
                 f"flow {flow_id!r}: unknown protocol {protocol!r}, "
                 f"expected one of {', '.join(FLOW_PROTOCOLS)}"
             )
+        if not _is_count(packets):
+            raise DifcnetError(
+                f"flow {flow_id!r}: packets must be an integer >= 0, not {packets!r}"
+            )
         gap = self.params.packet_gap_ns if gap_ns is None else gap_ns
+        if not _is_count(gap):
+            raise DifcnetError(
+                f"flow {flow_id!r}: packet gap must be an integer >= 0 ns, not {gap!r}"
+            )
+        if flow_id in self.flows:
+            raise DifcnetError(f"flow {flow_id!r}: flow id already in use")
         src_ip = self._endpoint_ip(src)
         dst_ip = self._endpoint_ip(dst)
         key = FlowKey(src_ip, src_port, dst_ip, dst_port, proto)
         rec = FlowRecord(flow_id, src, dst, key, accept_pid=accept_pid)
         self.flows[flow_id] = rec
         self._flow_by_key[key] = rec
+        if packets == 0:
+            return rec
         # every packet of the flow is made from this one key and enters at
         # this one switch, labelled by this one agent (see _on_send)
         host = self.topology.host_by_name.get(src)
         entry = host.switch if host is not None else self.topology.gateway
         agent = self.agents.get(src) if pid is not None else None
+        if proto == PROTO_TCP:
+            first, later = (TcpFlags.SYN, 0), (TcpFlags.ACK, payload_len)
+        else:
+            first = later = (TcpFlags.NONE, payload_len)
         icmp_kind = IcmpKind.REQUEST if proto == PROTO_ICMP else None
-        for i in range(packets):
-            flags = TcpFlags.NONE
-            if proto == PROTO_TCP:
-                flags = TcpFlags.SYN if i == 0 else TcpFlags.ACK
-            size = 0 if (proto == PROTO_TCP and i == 0) else payload_len
-            self._push(
-                at_ns + i * gap,
-                "send",
-                (src, entry, agent, pid, flow_id, key, flags, icmp_kind, size, i),
-            )
+        base = self._evseq
+        self._evseq += packets  # one number per packet, see the module docstring
+        flow = _FlowPlan(
+            src, entry, agent, pid, rec, key, first, later, icmp_kind,
+            at_ns, gap, packets, base,
+        )
+        _heappush(self._heap, (at_ns, base + 1, "send", (flow, 0)))
         return rec
 
     def _endpoint_ip(self, name: str) -> str:
@@ -218,17 +276,22 @@ class Network:
             handlers[kind](at, payload)
 
     def _on_send(self, at: int, payload) -> None:
-        src, entry, agent, pid, flow_id, key, flags, icmp_kind, payload_len, seq = payload
+        flow, i = payload
+        src, entry, agent, pid, rec, key, first, later, icmp_kind, at_ns, gap, packets, base = flow
+        flags, size = later if i else first
         pkt = SimPacket.of_flow(
-            key, tcp_flags=flags, icmp_kind=icmp_kind, payload_len=payload_len, seq=seq
+            key, tcp_flags=flags, icmp_kind=icmp_kind, payload_len=size, seq=i
         )
         if agent is not None:
             pkt = agent.label_outgoing(pid, pkt, now_ns=at)
-        rec = self.flows.get(flow_id)
-        if rec is not None:
-            rec.sent += 1
-        self._log(at, f"send host={src} {pkt.describe()}")
-        self._push(at + DEFAULT_LINK_LATENCY_NS, "switch", (entry, pkt))
+        rec.sent += 1
+        self.trace.append(f"t={at} send host={src} {pkt.describe()}")
+        heap = self._heap
+        self._evseq = seq = self._evseq + 1
+        _heappush(heap, (at + DEFAULT_LINK_LATENCY_NS, seq, "switch", (entry, pkt)))
+        i += 1
+        if i < packets:
+            _heappush(heap, (at_ns + i * gap, base + i + 1, "send", (flow, i)))
 
     def _on_switch(self, at: int, payload) -> None:
         sid, pkt = payload
@@ -242,21 +305,22 @@ class Network:
         for gen in result.generated:
             self._push(at, "switch", (sid, gen))
         if result.verdict == "drop":
-            self._record_outcome(
-                self._flow_by_key.get(result.packet.flow_key),
-                result.packet,
-                "dropped",
-                f"{sid}:{result.decision_source}",
-            )
+            pkt = result.packet
+            rec = self._flow_by_key.get(pkt.flow_key)
+            if rec is not None:
+                rec.outcomes.append((pkt.seq, "dropped", f"{sid}:{result.decision_source}"))
+                rec.dropped += 1
         elif result.verdict == "recirculate":
             self._push(
                 at + result.recirculate_delay_ns, "switch", (sid, result.packet)
             )
         else:
             target, latency, is_switch = self._next_hops[sid][result.egress_port]
-            self._push(
-                at + latency, "switch" if is_switch else "deliver", (target, result.packet)
-            )
+            self._evseq = seq = self._evseq + 1
+            _heappush(self._heap, (
+                at + latency, seq, "switch" if is_switch else "deliver",
+                (target, result.packet),
+            ))
 
     def _on_deliver(self, at: int, payload) -> None:
         target, pkt = payload
@@ -269,9 +333,10 @@ class Network:
                 agent.accept(rec.accept_pid, key, now_ns=at)
         else:
             self.external_deliveries.append(pkt)
-        if pkt.control is None:
-            self._record_outcome(rec, pkt, "delivered", target)
-        self._log(at, f"deliver host={target} {pkt.describe()}")
+        if pkt.control is None and rec is not None:
+            rec.outcomes.append((pkt.seq, "delivered", target))
+            rec.delivered += 1
+        self.trace.append(f"t={at} deliver host={target} {pkt.describe()}")
 
     def _on_install(self, at: int, pending: PendingInstall) -> None:
         ok = self.control.perform_install(self.switches, pending)
@@ -287,14 +352,3 @@ class Network:
         if label:
             self._log(at, label)
         fn()
-
-    def _record_outcome(
-        self, rec: FlowRecord | None, pkt: SimPacket, status: str, where: str
-    ) -> None:
-        if rec is None:
-            return
-        rec.outcomes.append((pkt.seq, status, where))
-        if status == "delivered":
-            rec.delivered += 1
-        else:
-            rec.dropped += 1

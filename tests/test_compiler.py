@@ -118,6 +118,12 @@ def test_label_file_on_unknown_host_is_an_error():
         compile_text("label_file(ip=A, file=/one)\nlabel_file(ip=Nobody, file=/two)\n")
 
 
+def test_label_host_with_an_unknown_name_names_its_line():
+    with pytest.raises(CompileError) as exc:
+        compile_text("label_host(ip=A, label={TA})\nlabel_host(ip=Ghost, label={TG})\n")
+    assert str(exc.value) == "line 2: cannot resolve 'Ghost' in topology 'lan'"
+
+
 def test_tracker_rule_compiles_to_tracker_table():
     compiled = compile_text(
         "label_file(ip=A, file=/f)\n"

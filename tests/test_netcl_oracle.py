@@ -1,14 +1,16 @@
 """The memoised parser and compiler against slow references.
 
 `parse` parses each distinct conjunct and action text once per call and
-`compile_program` works out each distinct conjunct's effect once per call.
-The references below are the text-by-text parser and the rule-by-rule
-compiler they replaced. On random policies drawn from a small vocabulary,
-so that texts repeat, both sides must give equal programs and configs, or
-the same first error.
+`compile_program` works out each distinct conjunct's effect once per call
+and registers tags looking at each distinct node once. The references
+below are the text-by-text parser, the rule-by-rule compiler and the
+two-pass tag registration they replaced. On random policies drawn from a
+small vocabulary, so that texts repeat, both sides must give equal
+programs and configs, or the same first error.
 """
 
 import re
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +22,9 @@ from difcnet.errors import (
     PlacementError,
     UnknownHost,
     UnknownName,
+    UnknownTag,
 )
-from difcnet.labels import Label, TagRegistry
+from difcnet.labels import TAG_SPACE, Label, TagKind, TagRegistry
 from difcnet.netcl import compile_program, parse
 from difcnet.netcl.ast import (
     Alert,
@@ -179,9 +182,45 @@ def ref_parse(source):
 # -- reference compiler: every conjunct of every rule resolved afresh ------
 
 
+def ref_register_tags(program, registry):
+    """Two passes over every rule: the kinds that privilege actions
+    require, then a `register` per tag of every node, in source order."""
+    required = {}
+    for stmt in program.statements:
+        if not isinstance(stmt, Rule):
+            continue
+        if isinstance(stmt.action, Endorse):
+            kind = TagKind.INTEGRITY
+        elif isinstance(stmt.action, Declassify):
+            kind = TagKind.SECRECY
+        else:
+            continue
+        for t in stmt.action.tags:
+            if required.setdefault(t, kind) is not kind:
+                raise CompileError(
+                    f"tag {t!r} cannot be both declassified and endorsed"
+                )
+
+    def kind_for(t):
+        return required.get(t, TagKind.SECRECY)
+
+    for stmt in program.statements:
+        if isinstance(stmt, LabelHost):
+            for t in stmt.tags:
+                registry.register(t, kind_for(t))
+        elif isinstance(stmt, Rule):
+            for c in stmt.conjuncts:
+                if isinstance(c, Contains):
+                    for t in c.tags:
+                        registry.register(t, kind_for(t))
+            if isinstance(stmt.action, (Endorse, Declassify)):
+                for t in stmt.action.tags:
+                    registry.register(t, kind_for(t))
+
+
 def ref_compile(program, topology):
     registry = TagRegistry()
-    _register_tags(program, registry)
+    ref_register_tags(program, registry)
 
     host_labels = {}
     directive_labels = {}
@@ -191,7 +230,11 @@ def ref_compile(program, topology):
         if isinstance(stmt, LabelHost):
             label = registry.label_of(stmt.tags)
             directive_labels[stmt.host] = directive_labels.get(stmt.host, Label(0)) | label
-            for ip in topology.resolve(stmt.host):
+            try:
+                ips = topology.resolve(stmt.host)
+            except UnknownName as exc:
+                raise CompileError(f"line {stmt.line}: {exc}") from None
+            for ip in ips:
                 host_labels[ip] = host_labels.get(ip, Label(0)) | label
         elif isinstance(stmt, LabelFile):
             if stmt.host not in topology.host_by_name:
@@ -506,3 +549,91 @@ def test_equal_conjuncts_share_one_field_match():
     first, second = compiled.configs["S2"].entries
     assert first.match.src is second.match.src
     assert first.match.dst is second.match.dst
+
+
+# -- tag registration --------------------------------------------------------
+
+TAG_NAMES = ("T0", "T1", "T2", "T3", "T4", "T5")
+
+
+@st.composite
+def tag_programs(draw):
+    """Programs whose rules draw conjuncts and actions from small pools, so
+    nodes repeat by identity, with an equal but distinct node now and then,
+    and a registry that may already hold some tags."""
+    tags = st.lists(st.sampled_from(TAG_NAMES), min_size=1, max_size=3, unique=True).map(tuple)
+    conjuncts = [Contains(draw(tags)) for _ in range(draw(st.integers(1, 4)))]
+    conjuncts.append(Comparison("dst_ip", "==", "B"))
+    actions = [Allow(), Drop()] + [
+        draw(st.sampled_from((Declassify, Endorse)))(draw(tags))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+
+    def node(pool):
+        n = draw(st.sampled_from(pool))
+        return replace(n) if draw(st.integers(0, 4)) == 0 else n  # equal, not identical
+
+    statements = []
+    for line in range(1, draw(st.integers(0, 12)) + 1):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            statements.append(LabelHost("A", draw(tags), line))
+        elif kind == 1:
+            statements.append(LabelFile("C", "/f", line))
+        else:
+            body = tuple(node(conjuncts) for _ in range(draw(st.integers(1, 3))))
+            statements.append(Rule(body, node(actions), len(statements), line))
+    known = draw(st.lists(
+        st.tuples(st.sampled_from(TAG_NAMES), st.sampled_from(TagKind)), max_size=3,
+        unique_by=lambda p: p[0],
+    ))
+    return Program(tuple(statements)), known
+
+
+def _registered(fn, program, known):
+    registry = TagRegistry()
+    for name, kind in known:
+        registry.register(name, kind)
+    _, err = _outcome(fn, program, registry)
+    return registry, err
+
+
+@settings(max_examples=500, deadline=None)
+@given(tag_programs())
+def test_register_tags_equals_the_two_pass_reference(drawn):
+    program, known = drawn
+    got, err = _registered(_register_tags, program, known)
+    want, want_err = _registered(ref_register_tags, program, known)
+    if want_err is None:
+        assert err is None
+        assert got.name_to_id == want.name_to_id
+        assert got.kind == want.kind
+    else:
+        _same_error(err, want_err)
+
+
+def test_register_tags_runs_out_of_tag_space_on_the_same_tag():
+    names = tuple(f"T{i}" for i in range(TAG_SPACE + 2))
+    program = Program((
+        LabelHost("A", names[:100], 1),
+        Rule((Contains(names[90:200]),), Allow(), 0, 2),
+        Rule((Contains(names[150:]),), Endorse(names[:3]), 1, 3),
+    ))
+    _, err = _registered(_register_tags, program, [])
+    _, want_err = _registered(ref_register_tags, program, [])
+    assert isinstance(want_err, UnknownTag)
+    _same_error(err, want_err)
+
+
+def test_register_tags_reports_the_first_contradiction():
+    endorse = Endorse(("T1", "T2"))
+    program = Program((
+        Rule((), endorse, 0, 1),
+        Rule((), Declassify(("T3", "T2")), 1, 2),
+        Rule((), endorse, 2, 3),
+        Rule((), Declassify(("T1",)), 3, 4),
+    ))
+    _, err = _registered(_register_tags, program, [])
+    _, want_err = _registered(ref_register_tags, program, [])
+    assert str(want_err) == "tag 'T2' cannot be both declassified and endorsed"
+    _same_error(err, want_err)

@@ -3,7 +3,8 @@
 import pytest
 
 from difcnet.errors import ScenarioError
-from difcnet.scenario import load_scenario, run_scenario
+from difcnet.scenario import build_params, load_scenario, run_scenario
+from difcnet.sim import SimParams
 
 from tests.conftest import SCENARIO_DIR, TOPOLOGY_DIR
 
@@ -168,3 +169,87 @@ def test_event_pid_that_is_not_an_integer_fails_at_load(tmp_path):
     events = [{"host": "Host1", "op": "spawn", "pid": "seven"}]
     with pytest.raises(ScenarioError, match=r"events\[0\] \(op 'spawn'\): pid must be an integer"):
         _minimal_scenario(tmp_path, {"events": events})
+
+
+# -- numbers are checked at load -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("at_ms", "5", "at_ms must be a number >= 0, not '5'"),
+        ("at_ms", -1, "at_ms must be a number >= 0, not -1"),
+        ("at_ms", float("inf"), "at_ms must be a number >= 0, not inf"),
+        ("packets", "many", "packets must be an integer >= 0, not 'many'"),
+        ("packets", 2.5, "packets must be an integer >= 0, not 2.5"),
+        ("packets", True, "packets must be an integer >= 0, not True"),
+        ("src_port", 70000, "src_port must be an integer from 0 to 65535, not 70000"),
+        ("dst_port", -80, "dst_port must be an integer from 0 to 65535, not -80"),
+        ("payload_len", None, "payload_len must be an integer >= 0, not None"),
+        ("pid", "101", "pid must be an integer >= 0 or null, not '101'"),
+        ("accept_pid", -2, "accept_pid must be an integer >= 0 or null, not -2"),
+    ],
+    ids=lambda v: v if isinstance(v, str) and " " not in v else None,
+)
+def test_flow_number_fails_at_load_naming_file_index_and_field(tmp_path, field, value, problem):
+    flows = [
+        {"id": "g", "src": "Host1", "dst": "Host2", "at_ms": 1.5, "pid": None},
+        {"id": "f", "src": "Host1", "dst": "Host2", field: value},
+    ]
+    with pytest.raises(ScenarioError) as exc:
+        _minimal_scenario(tmp_path, {"flows": flows})
+    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: flows[1] (id 'f'): {problem}"
+
+
+@pytest.mark.parametrize(
+    "section, event, problem",
+    [
+        ("events", {"op": "gc", "at_ms": "later"},
+         "(op 'gc'): at_ms must be a number >= 0, not 'later'"),
+        ("events", {"op": "gc", "idle_ms": False},
+         "(op 'gc'): idle_ms must be a number >= 0, not False"),
+        ("setup", {"host": "Host1", "op": "spawn", "pid": 1, "at_ms": -3},
+         "(op 'spawn'): at_ms must be a number >= 0, not -3"),
+        ("events", {"host": "Host1", "op": "spawn", "pid": None},
+         "(op 'spawn'): pid must be an integer >= 0, not None"),
+        ("events", {"host": "Host1", "op": "exit", "pid": "101"},
+         "(op 'exit'): pid must be an integer >= 0, not '101'"),
+    ],
+    ids=["at_ms", "idle_ms", "setup", "null-pid", "text-pid"],
+)
+def test_event_number_fails_at_load(tmp_path, section, event, problem):
+    with pytest.raises(ScenarioError) as exc:
+        _minimal_scenario(tmp_path, {section: [{"op": "gc", "at_ms": 2}, event]})
+    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: {section}[1] {problem}"
+
+
+@pytest.mark.parametrize(
+    "params, problem",
+    [
+        ({"rtt_ms": "ten"}, "params.rtt_ms must be a number >= 0, not 'ten'"),
+        ({"rtt_ms": 5, "recirc_limit": 2.5},
+         "params.recirc_limit must be an integer >= 0, not 2.5"),
+        ({"rate_window_ms": True}, "params.rate_window_ms must be a number >= 0, not True"),
+        ({"rtt_msec": 10}, "params.rtt_msec: unknown parameter, expected one of rtt_ms, "
+         "recirc_delay_ms, rate_window_ms, recirc_limit, index_bits, conn_dec_capacity, "
+         "rate_limit, udp_label_prefix"),
+        (["rtt_ms"], "params must be a mapping"),
+    ],
+    ids=["text", "fraction", "bool", "unknown", "list"],
+)
+def test_params_fail_at_load(tmp_path, params, problem):
+    with pytest.raises(ScenarioError) as exc:
+        _minimal_scenario(tmp_path, {"params": params})
+    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: {problem}"
+
+
+def test_checked_params_reach_the_simulator(tmp_path):
+    scn = _minimal_scenario(tmp_path, {"params": {
+        "rtt_ms": 2.5, "recirc_delay_ms": 4, "rate_window_ms": 500, "recirc_limit": 5,
+        "index_bits": 8, "conn_dec_capacity": 1000, "rate_limit": 7, "udp_label_prefix": 1,
+    }})
+    p = build_params(scn.params)
+    assert (p.rtt_ns, p.recirc_delay_ns, p.rate_window_ns) == (2_500_000, 4_000_000, 500_000_000)
+    assert (p.recirc_limit, p.index_bits, p.conn_dec_capacity, p.rate_limit,
+            p.udp_label_prefix) == (5, 8, 1000, 7, 1)
+    assert build_params({}) == SimParams()
