@@ -1,9 +1,9 @@
 """Deterministic packet-level event simulator.
 
 Single-threaded discrete event loop over integer nanosecond timestamps.
-Ties break on insertion order and nothing in a trace line depends on
-object identity or wall-clock time, so two runs of the same scenario
-produce byte-identical traces.
+Ties break on an event number handed out in scheduling order, and nothing
+in a trace line depends on object identity or wall-clock time, so two runs
+of the same scenario produce byte-identical traces.
 
 Flows are scheduled one packet at a time. `send_flow` pushes only a flow's
 first send event, and each send event pushes the flow's next packet, so
