@@ -59,7 +59,6 @@ class ControlPlane:
         self.compiled = compiled
         self.rtt_ns = rtt_ns
         self.install_failures = 0
-        self.log: list[str] = []
 
     def serve_conndec(self, req: InstallRequest) -> list[PendingInstall]:
         """One request fans out to the deciding switch and, for admitted
@@ -84,27 +83,19 @@ class ControlPlane:
             sw.install_conn_dec(pending.key, pending.decision, pending.due_ns)
         except CapacityExceeded:
             self.install_failures += 1
-            self.log.append(
-                f"install-failed switch={pending.switch_id} key={pending.key}"
-            )
             return False
         return True
-
-    def plan_update(self, new_compiled: CompiledPolicy) -> UpdatePlan:
-        return diff_configs(self.compiled.configs, new_compiled.configs)
 
     def apply_update(self, switches: dict[str, Switch], new_compiled: CompiledPolicy) -> UpdatePlan:
         """Applies only the difference; untouched entries keep their state.
         Each switch's tables swap in one step so no packet observes a half
         applied config."""
-        plan = self.plan_update(new_compiled)
+        plan = diff_configs(self.compiled.configs, new_compiled.configs)
         for sid, update in plan.per_switch.items():
             if update.empty or sid not in switches:
                 continue
             switches[sid].set_config(apply_plan(switches[sid].config, update))
         self.compiled = new_compiled
-        adds, removes = plan.counts()
-        self.log.append(f"update applied adds={adds} removes={removes}")
         return plan
 
     def placement_report(self) -> PlacementReport:

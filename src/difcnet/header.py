@@ -80,10 +80,11 @@ def decode_header(data: bytes) -> DifcHeader:
 def ipv4_bytes(ip: str) -> bytes:
     """The four network-order bytes of a dotted-quad address. As strict as
     ipaddress.IPv4Address: leading zeros, missing or extra octets, values
-    above 255 and any other character raise a ValueError."""
+    above 255, any other character and a value that is not a string raise
+    a ValueError. This is the one check of what an address is."""
     try:
         return inet_pton(AF_INET, ip)
-    except OSError:
+    except (OSError, TypeError, ValueError):
         raise ValueError(f"not an IPv4 address: {ip!r}") from None
 
 

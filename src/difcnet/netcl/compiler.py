@@ -33,7 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
-from ..errors import CompileError, PlacementError, UnknownEntry, UnknownHost, UnknownName
+from ..errors import (
+    CompileError,
+    DifcnetError,
+    PlacementError,
+    UnknownEntry,
+    UnknownHost,
+    UnknownName,
+)
 from ..labels import Label, TagKind, TagRegistry, tag_bit
 from ..topology import Topology
 from .ast import (
@@ -219,6 +226,18 @@ def _check_modify(action: Modify, line: int) -> None:
         )
 
 
+def tracker_of(file_trackers: dict[tuple[str, str], int], ref: str) -> int:
+    """The tracker id of the file a `<path>@<host>` reference names, as
+    `tracker_id==` conjuncts and scenario expectations write it."""
+    path, at, host = str(ref).rpartition("@")
+    if not at:
+        raise DifcnetError("tracker value must be <path>@<host>")
+    tracker = file_trackers.get((host, path))
+    if tracker is None:
+        raise DifcnetError(f"no tracker assigned for {ref}")
+    return tracker
+
+
 # (label bits, tracker id or 0, source match, destination match, placements):
 # what one conjunct adds to a rule. Bits are or-ed in; any other part that is
 # not 0 or None replaces the rule's value, so a later conjunct wins.
@@ -242,13 +261,10 @@ def _conjunct_effect(
     if c.lhs == "tracker_id":
         if c.op != "==":
             raise CompileError(f"line {line}: tracker predicates support == only")
-        if "@" not in c.rhs:
-            raise CompileError(f"line {line}: tracker value must be <path>@<host>")
-        path, host = c.rhs.rsplit("@", 1)
-        key = (host, path)
-        if key not in file_trackers:
-            raise CompileError(f"line {line}: no tracker assigned for {c.rhs}")
-        return 0, file_trackers[key], None, None, None
+        try:
+            return 0, tracker_of(file_trackers, c.rhs), None, None, None
+        except DifcnetError as exc:
+            raise CompileError(f"line {line}: {exc}") from None
     if c.lhs == "src_ip":
         if c.rhs == "any":
             return 0, 0, None, None, None

@@ -8,9 +8,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ScenarioError
+from .errors import DifcnetError, ScenarioError
 from .netcl import compile_program, parse_files
-from .scenario_checks import evaluate_expectations
+from .scenario_checks import check_expectation_names, evaluate_expectations
 from .sim import FLOW_PROTOCOLS, Network, SimParams
 from .topology import Topology, load_topology, read_yaml
 
@@ -89,9 +89,14 @@ class Scenario:
     topology_path: Path
     policy_paths: list[Path]
     params: dict
-    events: list[dict]
+    events: list[tuple[str, dict]]  # (where in the file, event), setup first
     flows: list[dict]
     expect: dict
+    path: Path  # the scenario file, named by every error about its entries
+
+
+def _flow_where(path: Path, i: int, flow: dict) -> str:
+    return f"{path}: flows[{i}] (id {flow.get('id')!r})"
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -102,6 +107,9 @@ def load_scenario(path: str | Path) -> Scenario:
     for key in ("topology", "policies"):
         if key not in doc:
             raise ScenarioError(f"{path}: missing {key!r}")
+    flows = list(doc.get("flows", []))
+    flow_ids = [flow.get("id") for flow in flows if isinstance(flow, dict)]
+    events = []
     for section in ("setup", "events"):
         for i, event in enumerate(doc.get(section, [])):
             if not isinstance(event, dict):
@@ -112,13 +120,21 @@ def load_scenario(path: str | Path) -> Scenario:
                 if name not in event:
                     raise ScenarioError(f"{where}: missing field {name!r}")
             _check_numbers(where, event, EVENT_NUMBERS)
-    for i, flow in enumerate(doc.get("flows", [])):
+            if op == "accept" and event["flow"] not in flow_ids:
+                raise ScenarioError(
+                    f"{where}: flow {event['flow']!r} is not a flow id in this file"
+                )
+            events.append((where, event))
+    for i, flow in enumerate(flows):
         if not isinstance(flow, dict):
             raise ScenarioError(f"{path}: flows[{i}]: a flow must be a mapping")
-        where = f"{path}: flows[{i}] (id {flow.get('id')!r})"
+        where = _flow_where(path, i, flow)
         for name in FLOW_FIELDS:
             if name not in flow:
                 raise ScenarioError(f"{where}: missing field {name!r}")
+        for name in ("src", "dst"):
+            if not isinstance(flow[name], str):
+                raise ScenarioError(f"{where}: {name} must be a name, not {flow[name]!r}")
         if flow.get("protocol", "tcp") not in FLOW_PROTOCOLS:
             raise ScenarioError(
                 f"{where}: protocol must be one of {', '.join(FLOW_PROTOCOLS)}, "
@@ -137,6 +153,9 @@ def load_scenario(path: str | Path) -> Scenario:
         problem = _number_problem(value, PARAMS[name][0])
         if problem:
             raise ScenarioError(f"{path}: params.{name} {problem}")
+    expect = doc.get("expect", {})
+    if not isinstance(expect, dict):
+        raise ScenarioError(f"{path}: expect must be a mapping")
     base = path.parent
     return Scenario(
         name=doc.get("name", path.stem),
@@ -144,9 +163,10 @@ def load_scenario(path: str | Path) -> Scenario:
         topology_path=base / doc["topology"],
         policy_paths=[base / p for p in doc["policies"]],
         params=params,
-        events=list(doc.get("setup", [])) + list(doc.get("events", [])),
-        flows=list(doc.get("flows", [])),
-        expect=doc.get("expect", {}),
+        events=events,
+        flows=flows,
+        expect=expect,
+        path=path,
     )
 
 
@@ -178,8 +198,10 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     topology = load_topology(scn.topology_path)
     program = parse_files([str(p) for p in scn.policy_paths])
     compiled = compile_program(program, topology)
+    # every name the scenario uses is checked before the first event
+    check_expectation_names(str(scn.path), scn.expect, topology, compiled)
     net = Network(topology, compiled, build_params(scn.params))
-    _schedule_events(net, topology, compiled, scn)
+    _schedule_events(net, topology, scn)
     _schedule_flows(net, scn)
     net.run()
     checks = evaluate_expectations(net, compiled, topology, scn.expect)
@@ -187,24 +209,27 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 
 
 def _schedule_flows(net: Network, scn: Scenario) -> None:
-    for raw in scn.flows:
-        net.send_flow(
-            flow_id=raw["id"],
-            src=raw["src"],
-            dst=raw["dst"],
-            at_ns=int(raw.get("at_ms", 0) * MS),
-            protocol=raw.get("protocol", "tcp"),
-            src_port=int(raw.get("src_port", 41000)),
-            dst_port=int(raw.get("dst_port", 80)),
-            pid=raw.get("pid"),
-            accept_pid=raw.get("accept_pid"),
-            packets=int(raw.get("packets", 3)),
-            payload_len=int(raw.get("payload_len", 512)),
-        )
+    for i, raw in enumerate(scn.flows):
+        try:
+            net.send_flow(
+                flow_id=raw["id"],
+                src=raw["src"],
+                dst=raw["dst"],
+                at_ns=int(raw.get("at_ms", 0) * MS),
+                protocol=raw.get("protocol", "tcp"),
+                src_port=int(raw.get("src_port", 41000)),
+                dst_port=int(raw.get("dst_port", 80)),
+                pid=raw.get("pid"),
+                accept_pid=raw.get("accept_pid"),
+                packets=int(raw.get("packets", 3)),
+                payload_len=int(raw.get("payload_len", 512)),
+            )
+        except DifcnetError as exc:
+            raise ScenarioError(f"{_flow_where(scn.path, i, raw)}: {exc}") from None
 
 
-def _schedule_events(net: Network, topology: Topology, compiled, scn: Scenario) -> None:
-    for raw in scn.events:
+def _schedule_events(net: Network, topology: Topology, scn: Scenario) -> None:
+    for where, raw in scn.events:
         op = raw.get("op")
         at = int(raw.get("at_ms", 0) * MS)
         host = raw.get("host")
@@ -222,8 +247,8 @@ def _schedule_events(net: Network, topology: Topology, compiled, scn: Scenario) 
             idle = int(raw.get("idle_ms", 60_000) * MS)
             net.schedule_call(at, "conn-dec-gc", lambda i=idle: net.gc_conn_dec(i))
             continue
-        if host is None or host not in net.agents:
-            raise ScenarioError(f"event {raw} needs a known host")
+        if not isinstance(host, str) or host not in net.agents:
+            raise ScenarioError(f"{where}: needs a known host, not {host!r}")
         agent = net.agents[host]
         fn = _agent_call(net, agent, op, raw)
         net.schedule_call(at, f"event host={host} op={op}", lambda f=fn, t=at: f(t))
@@ -245,12 +270,8 @@ def _agent_call(net: Network, agent, op: str, raw: dict):
     if op == "create":
         return lambda t: agent.create(int(raw["pid"]), raw["path"], now_ns=t)
     if op == "accept":
-        def do_accept(t, flow_id=raw["flow"], pid=int(raw["pid"])):
-            rec = net.flows.get(flow_id)
-            if rec is None:
-                raise ScenarioError(f"accept references unknown flow {flow_id}")
-            agent.accept(pid, rec.key, now_ns=t)
-        return do_accept
+        # load_scenario checked that the flow is in the file
+        return lambda t: agent.accept(int(raw["pid"]), net.flows[raw["flow"]].key, now_ns=t)
     if op == "reboot":
         return lambda t: agent.reboot(now_ns=t)
     raise ScenarioError(f"unknown event op {op!r}")

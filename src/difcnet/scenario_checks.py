@@ -3,16 +3,42 @@
 
 from __future__ import annotations
 
+from .errors import DifcnetError, ScenarioError
 from .labels import Label, tag_bit
+from .netcl.compiler import tracker_of
+
+# fields each expectation list entry needs, checked before the run
+EXPECT_FIELDS = {"pids": ("host", "pid"), "files": ("host", "path")}
 
 
 def _tracker_ref(compiled, ref):
     """Tracker expectations name the file as <path>@<host>; 0 or None means
     no tracker."""
-    if not ref:
-        return 0
-    path, host = str(ref).rsplit("@", 1)
-    return compiled.file_trackers[(host, path)]
+    return tracker_of(compiled.file_trackers, ref) if ref else 0
+
+
+def check_expectation_names(where: str, expect: dict, topology, compiled) -> None:
+    """Checks, before the run, that each `expect.pids` and `expect.files`
+    entry names a host of the topology and, if it names a tracker, a file
+    the policy tracks; `where` is the scenario file."""
+    for section, fields in EXPECT_FIELDS.items():
+        for i, spec in enumerate(expect.get(section, [])):
+            entry = f"{where}: expect.{section}[{i}]"
+            if not isinstance(spec, dict):
+                raise ScenarioError(f"{entry}: an entry must be a mapping")
+            for name in fields:
+                if name not in spec:
+                    raise ScenarioError(f"{entry}: missing field {name!r}")
+            host = spec["host"]
+            if not isinstance(host, str) or host not in topology.host_by_name:
+                raise ScenarioError(
+                    f"{entry}: host {host!r} is not a host in topology {topology.name!r}"
+                )
+            ref = spec.get("tracker")
+            try:
+                _tracker_ref(compiled, ref)
+            except DifcnetError as exc:
+                raise ScenarioError(f"{entry}: tracker {ref!r}: {exc}") from None
 
 
 def _label_check(compiled, bits: int, spec: dict) -> tuple[bool, str]:

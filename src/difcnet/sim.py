@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .controlplane import ControlPlane, PendingInstall, label_init_plan
 from .dataplane import Switch
-from .errors import DifcnetError
+from .errors import DifcnetError, UnknownName
 from .header import FlowKey
 from .hostagent import HostAgent, SeqSource
 from .labels import Label
@@ -86,6 +86,22 @@ class FlowRecord:
     @property
     def verdict(self) -> str:
         return "allow" if self.delivered > 0 else "drop"
+
+
+def flow_address(topology: Topology, flow_id: str, field: str, name: str) -> str:
+    """The one address a flow endpoint names, through `Topology.resolve`.
+    A name that is unknown or stands for several addresses is an error
+    naming the flow and the field."""
+    try:
+        ips = topology.resolve(name)
+    except UnknownName as exc:
+        raise DifcnetError(f"flow {flow_id!r}: {field}: {exc}") from None
+    if len(ips) != 1:
+        raise DifcnetError(
+            f"flow {flow_id!r}: {field}: {name!r} names {len(ips)} addresses, "
+            "a flow endpoint names one"
+        )
+    return ips[0]
 
 
 def _is_count(value) -> bool:
@@ -224,8 +240,14 @@ class Network:
             )
         if flow_id in self.flows:
             raise DifcnetError(f"flow {flow_id!r}: flow id already in use")
-        src_ip = self._endpoint_ip(src)
-        dst_ip = self._endpoint_ip(dst)
+        resolve = self.topology.resolve
+        try:  # each endpoint names one address
+            (src_ip,) = resolve(src)
+            (dst_ip,) = resolve(dst)
+        except (UnknownName, ValueError):
+            flow_address(self.topology, flow_id, "src", src)  # raises naming the field
+            flow_address(self.topology, flow_id, "dst", dst)
+            raise
         key = FlowKey(src_ip, src_port, dst_ip, dst_port, proto)
         rec = FlowRecord(flow_id, src, dst, key, accept_pid=accept_pid)
         self.flows[flow_id] = rec
@@ -233,7 +255,8 @@ class Network:
         if packets == 0:
             return rec
         # every packet of the flow is made from this one key and enters at
-        # this one switch, labelled by this one agent (see _on_send)
+        # this one switch, labelled by this one agent (see _on_send); a
+        # source that is not a host name enters at the gateway, from outside
         host = self.topology.host_by_name.get(src)
         entry = host.switch if host is not None else self.topology.gateway
         agent = self.agents.get(src) if pid is not None else None
@@ -250,13 +273,6 @@ class Network:
         )
         _heappush(self._heap, (at_ns, base + 1, "send", (flow, 0)))
         return rec
-
-    def _endpoint_ip(self, name: str) -> str:
-        if name in (self.topology.external_name, "external"):
-            return self.topology.external_ip
-        if name in self.topology.host_by_name:
-            return self.topology.host_by_name[name].ip
-        return name  # raw address (spoofed or out of inventory)
 
     def gc_conn_dec(self, idle_ns: int) -> int:
         removed = 0

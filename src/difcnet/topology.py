@@ -18,9 +18,18 @@ Loaded from a YAML document:
       - {action: allow, src: [Host2], dst: Server1}
       - {action: deny, dst: Server1}
 
-Every host attaches to exactly one switch. The binding `external_network`
-always resolves to the external endpoint's address. Forwarding tables are
+Every host attaches to exactly one switch. Forwarding tables are
 shortest-path over the switch graph, computed at load time.
+
+Names. Policies, firewall rules, flows, and scenario events and
+expectations may name an endpoint by a host name, a group name, the
+external endpoint's name, the binding `external_network` (always the
+external endpoint), or an address. One resolver, `Topology.resolve`,
+serves all of them. A flow endpoint must name one address, so a group of
+several hosts is not one. Addresses are canonical dotted quads: a host's
+address and the external address are checked when the topology loads, a
+raw address where it is named, and no two hosts, groups, the external
+name and `external_network` share a name.
 """
 
 from __future__ import annotations
@@ -31,7 +40,9 @@ from dataclasses import dataclass, field
 import yaml
 
 from .errors import DifcnetError, UnknownHost, UnknownName
+from .header import ipv4_bytes
 
+EXTERNAL_BINDING = "external_network"  # always names the external endpoint
 DEFAULT_LINK_LATENCY_NS = 100_000  # 0.1 ms per link
 # libyaml's loader parses about eight times faster than the pure-Python one
 # and builds equal documents; pyyaml without libyaml still loads, slowly
@@ -79,13 +90,29 @@ class Topology:
             for s in (a, b):
                 if s not in self.switches:
                     raise DifcnetError(f"link {a}-{b} names unknown switch {s!r}")
-        self.host_by_name = {h.name: h for h in self.hosts}
-        self.host_by_ip = {h.ip: h for h in self.hosts}
-        if len(self.host_by_name) != len(self.hosts) or len(self.host_by_ip) != len(self.hosts):
-            raise DifcnetError("duplicate host name or ip")
-        for h in self.hosts:
+        _check_address("external.ip", self.external_ip)
+        by_ip: dict[str, str] = {}
+        for i, h in enumerate(self.hosts):
+            where = f"hosts[{i}] ({h.name})"
+            _check_address(f"{where}: ip", h.ip)
+            if h.ip == self.external_ip:
+                raise DifcnetError(f"{where}: ip {h.ip} is the external endpoint's address")
+            if h.ip in by_ip:
+                raise DifcnetError(f"{where}: ip {h.ip} is already used by {by_ip[h.ip]}")
+            by_ip[h.ip] = where
             if h.switch not in self.switches:
                 raise DifcnetError(f"host {h.name} attached to unknown switch {h.switch}")
+        # every name resolves to one thing, whichever part of the file names it
+        named = [(f"hosts[{i}]", h.name) for i, h in enumerate(self.hosts)]
+        named += [(f"groups.{g}", g) for g in self.groups]
+        named.append(("external.name", self.external_name))
+        owner = {EXTERNAL_BINDING: f"the binding {EXTERNAL_BINDING}"}
+        for where, name in named:
+            if name in owner:
+                raise DifcnetError(f"{where}: name {name!r} is already used by {owner[name]}")
+            owner[name] = where
+        self.host_by_name = {h.name: h for h in self.hosts}
+        self.host_by_ip = {h.ip: h for h in self.hosts}
         if not self.gateway:
             self.gateway = self.switches[0]
         for group, members in self.groups.items():
@@ -109,16 +136,23 @@ class Topology:
     # --- name resolution -------------------------------------------------
 
     def resolve(self, name: str) -> tuple[str, ...]:
-        """Resolve a policy-source name to one or more addresses."""
-        if name == "external_network" or name == self.external_name:
+        """The addresses `name` stands for: a host's address, the external
+        address (under the external name or `external_network`), a group's
+        member addresses in group order, or a canonical dotted quad itself.
+        This is the only place a name becomes addresses."""
+        host = self.host_by_name.get(name)
+        if host is not None:
+            return (host.ip,)
+        if name == self.external_name or name == EXTERNAL_BINDING:
             return (self.external_ip,)
-        if name in self.host_by_name:
-            return (self.host_by_name[name].ip,)
-        if name in self.groups:
-            return tuple(self.host_by_name[m].ip for m in self.groups[name])
-        if _looks_like_ip(name):
-            return (name,)
-        raise UnknownName(f"cannot resolve {name!r} in topology {self.name!r}")
+        members = self.groups.get(name)
+        if members is not None:
+            return tuple(self.host_by_name[m].ip for m in members)
+        try:
+            ipv4_bytes(name)
+        except ValueError:
+            raise UnknownName(f"cannot resolve {name!r} in topology {self.name!r}") from None
+        return (name,)
 
     def switch_of_ip(self, ip: str) -> str:
         if ip in self.host_by_ip:
@@ -220,28 +254,27 @@ class Topology:
         return self._next_hops[switch]
 
 
-def _looks_like_ip(name: str) -> bool:
-    parts = name.split(".")
-    return len(parts) == 4 and all(p.isdigit() and int(p) < 256 for p in parts)
+def _check_address(where: str, ip) -> None:
+    try:
+        ipv4_bytes(ip)
+    except ValueError as exc:
+        raise DifcnetError(f"{where}: {exc}") from None
 
 
-def _resolve_fw_side(value, topo_hosts, groups, external_ip) -> frozenset[str] | None:
+def _firewall_side(topo: Topology, value, where: str) -> frozenset[str] | None:
+    """The union of the addresses a firewall rule side's names resolve to;
+    None (the side is absent) matches anything."""
     if value is None:
         return None
     names = value if isinstance(value, list) else [value]
     ips: set[str] = set()
-    for n in names:
-        if n in groups:
-            for member in groups[n]:
-                ips.add(topo_hosts[member])
-        elif n in topo_hosts:
-            ips.add(topo_hosts[n])
-        elif n in ("external", "external_network"):
-            ips.add(external_ip)
-        elif _looks_like_ip(n):
-            ips.add(n)
-        else:
-            raise UnknownName(f"firewall rule references unknown name {n!r}")
+    for name in names:
+        if not isinstance(name, str):
+            raise DifcnetError(f"{where}: a name must be a string, not {name!r}")
+        try:
+            ips.update(topo.resolve(name))
+        except UnknownName as exc:
+            raise UnknownName(f"{where}: {exc}") from None
     return frozenset(ips)
 
 
@@ -308,14 +341,13 @@ def topology_from_dict(doc: dict) -> Topology:
         groups=groups,
     )
 
-    host_ips = {h.name: h.ip for h in hosts}
     fw = []
-    for r in doc.get("firewall", []):
+    for i, r in enumerate(doc.get("firewall", [])):
         fw.append(
             FirewallRule(
                 action=r.get("action"),
-                src=_resolve_fw_side(r.get("src"), host_ips, groups, topo.external_ip),
-                dst=_resolve_fw_side(r.get("dst"), host_ips, groups, topo.external_ip),
+                src=_firewall_side(topo, r.get("src"), f"firewall[{i}].src"),
+                dst=_firewall_side(topo, r.get("dst"), f"firewall[{i}].dst"),
             )
         )
     topo.firewall = fw

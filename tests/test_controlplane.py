@@ -82,7 +82,8 @@ def test_perform_install_and_capacity_failure():
     assert cp.perform_install(switches, PendingInstall("S3", k1, Decision.ALLOW, 10))
     assert not cp.perform_install(switches, PendingInstall("S3", k2, Decision.ALLOW, 10))
     assert cp.install_failures == 1
-    assert any("install-failed" in line for line in cp.log)
+    assert cp.perform_install(switches, PendingInstall("S3", k1, Decision.ALLOW, 10))
+    assert cp.install_failures == 1  # a refreshed entry needs no room
     assert switches["S3"].conn_dec.lookup(k1, 20) is Decision.ALLOW
 
 

@@ -85,8 +85,11 @@ def test_unknown_event_op(tmp_path):
 
 def test_event_requires_known_host(tmp_path):
     scn = _minimal_scenario(tmp_path, {"events": [{"op": "spawn", "pid": 1}]})
-    with pytest.raises(ScenarioError, match="known host"):
+    with pytest.raises(ScenarioError, match="known host") as exc:
         run_scenario(scn)
+    assert str(exc.value) == (
+        f"{tmp_path / 'scn.yaml'}: events[0] (op 'spawn'): needs a known host, not None"
+    )
 
 
 def test_flow_entry_missing_field(tmp_path):
@@ -121,15 +124,21 @@ def test_flow_entry_that_is_not_a_mapping_fails_at_load(tmp_path):
 
 
 def test_accept_of_unknown_flow(tmp_path):
-    scn = _minimal_scenario(
-        tmp_path,
-        {
-            "setup": [{"host": "Host1", "op": "spawn", "pid": 7}],
-            "events": [{"host": "Host1", "op": "accept", "pid": 7, "flow": "ghost", "at_ms": 1}],
-        },
+    # caught when the scenario loads, not when the accept event runs
+    with pytest.raises(ScenarioError, match="ghost") as exc:
+        _minimal_scenario(
+            tmp_path,
+            {
+                "setup": [{"host": "Host1", "op": "spawn", "pid": 7}],
+                "events": [
+                    {"host": "Host1", "op": "accept", "pid": 7, "flow": "ghost", "at_ms": 1}
+                ],
+            },
+        )
+    assert str(exc.value) == (
+        f"{tmp_path / 'scn.yaml'}: events[0] (op 'accept'): "
+        "flow 'ghost' is not a flow id in this file"
     )
-    with pytest.raises(ScenarioError, match="ghost"):
-        run_scenario(scn)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,9 @@ from difcnet.errors import DifcnetError
 from difcnet.header import FlowKey
 from difcnet.netcl import compile_program, parse
 from difcnet.packets import PROTO_ICMP, PROTO_TCP, IcmpKind, SimPacket, TcpFlags
-from difcnet.sim import _PROTO_BY_NAME, FLOW_PROTOCOLS, FlowRecord, Network, SimParams
+from difcnet.sim import (
+    _PROTO_BY_NAME, FLOW_PROTOCOLS, FlowRecord, Network, SimParams, flow_address,
+)
 from difcnet.topology import DEFAULT_LINK_LATENCY_NS
 from tests.conftest import LAN_POLICY, make_lan
 
@@ -20,7 +22,9 @@ MS = 1_000_000
 class PerPacketNetwork(Network):
     """The reference schedule: `send_flow` pushes one event per packet of
     the flow before the run, and `_on_send` looks the flow's record up by
-    id. Everything else is the simulator under test."""
+    id. Endpoints resolve as in `Network.send_flow`, because this is the
+    oracle for the schedule, not for resolution. Everything else is the
+    simulator under test."""
 
     def send_flow(
         self,
@@ -45,8 +49,8 @@ class PerPacketNetwork(Network):
                 f"expected one of {', '.join(FLOW_PROTOCOLS)}"
             )
         gap = self.params.packet_gap_ns if gap_ns is None else gap_ns
-        src_ip = self._endpoint_ip(src)
-        dst_ip = self._endpoint_ip(dst)
+        src_ip = flow_address(self.topology, flow_id, "src", src)
+        dst_ip = flow_address(self.topology, flow_id, "dst", dst)
         key = FlowKey(src_ip, src_port, dst_ip, dst_port, proto)
         rec = FlowRecord(flow_id, src, dst, key, accept_pid=accept_pid)
         self.flows[flow_id] = rec
