@@ -15,9 +15,7 @@ from .dataplane import Decision, InstallRequest, Switch
 from .errors import CapacityExceeded, UnknownHost
 from .netcl.compiler import (
     CompiledPolicy,
-    SwitchConfig,
     UpdatePlan,
-    apply_plan,
     diff_configs,
     merge_to_single_switch,
 )
@@ -87,14 +85,19 @@ class ControlPlane:
         return True
 
     def apply_update(self, switches: dict[str, Switch], new_compiled: CompiledPolicy) -> UpdatePlan:
-        """Applies only the difference; untouched entries keep their state.
-        Each switch's tables swap in one step so no packet observes a half
-        applied config."""
+        """Rolls `new_compiled` out and returns the plan of entry adds and
+        removes from the policy in force. Each switch the plan changes swaps
+        to its new config in one step, so no packet sees a half-applied
+        table, and empties its classify cache; every other switch keeps its
+        config object and its cache. Each packet is enforced at exactly one
+        switch, so switches need no common update instant. conn_dec and
+        decision-buffer entries survive: a connection admitted before the
+        update keeps flowing."""
         plan = diff_configs(self.compiled.configs, new_compiled.configs)
         for sid, update in plan.per_switch.items():
             if update.empty or sid not in switches:
                 continue
-            switches[sid].set_config(apply_plan(switches[sid].config, update))
+            switches[sid].set_config(new_compiled.configs[sid])
         self.compiled = new_compiled
         return plan
 

@@ -297,7 +297,7 @@ class Switch:
         return self._forward(pkt, "policy", log)
 
     def process_packet(self, pkt: SimPacket, now_ns: int) -> PipelineResult:
-        # control traffic (label acks, init) is switch generated and rides
+        # control traffic (label acks) is switch generated and rides
         # outside the enforcement tables
         if pkt.control is not None:
             return self._forward(pkt, "control")

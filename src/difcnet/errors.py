@@ -39,7 +39,8 @@ class PlacementError(CompileError):
 
 
 class UnknownEntry(DifcnetError):
-    """Attempted to remove a table entry that is not installed."""
+    """A host agent was asked about a process that is not live, or to accept
+    on a flow with nothing pending."""
 
 
 class CapacityExceeded(DifcnetError):
@@ -56,10 +57,6 @@ class PidReuseViolation(DifcnetError):
 
 class UnknownInode(DifcnetError):
     """File read/write on an inode that was never created."""
-
-
-class CorruptSnapshot(DifcnetError):
-    """Persisted host-agent state failed validation."""
 
 
 class ScenarioError(DifcnetError):

@@ -9,10 +9,7 @@ bookkeeping for what arrives, so taint survives file and process hops.
 
 from __future__ import annotations
 
-import struct
-
 from .errors import (
-    CorruptSnapshot,
     PidReuseViolation,
     UnknownEntry,
     UnknownInode,
@@ -32,7 +29,6 @@ from .packets import (
     SimPacket,
 )
 
-SNAPSHOT_MAGIC = b"DNA1"
 FIRST_AUTO_INODE = 10_001
 DEFAULT_UDP_LABEL_PREFIX = 3
 
@@ -349,74 +345,16 @@ class HostAgent:
 
     # -- persistence ------------------------------------------------------
 
-    def snapshot(self) -> bytes:
-        out = [SNAPSHOT_MAGIC]
-        out.append(self.host_label.bits.to_bytes(32, "big"))
-        out.append(self.host_caps.plus.to_bytes(32, "big"))
-        out.append(self.host_caps.minus.to_bytes(32, "big"))
-        inode_path = {inode: path for path, inode in self.file_paths.items()}
-        out.append(struct.pack(">I", len(self.file_labels)))
-        for inode in sorted(self.file_labels):
-            path = inode_path.get(inode, "").encode("utf-8")
-            out.append(struct.pack(">Q", inode))
-            out.append(self.file_labels[inode].bits.to_bytes(32, "big"))
-            out.append(struct.pack(">I", self.file_trackers.get(inode, 0)))
-            out.append(struct.pack(">H", len(path)))
-            out.append(path)
-        return b"".join(out)
-
-    def restore(self, blob: bytes, now_ns: int = 0) -> None:
-        try:
-            if blob[:4] != SNAPSHOT_MAGIC:
-                raise CorruptSnapshot("bad snapshot magic")
-            off = 4
-            self.host_label = Label(int.from_bytes(blob[off : off + 32], "big"))
-            off += 32
-            plus = int.from_bytes(blob[off : off + 32], "big")
-            off += 32
-            minus = int.from_bytes(blob[off : off + 32], "big")
-            off += 32
-            self.host_caps = CapabilitySet(plus, minus)
-            (count,) = struct.unpack_from(">I", blob, off)
-            off += 4
-            self.file_labels = {}
-            self.file_trackers = {}
-            self.file_paths = {}
-            max_inode = FIRST_AUTO_INODE - 1
-            for _ in range(count):
-                (inode,) = struct.unpack_from(">Q", blob, off)
-                off += 8
-                bits = int.from_bytes(blob[off : off + 32], "big")
-                off += 32
-                (tracker,) = struct.unpack_from(">I", blob, off)
-                off += 4
-                (plen,) = struct.unpack_from(">H", blob, off)
-                off += 2
-                path = blob[off : off + plen].decode("utf-8")
-                if len(blob[off : off + plen]) != plen:
-                    raise CorruptSnapshot("truncated snapshot entry")
-                off += plen
-                self.file_labels[inode] = Label(bits)
-                self.file_trackers[inode] = tracker
-                if path:
-                    self.file_paths[path] = inode
-                max_inode = max(max_inode, inode)
-            if off != len(blob):
-                raise CorruptSnapshot("trailing bytes in snapshot")
-            self._next_inode = max_inode + 1
-        except (struct.error, IndexError, UnicodeDecodeError) as exc:
-            raise CorruptSnapshot(str(exc)) from None
-        self.pid_labels = {}
-        self.pid_caps = {}
-        self.pid_trackers = {}
-        self.in_labels = {}
-        self.udp_sent = {}
-        self.udp_acked = set()
-        self._emit(now_ns, "restore")
-
     def reboot(self, now_ns: int = 0) -> None:
-        """Power cycle: file labels persist on disk, every live process and
-        in-flight label bucket is gone."""
-        blob = self.snapshot()
-        self.restore(blob, now_ns=now_ns)
+        """Power cycle: the host label, capabilities and file state (labels,
+        trackers, paths, the next inode) persist on disk; every live
+        process, in-flight label bucket and UDP label count is gone. The
+        log records the state coming back (`restore`), then the reboot."""
+        self.pid_labels.clear()
+        self.pid_caps.clear()
+        self.pid_trackers.clear()
+        self.in_labels.clear()
+        self.udp_sent.clear()
+        self.udp_acked.clear()
+        self._emit(now_ns, "restore")
         self._emit(now_ns, "reboot")

@@ -30,14 +30,13 @@ action (reroute port, `modify` field, privilege tag kinds) stay per rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from ..errors import (
     CompileError,
     DifcnetError,
     PlacementError,
-    UnknownEntry,
     UnknownHost,
     UnknownName,
 )
@@ -318,6 +317,11 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
                 ips = topology.resolve(stmt.host)
             except UnknownName as exc:
                 raise CompileError(f"line {stmt.line}: {exc}") from None
+            if any(ip not in topology.host_by_ip for ip in ips):
+                raise CompileError(
+                    f"line {stmt.line}: label_host {stmt.host!r} is not a host "
+                    f"or a group of hosts"
+                )
             for ip in ips:
                 host_labels[ip] = host_labels.get(ip, Label(0)) | label
         elif isinstance(stmt, LabelFile):
@@ -513,67 +517,3 @@ def diff_configs(old: dict[str, SwitchConfig], new: dict[str, SwitchConfig]) -> 
             ),
         )
     return UpdatePlan(plan)
-
-
-def _same(item):
-    return item
-
-
-def _take(items, pending: dict, key) -> list:
-    """`items` without those that use up an equal pending remove, looked up
-    in the bucket `pending[key(item)]`. Removes that find no item stay in
-    `pending`."""
-    kept = []
-    for item in items:
-        bucket = pending.get(key(item))
-        if bucket and item in bucket:
-            bucket.remove(item)
-        else:
-            kept.append(item)
-    return kept
-
-
-def apply_plan(cfg: SwitchConfig, update: SwitchUpdate) -> SwitchConfig:
-    """Pure application of one switch's update, in time linear in the
-    config and plan sizes. Each remove takes out the first remaining equal
-    entry; removing an entry that is not installed raises UnknownEntry,
-    naming the first such remove. Removes are found by priority, the only
-    part of an entry that is cheap to hash; init packets by value. Added
-    entries go after installed ones of the same priority."""
-    entries: dict[int, list] = {}
-    privilege: dict[int, list] = {}
-    init: dict[tuple, list] = {}
-    unknown = []  # removes that match no installed item
-    for kind, item in update.removes:
-        if kind == "init":
-            init.setdefault(item, []).append(item)
-        elif kind == "privilege":
-            privilege.setdefault(item.priority, []).append(item)
-        elif kind == item.match.table:
-            entries.setdefault(item.priority, []).append(item)
-        else:
-            unknown.append((kind, item))
-    kept_entries = _take(cfg.entries, entries, _priority)
-    kept_privilege = _take(cfg.privilege_entries, privilege, _priority)
-    kept_init = _take(cfg.init_packets, init, _same)
-    unknown += [(e.match.table, e) for bucket in entries.values() for e in bucket]
-    unknown += [("privilege", e) for bucket in privilege.values() for e in bucket]
-    unknown += [("init", p) for bucket in init.values() for p in bucket]
-    if unknown:
-        kind, entry = next(r for r in update.removes if r in unknown)
-        raise UnknownEntry(f"switch {cfg.switch_id}: no {kind} entry {entry} to remove")
-    for kind, item in update.adds:
-        if kind == "init":
-            kept_init.append(item)
-        elif kind == "privilege":
-            kept_privilege.append(item)
-        else:
-            kept_entries.append(item)
-    # kept entries and a plan's adds are each in priority order, so the
-    # stable sort merges two runs
-    return replace(
-        cfg,
-        entries=tuple(sorted(kept_entries, key=_priority)),
-        privilege_entries=tuple(sorted(kept_privilege, key=_priority)),
-        init_packets=tuple(kept_init),
-    )

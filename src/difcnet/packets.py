@@ -39,10 +39,9 @@ class IcmpKind(Enum):
 
 
 class ControlKind(Enum):
-    """Switch- or controller-generated packets that bypass policy lookup."""
+    """Switch-generated packets that bypass policy lookup."""
 
     LABEL_ACK = "label_ack"
-    LABEL_INIT = "label_init"
 
 
 _SYN = int(TcpFlags.SYN)

@@ -1,24 +1,16 @@
 """Compilation: table selection, labeled-source semantics, placement,
 privilege entries, and the structural config diff."""
 
-from dataclasses import replace
-
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from difcnet.errors import CompileError, PlacementError, UnknownEntry
+from difcnet.errors import CompileError, PlacementError
 from difcnet.labels import TagKind, tag_bit
 from difcnet.netcl import (
-    Allow,
-    Drop,
-    apply_plan,
     compile_program,
     diff_configs,
     merge_to_single_switch,
     parse,
 )
-from difcnet.netcl.compiler import SwitchUpdate
 from tests.conftest import make_lan, make_split
 
 
@@ -122,6 +114,22 @@ def test_label_host_with_an_unknown_name_names_its_line():
     with pytest.raises(CompileError) as exc:
         compile_text("label_host(ip=A, label={TA})\nlabel_host(ip=Ghost, label={TG})\n")
     assert str(exc.value) == "line 2: cannot resolve 'Ghost' in topology 'lan'"
+
+
+@pytest.mark.parametrize(
+    "name", ["external", "external_network", "203.0.113.10", "192.0.2.9"]
+)
+def test_label_host_on_a_name_that_is_no_host_names_its_line(name):
+    """The external endpoint, under either name or its address, and an
+    address with no attached host resolve but carry no host to label."""
+    with pytest.raises(CompileError) as exc:
+        compile_text(f"label_host(ip=A, label={{TA}})\nlabel_host(ip={name}, label={{TX}})\n")
+    assert str(exc.value) == f"line 2: label_host {name!r} is not a host or a group of hosts"
+
+
+def test_label_host_on_a_host_address_labels_that_host():
+    compiled = compile_text("label_host(ip=10.5.2.11, label={X})")
+    assert compiled.host_labels == {"10.5.2.11": compiled.registry.label_of(["X"])}
 
 
 def test_tracker_rule_compiles_to_tracker_table():
@@ -371,88 +379,6 @@ def test_diff_lists_only_real_changes():
     assert adds == 1 and removes == 0
     assert plan.per_switch["S2"].adds[0][0] == "exact"
     assert plan.per_switch["S1"].empty
-
-
-def test_apply_plan_reaches_target_config():
-    old = compile_text(LAN_RULES)
-    new = compile_text(
-        "label_host(ip=A, label={X})\n"
-        "if match(pkt_label contains X && dst_ip==C) then allow\n"
-        "if match(dst_ip==B) then allow\n"
-    )
-    plan = diff_configs(old.configs, new.configs)
-    patched = apply_plan(old.configs["S2"], plan.per_switch["S2"])
-    assert patched.entries == new.configs["S2"].entries
-    assert patched.init_packets == new.configs["S2"].init_packets
-
-
-def _apply_plan_reference(cfg, update):
-    """The original quadratic application: one list per table kind,
-    list.remove per removed entry, then each list sorted by priority."""
-    buckets = {"ternary": [], "exact": [], "tracker": []}
-    for e in cfg.entries:
-        buckets[e.match.table].append(e)
-    buckets["privilege"] = list(cfg.privilege_entries)
-    buckets["init"] = list(cfg.init_packets)
-    for kind, entry in update.removes:
-        buckets[kind].remove(entry)
-    for kind, entry in update.adds:
-        buckets[kind].append(entry)
-    for kind in ("ternary", "exact", "tracker", "privilege"):
-        buckets[kind].sort(key=lambda e: e.priority)
-    return buckets
-
-
-_POOL_CFG = compile_text(
-    LAN_RULES
-    + "if match(dst_ip==B) then allow\n"
-    + "if match(dst_ip==A) then drop\n"
-    + "if match(src_ip==A && dst_ip==C) then alert\n"
-).configs["S2"]
-# equal entries that differ only in source_line (which equality ignores)
-_POOL = [("ternary", e) for e in _POOL_CFG.entries if e.match.table == "ternary"] + [
-    ("exact", replace(e, source_line=line))
-    for e in _POOL_CFG.entries
-    if e.match.table == "exact"
-    for line in (0, 7)
-]
-
-
-@given(
-    st.lists(st.sampled_from(range(len(_POOL))), max_size=12),
-    st.data(),
-    st.lists(st.sampled_from(range(len(_POOL))), max_size=4),
-)
-def test_apply_plan_matches_list_remove_reference(installed, data, added):
-    items = [_POOL[i] for i in installed]
-    cfg = replace(
-        _POOL_CFG, entries=tuple(sorted((e for _, e in items), key=lambda e: e.priority))
-    )
-    removes = data.draw(st.permutations(items)).copy()
-    removes = removes[: data.draw(st.integers(min_value=0, max_value=len(removes)))]
-    update = SwitchUpdate(adds=tuple(_POOL[i] for i in added), removes=tuple(removes))
-    patched = apply_plan(cfg, update)
-    want = _apply_plan_reference(cfg, update)
-    # no two kinds share a priority in the pool, so merging the reference's
-    # lists by priority gives one well-defined order
-    want_entries = sorted(want["ternary"] + want["exact"], key=lambda e: e.priority)
-    assert [(e, e.source_line) for e in patched.entries] == [
-        (e, e.source_line) for e in want_entries
-    ]
-
-
-def test_apply_plan_unknown_entry_is_named():
-    old = compile_text(LAN_RULES)
-    (stranger,) = compile_text("if match(dst_ip==B) then allow\n").configs["S2"].entries
-    update = SwitchUpdate(adds=(), removes=(("exact", stranger),))
-    with pytest.raises(UnknownEntry, match="S2.*exact"):
-        apply_plan(old.configs["S2"], update)
-    # removing one copy more than is installed is also unknown
-    installed = old.configs["S2"].entries[1]
-    assert installed.match.table == "exact"
-    twice = SwitchUpdate(adds=(), removes=(("exact", installed), ("exact", installed)))
-    with pytest.raises(UnknownEntry):
-        apply_plan(old.configs["S2"], twice)
 
 
 def test_placement_lookup_errors_other_than_unknown_host_propagate(monkeypatch):

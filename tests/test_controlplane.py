@@ -6,7 +6,9 @@ from difcnet.controlplane import ControlPlane, PendingInstall, label_init_plan
 from difcnet.dataplane import Decision, InstallRequest, Switch
 from difcnet.header import FlowKey
 from difcnet.netcl import compile_program, parse
-from tests.conftest import LAN_POLICY, make_lan, make_split
+from difcnet.topology import load_topology
+from tests.conftest import LAN_POLICY, TOPOLOGY_DIR, make_lan, make_split
+from tests.test_dataplane import A, C, _data, _syn
 
 RTT = 10_000_000
 
@@ -87,6 +89,14 @@ def test_perform_install_and_capacity_failure():
     assert switches["S3"].conn_dec.lookup(k1, 20) is Decision.ALLOW
 
 
+def assert_swapped(switches, plan, new_compiled):
+    """Each switch the plan changes runs the new compile's config object."""
+    changed = [sid for sid, update in plan.per_switch.items() if not update.empty]
+    assert changed
+    for sid in changed:
+        assert switches[sid].config is new_compiled.configs[sid]
+
+
 def test_apply_update_converges_to_new_policy():
     topo, compiled, switches, cp = _env(make_lan, LAN_POLICY)
     new_text = LAN_POLICY + "if match(dst_ip==C) then alert\n"
@@ -94,7 +104,7 @@ def test_apply_update_converges_to_new_policy():
     plan = cp.apply_update(switches, new_compiled)
     adds, removes = plan.counts()
     assert (adds, removes) == (1, 0)
-    assert switches["S2"].config.entries == new_compiled.configs["S2"].entries
+    assert_swapped(switches, plan, new_compiled)
     assert cp.compiled is new_compiled
     # rolling the same policy again is a no-op
     again = compile_program(parse(new_text), topo)
@@ -109,7 +119,69 @@ def test_apply_update_removal():
     plan = cp.apply_update(switches, new_compiled)
     _, removes = plan.counts()
     assert removes == 3  # B drop rule plus the two dst allows
-    assert switches["S2"].config.entries == new_compiled.configs["S2"].entries
+    assert_swapped(switches, plan, new_compiled)
+
+
+def test_an_untouched_switch_keeps_its_config_and_classify_cache():
+    text = (
+        "if match(dst_ip==A) then allow\n"
+        "if match(dst_ip==C) then allow\n"
+    )
+    topo, _, switches, cp = _env(make_split, text)
+    a, c = topo.resolve("A")[0], topo.resolve("C")[0]
+    for _ in range(2):
+        switches["S2"].classify(0, 0, c, a)
+        switches["S3"].classify(0, 0, a, c)
+    kept = switches["S2"].config
+    plan = cp.apply_update(
+        switches, compile_program(parse(text + "if match(dst_ip==C) then drop\n"), topo)
+    )
+    assert plan.per_switch["S2"].empty and not plan.per_switch["S3"].empty
+    switches["S2"].classify(0, 0, c, a)
+    switches["S3"].classify(0, 0, a, c)
+    assert switches["S2"].config is kept
+    assert (switches["S2"].classify_hits, switches["S2"].classify_misses) == (2, 1)
+    # the changed switch starts its cache afresh
+    assert (switches["S3"].classify_hits, switches["S3"].classify_misses) == (1, 2)
+
+
+def test_a_connection_admitted_before_a_drop_rule_keeps_flowing():
+    """An update empties no conn_dec or decision-buffer entry, so a
+    connection admitted under the old policy keeps flowing; a new SYN is
+    classified under the new policy."""
+    allow = "if match(src_ip==A && dst_ip==C) then allow\n"
+    topo, _, switches, cp = _env(make_lan, allow)
+    sw = switches["S2"]
+    installed = sw.process_packet(_syn(A, C, sport=41000), 0)
+    for pending in cp.serve_conndec(installed.install_requests[0]):
+        assert cp.perform_install(switches, pending)
+    buffered = sw.process_packet(_syn(A, C, sport=41001), 0)  # install still in flight
+    assert (installed.verdict, buffered.verdict) == ("forward", "forward")
+
+    drop = "if match(src_ip==A && dst_ip==C) then drop\n"
+    cp.apply_update(switches, compile_program(parse(drop + allow), topo))
+    later = [sw.process_packet(_data(A, C, sport=port), RTT) for port in (41000, 41001)]
+    assert [(r.verdict, r.decision_source) for r in later] == [
+        ("forward", "conn_dec"), ("forward", "buffer"),
+    ]
+    fresh = sw.process_packet(_syn(A, C, sport=41002), RTT)
+    assert (fresh.verdict, fresh.decision_source) == ("drop", "policy")
+    assert fresh.log == [f"S2 drop {fresh.packet.flow_key} rule@0"]
+
+
+def test_a_changed_switch_reports_the_new_source_lines():
+    """Entries the plan keeps come from the new compile too, so each reports
+    its line in the policy now in force."""
+    topo = load_topology(TOPOLOGY_DIR / "hospital.yaml")
+    body = "if match(dst_ip==Host1) then allow\nif match(dst_ip==PACS) then allow\n"
+    old = compile_program(parse(body), topo)
+    switches = {s: Switch(s, topo, old.configs[s]) for s in topo.switches}
+    new_text = "# one\n# two\n" + body + "if match(dst_ip==Host2) then drop\n"
+    new = compile_program(parse(new_text), topo)
+    plan = ControlPlane(topo, old, RTT).apply_update(switches, new)
+    assert plan.counts() == (1, 0)
+    assert [e.source_line for e in old.configs["S2"].entries] == [1, 2]
+    assert [e.source_line for e in switches["S2"].config.entries] == [3, 4, 5]
 
 
 def test_placement_report_math():

@@ -3,9 +3,10 @@
 is the earlier design: three tables (ternary label, exact, tracker), each
 scanned in full, with the lowest priority number winning across them,
 and each entry tested by its own restatement of the match semantics.
-Random policies and random update edits must give the same matched entry,
-down to its source line, under both. Packet labels are drawn from the tag
-bits the policies use, so label predicates can match."""
+Random policies, before and after random update edits rolled out by the
+control plane, must give the same matched entry, down to its source line,
+under both. Packet labels are drawn from the tag bits the policies use, so
+label predicates can match."""
 
 from __future__ import annotations
 
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from difcnet.dataplane import match_policies
+from difcnet.controlplane import ControlPlane
+from difcnet.dataplane import Switch, apply_privileges, match_policies
 from difcnet.errors import CompileError
 from difcnet.labels import tag_bit
-from difcnet.netcl import apply_plan, compile_program, diff_configs, parse
+from difcnet.netcl import compile_program, parse
 from difcnet.netcl.compiler import MatchSpec, SwitchConfig, TableEntry
 from difcnet.netcl.ast import Allow, Drop
 from difcnet.topology import topology_from_dict
@@ -175,17 +177,31 @@ def edited(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(edited(), st.lists(packets, min_size=1, max_size=30))
-def test_first_match_after_apply_plan_equals_three_table_scan(policy, pkts):
+def test_first_match_after_apply_update_equals_a_fresh_compile(policy, pkts):
+    """Every switch classifies the packets before the update, so a stale
+    classify-cache answer would show. After `ControlPlane.apply_update`,
+    each switch's classification equals the uncached privilege stage and
+    first match over a fresh compile of the new policy, down to the source
+    line, and its match entries agree with the three-table reference."""
     labelings, old_body, new_body = policy
     old = compile_lines(labelings + old_body)
-    new = compile_lines(labelings + new_body)
-    plan = diff_configs(old.configs, new.configs)
-    for sid, update in plan.per_switch.items():
-        patched = apply_plan(old.configs[sid], update)
+    switches = {s: Switch(s, TOPO, old.configs[s]) for s in TOPO.switches}
+    for sw in switches.values():
         for pkt in pkts:
-            got = assert_same_match(patched, pkt)
-            # the verdict is the one a fresh compile of the new policy gives
-            assert got == match_policies(new.configs[sid], *pkt)
+            sw.classify(*pkt)
+    ControlPlane(TOPO, old, 0).apply_update(switches, compile_lines(labelings + new_body))
+    fresh = compile_lines(labelings + new_body)
+    for sid, sw in switches.items():
+        cfg = fresh.configs[sid]
+        for pkt in pkts:
+            bits, tracker, src, dst = pkt
+            want_bits = apply_privileges(cfg.privilege_entries, bits, tracker, src, dst)
+            want = match_policies(cfg, want_bits, tracker, src, dst)
+            got_bits, got = sw.classify(*pkt)
+            assert (got_bits, got) == (want_bits, want)
+            if want is not None:
+                assert got.source_line == want.source_line
+            assert_same_match(sw.config, pkt)
 
 
 def test_table_kind_follows_the_match_fields():

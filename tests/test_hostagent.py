@@ -1,11 +1,10 @@
 """Host agent state machine: process and file labels, tracker adoption,
-outgoing header stamping, incoming label buckets, and persistence."""
+outgoing header stamping, incoming label buckets, and reboots."""
 
 import pytest
 
 from difcnet.errors import (
     CapabilityViolation,
-    CorruptSnapshot,
     PidReuseViolation,
     UnknownEntry,
     UnknownInode,
@@ -276,6 +275,9 @@ def test_accept_unknown_flow():
 
 
 def _populated_agent():
+    """An agent with something in every part of its state: a bound and a
+    created file, a live process that read a tracked file, a pending label
+    bucket, a UDP label count and an acknowledged UDP flow."""
     a = agent(
         label=S,
         files=(("/srv/f", 7),),
@@ -286,62 +288,36 @@ def _populated_agent():
     a.create(100, "/tmp/copy")
     _labeled_arrival(a, T)
     a.label_outgoing(100, udp_pkt())
+    a.deliver(SimPacket(
+        src_ip="10.0.0.3", dst_ip="10.0.0.1", src_port=53, dst_port=41002,
+        protocol=PROTO_UDP, control=ControlKind.LABEL_ACK,
+    ))
     return a
-
-
-def test_snapshot_restore_round_trip():
-    a = _populated_agent()
-    files_before = dict(a.file_labels)
-    trackers_before = dict(a.file_trackers)
-    paths_before = dict(a.file_paths)
-    blob = a.snapshot()
-
-    b = HostAgent("H", "10.0.0.1")
-    b.restore(blob)
-    assert b.file_labels == files_before
-    assert b.file_trackers == trackers_before
-    assert b.file_paths == paths_before
-    assert b.host_label.bits == S
-    assert b.host_caps == CapabilitySet(plus=T, minus=S)
-    # volatile state never survives
-    assert not b.pid_labels and not b.in_labels
-    assert not b.udp_sent and not b.udp_acked
-
-
-def test_restore_continues_inode_allocation():
-    a = _populated_agent()
-    b = HostAgent("H", "10.0.0.1")
-    b.restore(a.snapshot())
-    b.spawn(1)
-    inode = b.create(1, "/tmp/new")
-    assert inode not in a.file_labels  # no collision with restored inodes
 
 
 def test_reboot_preserves_files_clears_processes():
     a = _populated_agent()
     files = dict(a.file_labels)
-    a.reboot()
+    trackers = dict(a.file_trackers)
+    paths = dict(a.file_paths)
+    assert a.pid_labels and a.in_labels and a.udp_sent and a.udp_acked
+    assert a.pid_trackers == {100: 7}
+    a.reboot(now_ns=5)
+    # file labels, trackers and paths, the host label and the capabilities
+    # persist on disk
     assert a.file_labels == files
-    assert not a.pid_labels
+    assert a.file_trackers == trackers
+    assert a.file_paths == paths
+    assert a.host_label.bits == S
+    assert a.host_caps == CapabilitySet(plus=T, minus=S)
+    # process, flow and UDP state never survives
+    assert not a.pid_labels and not a.pid_caps and not a.pid_trackers
+    assert not a.in_labels and not a.udp_sent and not a.udp_acked
+    assert [(e.kind, e.time_ns) for e in a.events[-2:]] == [("restore", 5), ("reboot", 5)]
     a.spawn(100)  # the old incarnation is gone
-    kinds = [e.kind for e in a.events]
-    assert "restore" in kinds and "reboot" in kinds
-
-
-@pytest.mark.parametrize(
-    "mangle",
-    [
-        lambda b: b"XXXX" + b[4:],  # bad magic
-        lambda b: b[:50],  # truncated fixed section
-        lambda b: b[:-3],  # truncated file entry
-        lambda b: b + b"\x00",  # trailing bytes
-    ],
-)
-def test_corrupt_snapshots_rejected(mangle):
-    blob = _populated_agent().snapshot()
-    b = HostAgent("H", "10.0.0.1")
-    with pytest.raises(CorruptSnapshot):
-        b.restore(mangle(blob))
+    inode = a.create(100, "/tmp/new")
+    assert inode not in files  # no collision with the kept inodes
+    assert a.file_labels[inode].bits == S
 
 
 # -- event stream ----------------------------------------------------------

@@ -234,6 +234,11 @@ def ref_compile(program, topology):
                 ips = topology.resolve(stmt.host)
             except UnknownName as exc:
                 raise CompileError(f"line {stmt.line}: {exc}") from None
+            if any(ip not in topology.host_by_ip for ip in ips):
+                raise CompileError(
+                    f"line {stmt.line}: label_host {stmt.host!r} is not a host "
+                    f"or a group of hosts"
+                )
             for ip in ips:
                 host_labels[ip] = host_labels.get(ip, Label(0)) | label
         elif isinstance(stmt, LabelFile):
@@ -404,7 +409,8 @@ BAD_ACTIONS = (
 )
 BAD_STATEMENTS = (
     "label_file(ip=Ghost, file=/f)", "label_host(ip=A)", "nonsense here",
-    "label_host(ip=Clients, label={TB})",
+    "label_host(ip=Clients, label={TB})", "label_host(ip=external, label={TB})",
+    "label_host(ip=192.0.2.9, label={TB})",
 )
 
 
