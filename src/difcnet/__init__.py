@@ -9,12 +9,8 @@ boundary. A deterministic simulator ties the pieces together.
 from .labels import (
     EMPTY_LABEL,
     TAG_SPACE,
-    CapabilitySet,
     Label,
-    TagKind,
     TagRegistry,
-    declassify_label,
-    endorse_label,
     tag_bit,
 )
 from .header import DifcHeader, FlowKey, buffer_slot, decode_header, encode_header
@@ -24,12 +20,8 @@ __version__ = "0.1.0"
 __all__ = [
     "EMPTY_LABEL",
     "TAG_SPACE",
-    "CapabilitySet",
     "Label",
-    "TagKind",
     "TagRegistry",
-    "declassify_label",
-    "endorse_label",
     "tag_bit",
     "DifcHeader",
     "FlowKey",

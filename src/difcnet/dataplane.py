@@ -47,6 +47,12 @@ DEFAULT_INDEX_BITS = 16
 DEFAULT_RECIRC_LIMIT = 3
 DEFAULT_RATE_LIMIT = 128
 DEFAULT_RATE_WINDOW_NS = 1_000_000_000
+DEFAULT_RTT_NS = 10_000_000
+
+
+def recirc_delay(rtt_ns: int) -> int:
+    """1.5 RTT: a buffer miss recirculates once the install it awaits lands."""
+    return rtt_ns * 3 // 2
 
 
 class Decision(enum.Enum):
@@ -223,7 +229,7 @@ class Switch:
         index_bits: int = DEFAULT_INDEX_BITS,
         conn_dec_capacity: int = CONN_DEC_CAPACITY,
         recirc_limit: int = DEFAULT_RECIRC_LIMIT,
-        recirc_delay_ns: int = 15_000_000,
+        recirc_delay_ns: int = recirc_delay(DEFAULT_RTT_NS),
         rate_limit: int = DEFAULT_RATE_LIMIT,
         rate_window_ns: int = DEFAULT_RATE_WINDOW_NS,
     ) -> None:

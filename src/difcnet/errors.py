@@ -5,10 +5,6 @@ class DifcnetError(Exception):
     """Base class for all difcnet errors."""
 
 
-class CapabilityViolation(DifcnetError):
-    """Raised when a declassify/endorse mask is not covered by the holder's capabilities."""
-
-
 class MalformedHeader(DifcnetError):
     """Raised on truncated or otherwise invalid on-wire label headers."""
 

@@ -15,12 +15,7 @@ from .errors import (
     UnknownInode,
 )
 from .header import DifcHeader, FlowKey
-from .labels import (
-    CapabilitySet,
-    Label,
-    declassify_label,
-    endorse_label,
-)
+from .labels import Label
 from .packets import (
     PROTO_ICMP,
     PROTO_TCP,
@@ -70,8 +65,8 @@ class AgentEvent:
     """One agent log record. Treat it as immutable: the influence edge is
     computed in the constructor, `source` -> `target`, both None for kinds
     that move no state between entities (label-init, deliver, label-ack,
-    declassify, endorse, exit, restore, reboot). A spawn's edge is a strong
-    update; every other edge is weak."""
+    exit, restore, reboot). A spawn's edge is a strong update; every other
+    edge is weak."""
 
     __slots__ = (
         "seq", "time_ns", "host", "kind", "pid", "inode", "path", "flow",
@@ -136,9 +131,7 @@ class HostAgent:
         self.host = host
         self.ip = ip
         self.host_label = Label(0)
-        self.host_caps = CapabilitySet(0, 0)
         self.pid_labels: dict[int, Label] = {}
-        self.pid_caps: dict[int, CapabilitySet] = {}
         self.pid_trackers: dict[int, int] = {}
         self.file_labels: dict[int, Label] = {}
         self.file_trackers: dict[int, int] = {}
@@ -162,12 +155,9 @@ class HostAgent:
         self,
         label: Label,
         files: tuple[tuple[str, int], ...] = (),
-        caps: CapabilitySet | None = None,
         now_ns: int = 0,
     ) -> None:
         self.host_label = label
-        if caps is not None:
-            self.host_caps = caps
         for path, tracker in files:
             inode = self._bind(path)
             self.file_labels[inode] = self.file_labels.get(inode, Label(0)) | label
@@ -200,7 +190,6 @@ class HostAgent:
         if pid in self.pid_labels:
             raise PidReuseViolation(f"{self.host}: pid {pid} is already live")
         self.pid_labels[pid] = self.host_label
-        self.pid_caps[pid] = self.host_caps
         self.pid_trackers[pid] = 0
         self._emit(now_ns, "spawn", pid=pid, label_bits=self.host_label.bits)
 
@@ -208,7 +197,6 @@ class HostAgent:
         self._require_pid(pid)
         self._emit(now_ns, "exit", pid=pid, label_bits=self.pid_labels[pid].bits)
         del self.pid_labels[pid]
-        del self.pid_caps[pid]
         del self.pid_trackers[pid]
 
     def _require_pid(self, pid: int) -> None:
@@ -257,22 +245,6 @@ class HostAgent:
             tracker=self.file_trackers.get(inode, 0),
         )
         return inode
-
-    # -- privileges -------------------------------------------------------
-
-    def declassify(self, pid: int, mask: int, now_ns: int = 0) -> None:
-        self._require_pid(pid)
-        self.pid_labels[pid] = declassify_label(
-            self.pid_labels[pid], mask, self.pid_caps[pid]
-        )
-        self._emit(now_ns, "declassify", pid=pid, label_bits=self.pid_labels[pid].bits)
-
-    def endorse(self, pid: int, mask: int, now_ns: int = 0) -> None:
-        self._require_pid(pid)
-        self.pid_labels[pid] = endorse_label(
-            self.pid_labels[pid], mask, self.pid_caps[pid]
-        )
-        self._emit(now_ns, "endorse", pid=pid, label_bits=self.pid_labels[pid].bits)
 
     # -- network tx/rx ----------------------------------------------------
 
@@ -346,12 +318,11 @@ class HostAgent:
     # -- persistence ------------------------------------------------------
 
     def reboot(self, now_ns: int = 0) -> None:
-        """Power cycle: the host label, capabilities and file state (labels,
-        trackers, paths, the next inode) persist on disk; every live
-        process, in-flight label bucket and UDP label count is gone. The
-        log records the state coming back (`restore`), then the reboot."""
+        """Power cycle: the host label and file state (labels, trackers,
+        paths, the next inode) persist on disk; every live process,
+        in-flight label bucket and UDP label count is gone. The log records
+        the state coming back (`restore`), then the reboot."""
         self.pid_labels.clear()
-        self.pid_caps.clear()
         self.pid_trackers.clear()
         self.in_labels.clear()
         self.udp_sent.clear()

@@ -1,5 +1,4 @@
-"""Label algebra: tags, labels, capabilities, and the privileged label
-changes (declassify, endorse) they authorize.
+"""Label algebra: tags, labels and the registry that names them.
 
 A label is a set of up to 256 tags, stored as a bitmap. Tag index 0 maps to
 the most significant bit of the first byte of the wire encoding, so the
@@ -10,17 +9,11 @@ bitmap is kept as a plain int with bit i of the *tag space* at integer bit
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
-from .errors import CapabilityViolation, UnknownTag
+from .errors import UnknownTag
 
 TAG_SPACE = 256
 LABEL_MASK = (1 << TAG_SPACE) - 1
-
-
-class TagKind(Enum):
-    SECRECY = "secrecy"
-    INTEGRITY = "integrity"
 
 
 def tag_bit(index: int) -> int:
@@ -47,21 +40,6 @@ class Label:
             bits |= tag_bit(i)
         return cls(bits)
 
-    def union(self, other: Label) -> Label:
-        return Label(self.bits | other.bits)
-
-    def intersection(self, other: Label) -> Label:
-        return Label(self.bits & other.bits)
-
-    def without(self, mask: int) -> Label:
-        return Label(self.bits & ~mask & LABEL_MASK)
-
-    def issubset(self, other: Label) -> bool:
-        return self.bits & ~other.bits == 0
-
-    def issuperset(self, other: Label) -> bool:
-        return other.bits & ~self.bits == 0
-
     def has(self, index: int) -> bool:
         return bool(self.bits & tag_bit(index))
 
@@ -72,63 +50,33 @@ class Label:
         return self.bits != 0
 
     def __or__(self, other: Label) -> Label:
-        return self.union(other)
-
-    def __and__(self, other: Label) -> Label:
-        return self.intersection(other)
+        return Label(self.bits | other.bits)
 
 
 EMPTY_LABEL = Label(0)
 
 
-@dataclass(frozen=True)
-class CapabilitySet:
-    """Tags the holder may add (plus) or remove (minus), as bitmaps.
-
-    The two sets are independent: a tag may appear in both, either, or
-    neither.
-    """
-
-    plus: int = 0
-    minus: int = 0
-
-
 @dataclass
 class TagRegistry:
-    """Deployment-wide mapping of tag names to bit indexes and kinds.
+    """Deployment-wide mapping of tag names to bit indexes, empty when made.
 
-    A (name, index, kind) triple never changes once assigned. Indexes are
-    handed out in registration order, which makes compilation deterministic
-    for a fixed policy source. The index-to-name map is kept up to date as
-    tags register, so no lookup scans the tags.
+    A (name, index) pair never changes once assigned. Indexes are handed out
+    in registration order, which makes compilation deterministic for a fixed
+    policy source. The index-to-name map is kept up to date as tags
+    register, so no lookup scans the tags.
     """
 
-    name_to_id: dict[str, int] = field(default_factory=dict)
-    kind: dict[int, TagKind] = field(default_factory=dict)
-    next_free: int = 0
-    _names: dict[int, str] = field(init=False, repr=False, compare=False)
+    name_to_id: dict[str, int] = field(default_factory=dict, init=False)
+    _names: dict[int, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self._names = {}
-        for name, idx in self.name_to_id.items():
-            self._names.setdefault(idx, name)
-
-    def register(self, name: str, kind: TagKind) -> int:
-        if name in self.name_to_id:
-            idx = self.name_to_id[name]
-            if self.kind[idx] is not kind:
-                raise UnknownTag(
-                    f"tag {name!r} already registered as {self.kind[idx].value}, "
-                    f"cannot re-register as {kind.value}"
-                )
-            return idx
-        if self.next_free >= TAG_SPACE:
-            raise UnknownTag(f"tag space exhausted registering {name!r}")
-        idx = self.next_free
-        self.name_to_id[name] = idx
-        self.kind[idx] = kind
-        self._names[idx] = name
-        self.next_free += 1
+    def register(self, name: str) -> int:
+        idx = self.name_to_id.get(name)
+        if idx is None:
+            idx = len(self.name_to_id)
+            if idx >= TAG_SPACE:
+                raise UnknownTag(f"tag space exhausted registering {name!r}")
+            self.name_to_id[name] = idx
+            self._names[idx] = name
         return idx
 
     def lookup(self, name: str) -> int:
@@ -149,9 +97,6 @@ class TagRegistry:
             bits |= tag_bit(self.lookup(name))
         return Label(bits)
 
-    def kind_of(self, name: str) -> TagKind:
-        return self.kind[self.lookup(name)]
-
     def format_label(self, label: Label) -> str:
         """Tag names sorted by name. The set bits are walked from tag index
         0 up, so an unregistered bit raises for the lowest such index."""
@@ -163,18 +108,3 @@ class TagRegistry:
             bits ^= 1 << top
         return "{" + ", ".join(sorted(names)) + "}"
 
-
-def declassify_label(l: Label, mask: int, caps: CapabilitySet) -> Label:
-    """Remove the tags in mask. Every removed tag must be authorized by a
-    minus capability."""
-    if mask & ~caps.minus:
-        raise CapabilityViolation("declassification mask exceeds minus capabilities")
-    return l.without(mask)
-
-
-def endorse_label(l: Label, mask: int, caps: CapabilitySet) -> Label:
-    """Add the tags in mask. Every added tag must be authorized by a plus
-    capability."""
-    if mask & ~caps.plus:
-        raise CapabilityViolation("endorsement mask exceeds plus capabilities")
-    return Label((l.bits | mask) & LABEL_MASK)

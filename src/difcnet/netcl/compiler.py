@@ -25,7 +25,7 @@ effect once (its label bits, tracker id, address match, and for a
 destination its placements) and reuses it for every rule that holds an
 equal conjunct, so rules with the same source or destination share one
 `FieldMatch`. The memo lives for that call only. Checks that depend on the
-action (reroute port, `modify` field, privilege tag kinds) stay per rule.
+action (reroute port, `modify` field) stay per rule.
 """
 
 from __future__ import annotations
@@ -40,16 +40,13 @@ from ..errors import (
     UnknownHost,
     UnknownName,
 )
-from ..labels import Label, TagKind, TagRegistry, tag_bit
+from ..labels import Label, TagRegistry
 from ..topology import Topology
 from .ast import (
     Action,
-    Allow,
-    Alert,
     Conjunct,
     Contains,
     Declassify,
-    Drop,
     Endorse,
     LabelFile,
     LabelHost,
@@ -77,17 +74,16 @@ class FieldMatch:
 @dataclass(frozen=True, slots=True)
 class MatchSpec:
     """One compiled match pattern over label bits, tracker id, and exact
-    address fields. label semantics are ternary: hits iff
-    (pkt_bits & label_mask) == label_value."""
+    address fields. The label part hits iff the packet label covers every
+    tag in `label_mask`: (pkt_bits & label_mask) == label_mask."""
 
     label_mask: int = 0
-    label_value: int = 0
     tracker_match: int = 0  # 0 = no tracker predicate
     src: FieldMatch | None = None
     dst: FieldMatch | None = None
 
     def matches(self, label_bits: int, tracker: int, src_ip: str, dst_ip: str) -> bool:
-        if label_bits & self.label_mask != self.label_value:
+        if label_bits & self.label_mask != self.label_mask:
             return False
         if self.tracker_match and tracker != self.tracker_match:
             return False
@@ -164,13 +160,11 @@ class CompiledPolicy:
 
 
 def _register_tags(program: Program, registry: TagRegistry) -> None:
-    # Kind inference: a tag endorsed anywhere is integrity, everything else
-    # (labeled, contained, declassified) is secrecy. A tag pulled both ways
-    # by privilege actions is a contradiction. Bit positions follow first
-    # appearance in source order, independent of kind. `parse` shares equal
+    # Bit positions follow first appearance in source order. A tag that is
+    # both declassified and endorsed is a contradiction, raised for the
+    # first such tag before any tag registers. `parse` shares equal
     # conjunct and action nodes, so the distinct nodes (by identity, in
-    # source order) are gathered first and each is looked at once: a node
-    # met again adds no tag and no kind. Tags register once kinds are known.
+    # source order) are gathered first and each is looked at once.
     nodes: dict[int, object] = {}
     for stmt in program.statements:
         if isinstance(stmt, Rule):
@@ -179,39 +173,20 @@ def _register_tags(program: Program, registry: TagRegistry) -> None:
             nodes[id(stmt.action)] = stmt.action
         else:
             nodes[id(stmt)] = stmt
-    required: dict[str, TagKind] = {}
+    pulled: dict[str, type] = {}  # tag -> Declassify or Endorse
     order: dict[str, None] = {}  # tags in order of first appearance
     for node in nodes.values():
         if isinstance(node, (LabelHost, Contains)):
             order.update(dict.fromkeys(node.tags))
         elif isinstance(node, (Endorse, Declassify)):
-            kind = TagKind.INTEGRITY if isinstance(node, Endorse) else TagKind.SECRECY
             for t in node.tags:
-                if required.setdefault(t, kind) is not kind:
+                if pulled.setdefault(t, type(node)) is not type(node):
                     raise CompileError(
                         f"tag {t!r} cannot be both declassified and endorsed"
                     )
                 order[t] = None
     for t in order:
-        registry.register(t, required.get(t, TagKind.SECRECY))
-
-
-def _tag_mask(tags, registry: TagRegistry) -> int:
-    mask = 0
-    for t in tags:
-        mask |= tag_bit(registry.lookup(t))
-    return mask
-
-
-def _check_privilege_kinds(action, registry: TagRegistry) -> None:
-    if isinstance(action, Declassify):
-        for t in action.tags:
-            if registry.kind_of(t) is not TagKind.SECRECY:
-                raise CompileError(f"declassify({t}) requires a secrecy tag")
-    elif isinstance(action, Endorse):
-        for t in action.tags:
-            if registry.kind_of(t) is not TagKind.INTEGRITY:
-                raise CompileError(f"endorse({t}) requires an integrity tag")
+        registry.register(t)
 
 
 def _check_modify(action: Modify, line: int) -> None:
@@ -256,7 +231,7 @@ def _conjunct_effect(
     depends on the conjunct alone, never on the rule or its action, so a
     compile shares it among every rule holding an equal conjunct."""
     if isinstance(c, Contains):
-        return _tag_mask(c.tags, registry), 0, None, None, None
+        return registry.label_of(c.tags).bits, 0, None, None, None
     if c.lhs == "tracker_id":
         if c.op != "==":
             raise CompileError(f"line {line}: tracker predicates support == only")
@@ -383,15 +358,13 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
 
         spec = MatchSpec(
             label_mask=label_mask,
-            label_value=label_mask,
             tracker_match=tracker_match,
             src=src_field,
             dst=dst_field,
         )
 
         if isinstance(rule.action, (Declassify, Endorse)):
-            _check_privilege_kinds(rule.action, registry)
-            mask = _tag_mask(rule.action.tags, registry)
+            mask = registry.label_of(rule.action.tags).bits
             direction = "declassify" if isinstance(rule.action, Declassify) else "endorse"
             entry = PrivilegeEntry(spec, mask, direction, rule.priority, rule.line)
             for s in placements:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 
-from ..errors import NetclSyntaxError
+from ..errors import DifcnetError, NetclSyntaxError
 from .ast import (
     Action,
     Alert,
@@ -181,9 +181,13 @@ def parse(source: str) -> Program:
 
 def parse_files(paths) -> Program:
     """Parse and concatenate several policy files into one program, in
-    order. Priorities follow the concatenation order."""
+    order. Priorities follow the concatenation order. A file that cannot be
+    read is a DifcnetError naming it."""
     merged = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            merged.append(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                merged.append(fh.read())
+        except OSError as exc:
+            raise DifcnetError(f"{path}: cannot read: {exc.strerror or exc}") from None
     return parse("\n".join(merged))

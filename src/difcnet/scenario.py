@@ -16,7 +16,7 @@ from .topology import Topology, load_topology, read_yaml
 
 MS = 1_000_000
 
-# fields an event op reads, checked when the scenario loads
+# every event op and the fields it reads, checked when the scenario loads
 EVENT_FIELDS = {
     "spawn": ("pid",),
     "exit": ("pid",),
@@ -24,10 +24,14 @@ EVENT_FIELDS = {
     "write": ("pid", "path"),
     "create": ("pid", "path"),
     "accept": ("pid", "flow"),
+    "reboot": (),
+    "gc": (),
     "update": ("policies",),
 }
 # fields every flow entry needs, checked when the scenario loads
 FLOW_FIELDS = ("id", "src", "dst")
+# the container each part of `expect` is, checked when the scenario loads
+EXPECT_SHAPES = {"flows": dict, "pids": list, "files": list, "trace_contains": list}
 
 # Numbers checked when the scenario loads, by kind: "ms" is a time or a
 # duration in milliseconds, "count" a whole number, "port" a whole number
@@ -99,6 +103,22 @@ def _flow_where(path: Path, i: int, flow: dict) -> str:
     return f"{path}: flows[{i}] (id {flow.get('id')!r})"
 
 
+def _check_files(where: str, base: Path, names) -> None:
+    """Checks that `names` lists files that exist, relative to `base`."""
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ScenarioError(f"{where} must be a list of file names, not {names!r}")
+    for name in names:
+        if not (base / name).is_file():
+            raise ScenarioError(f"{where}: no file {base / name}")
+
+
+def _typed(where: str, value, kind: type):
+    """`value`, checked to be a list or a dict as `kind` says."""
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{where} must be {'a list' if kind is list else 'a mapping'}")
+    return value
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     doc = read_yaml(path)
@@ -107,18 +127,29 @@ def load_scenario(path: str | Path) -> Scenario:
     for key in ("topology", "policies"):
         if key not in doc:
             raise ScenarioError(f"{path}: missing {key!r}")
-    flows = list(doc.get("flows", []))
+    base = path.parent
+    if not isinstance(doc["topology"], str):
+        raise ScenarioError(f"{path}: topology must be a file name, not {doc['topology']!r}")
+    _check_files(f"{path}: topology", base, [doc["topology"]])
+    _check_files(f"{path}: policies", base, doc["policies"])
+    flows = _typed(f"{path}: flows", doc.get("flows", []), list)
     flow_ids = [flow.get("id") for flow in flows if isinstance(flow, dict)]
     events = []
     for section in ("setup", "events"):
-        for i, event in enumerate(doc.get(section, [])):
+        for i, event in enumerate(_typed(f"{path}: {section}", doc.get(section, []), list)):
             if not isinstance(event, dict):
                 raise ScenarioError(f"{path}: {section}[{i}]: an event must be a mapping")
             op = event.get("op")
             where = f"{path}: {section}[{i}] (op {op!r})"
-            for name in EVENT_FIELDS.get(op, ()):
+            if op not in EVENT_FIELDS:
+                raise ScenarioError(
+                    f"{where}: unknown op, expected one of {', '.join(EVENT_FIELDS)}"
+                )
+            for name in EVENT_FIELDS[op]:
                 if name not in event:
                     raise ScenarioError(f"{where}: missing field {name!r}")
+            if op == "update":
+                _check_files(f"{where}: policies", base, event["policies"])
             _check_numbers(where, event, EVENT_NUMBERS)
             if op == "accept" and event["flow"] not in flow_ids:
                 raise ScenarioError(
@@ -141,9 +172,7 @@ def load_scenario(path: str | Path) -> Scenario:
                 f"not {flow['protocol']!r}"
             )
         _check_numbers(where, flow, FLOW_NUMBERS)
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ScenarioError(f"{path}: params must be a mapping")
+    params = _typed(f"{path}: params", doc.get("params", {}), dict)
     for name, value in params.items():
         if name not in PARAMS:
             raise ScenarioError(
@@ -153,10 +182,11 @@ def load_scenario(path: str | Path) -> Scenario:
         problem = _number_problem(value, PARAMS[name][0])
         if problem:
             raise ScenarioError(f"{path}: params.{name} {problem}")
-    expect = doc.get("expect", {})
-    if not isinstance(expect, dict):
-        raise ScenarioError(f"{path}: expect must be a mapping")
-    base = path.parent
+    expect = _typed(f"{path}: expect", doc.get("expect", {}), dict)
+    for key, kind in EXPECT_SHAPES.items():
+        _typed(f"{path}: expect.{key}", expect.get(key, kind()), kind)
+    for flow_id, want in expect.get("flows", {}).items():
+        _typed(f"{path}: expect.flows.{flow_id}", want, dict)
     return Scenario(
         name=doc.get("name", path.stem),
         base_dir=base,
@@ -272,6 +302,5 @@ def _agent_call(net: Network, agent, op: str, raw: dict):
     if op == "accept":
         # load_scenario checked that the flow is in the file
         return lambda t: agent.accept(int(raw["pid"]), net.flows[raw["flow"]].key, now_ns=t)
-    if op == "reboot":
-        return lambda t: agent.reboot(now_ns=t)
-    raise ScenarioError(f"unknown event op {op!r}")
+    # reboot: load_scenario rejects every op not handled here or in _schedule_events
+    return lambda t: agent.reboot(now_ns=t)

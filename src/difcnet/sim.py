@@ -30,11 +30,12 @@ import heapq
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from . import dataplane
 from .controlplane import ControlPlane, PendingInstall, label_init_plan
-from .dataplane import Switch
+from .dataplane import Switch, recirc_delay
 from .errors import DifcnetError, UnknownName
 from .header import FlowKey
-from .hostagent import HostAgent, SeqSource
+from .hostagent import DEFAULT_UDP_LABEL_PREFIX, HostAgent, SeqSource
 from .labels import Label
 from .netcl.compiler import CompiledPolicy
 from .packets import (
@@ -54,21 +55,15 @@ FLOW_PROTOCOLS = tuple(_PROTO_BY_NAME)  # the names send_flow accepts
 
 @dataclass
 class SimParams:
-    rtt_ns: int = 10_000_000
-    recirc_delay_ns: int | None = None  # defaults to 1.5x rtt, always > rtt
-    recirc_limit: int = 3
-    index_bits: int = 16
-    conn_dec_capacity: int = 220_000
-    rate_limit: int = 128
-    rate_window_ns: int = 1_000_000_000
-    udp_label_prefix: int = 3
+    rtt_ns: int = dataplane.DEFAULT_RTT_NS
+    recirc_delay_ns: int | None = None  # None: recirc_delay(rtt_ns)
+    recirc_limit: int = dataplane.DEFAULT_RECIRC_LIMIT
+    index_bits: int = dataplane.DEFAULT_INDEX_BITS
+    conn_dec_capacity: int = dataplane.CONN_DEC_CAPACITY
+    rate_limit: int = dataplane.DEFAULT_RATE_LIMIT
+    rate_window_ns: int = dataplane.DEFAULT_RATE_WINDOW_NS
+    udp_label_prefix: int = DEFAULT_UDP_LABEL_PREFIX
     packet_gap_ns: int = 200_000
-
-    @property
-    def effective_recirc_delay_ns(self) -> int:
-        if self.recirc_delay_ns is not None:
-            return self.recirc_delay_ns
-        return self.rtt_ns * 3 // 2
 
 
 @dataclass
@@ -158,7 +153,9 @@ class Network:
                 index_bits=p.index_bits,
                 conn_dec_capacity=p.conn_dec_capacity,
                 recirc_limit=p.recirc_limit,
-                recirc_delay_ns=p.effective_recirc_delay_ns,
+                recirc_delay_ns=(
+                    recirc_delay(p.rtt_ns) if p.recirc_delay_ns is None else p.recirc_delay_ns
+                ),
                 rate_limit=p.rate_limit,
                 rate_window_ns=p.rate_window_ns,
             )

@@ -279,17 +279,19 @@ def _firewall_side(topo: Topology, value, where: str) -> frozenset[str] | None:
 
 
 def read_yaml(path) -> object:
-    """The YAML document in `path`; a syntax error is a DifcnetError naming
-    the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The YAML document in `path`; a file that cannot be read or a syntax
+    error is a DifcnetError naming the file (and the line)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return yaml.load(fh, Loader=YAML_LOADER)
-        except yaml.MarkedYAMLError as exc:
-            mark = exc.problem_mark or exc.context_mark
-            where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
-            raise DifcnetError(f"{where}: invalid YAML: {exc.problem or exc.context}") from None
-        except yaml.YAMLError as exc:
-            raise DifcnetError(f"{path}: invalid YAML: {exc}") from None
+    except OSError as exc:
+        raise DifcnetError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark or exc.context_mark
+        where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
+        raise DifcnetError(f"{where}: invalid YAML: {exc.problem or exc.context}") from None
+    except yaml.YAMLError as exc:
+        raise DifcnetError(f"{path}: invalid YAML: {exc}") from None
 
 
 def load_topology(path: str) -> Topology:

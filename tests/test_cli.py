@@ -4,9 +4,10 @@ import pytest
 from click.testing import CliRunner
 
 from difcnet.cli import main
+from difcnet.errors import ScenarioError
 from difcnet.scenario import load_scenario
 
-from tests.conftest import POLICY_DIR, SCENARIO_DIR, TOPOLOGY_DIR
+from tests.conftest import POLICY_DIR, REPO_ROOT, SCENARIO_DIR, TOPOLOGY_DIR
 
 HOSPITAL = str(TOPOLOGY_DIR / "hospital.yaml")
 LISTING1 = str(POLICY_DIR / "listing1.ncl")
@@ -223,6 +224,49 @@ def test_run_reports_a_malformed_scenario_without_traceback(runner, tmp_path):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.output.startswith(f"Error: {path}:3: invalid YAML: ")
+
+
+MALFORMED_DIR = REPO_ROOT / "tests" / "data" / "malformed"
+UNKNOWN_OP = "unknown op, expected one of spawn, exit, read, write, create, accept, reboot, gc, update"
+# each fixture once ended in a traceback, or in an error naming no file or entry
+MALFORMED = {
+    "missing_topology": "topology: no file {dir}/../../../scenarios/topologies/nowhere.yaml",
+    "missing_policy": "policies: no file {dir}/nowhere.ncl",
+    "missing_update_policy": "events[0] (op 'update'): policies: no file {dir}/nowhere.ncl",
+    "unknown_op": "events[0] (op 'frobnicate'): " + UNKNOWN_OP,
+    "unknown_op_without_host": "setup[0] (op 'frobnicate'): " + UNKNOWN_OP,
+    "setup_not_a_list": "setup must be a list",
+    "expect_flows_list": "expect.flows must be a mapping",
+    "update_policies_string": "events[0] (op 'update'): policies must be a list of file "
+    "names, not '../../../scenarios/policies/listing1.ncl'",
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_run_rejects_a_malformed_scenario_fixture_at_load(runner, name):
+    assert sorted(MALFORMED) == sorted(p.stem for p in MALFORMED_DIR.glob("*.yaml"))
+    path = MALFORMED_DIR / f"{name}.yaml"
+    want = f"{path}: " + MALFORMED[name].format(dir=MALFORMED_DIR)
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == want
+    res = runner.invoke(main, ["run", str(path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == f"Error: {want}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["check", "{dir}", "--topology", HOSPITAL], ["check", LISTING1, "--topology", "{dir}"],
+     ["routes", "{dir}"]],
+    ids=["policy", "topology", "routes"],
+)
+def test_a_directory_given_as_a_file_is_named_without_traceback(runner, tmp_path, args):
+    res = runner.invoke(main, [a.format(dir=tmp_path) for a in args])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == f"Error: {tmp_path}: cannot read: Is a directory\n"
 
 
 def test_run_reports_an_unknown_flow_protocol_at_load(runner, tmp_path):

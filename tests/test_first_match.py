@@ -56,10 +56,10 @@ def _field_hits(field, ip):
 
 def spec_hits(m, label_bits, tracker, src_ip, dst_ip):
     """`MatchSpec.matches` restated, so that a fault in it shows as a
-    difference: ternary label bits, the tracker id when the entry names
-    one, then each address field."""
+    difference: the label covers every masked tag, the tracker id when
+    the entry names one, then each address field."""
     return (
-        label_bits & m.label_mask == m.label_value
+        label_bits & m.label_mask == m.label_mask
         and m.tracker_match in (0, tracker)
         and _field_hits(m.src, src_ip)
         and _field_hits(m.dst, dst_ip)
@@ -205,7 +205,7 @@ def test_first_match_after_apply_update_equals_a_fresh_compile(policy, pkts):
 
 
 def test_table_kind_follows_the_match_fields():
-    assert MatchSpec(label_mask=1, label_value=1, tracker_match=2).table == "ternary"
+    assert MatchSpec(label_mask=1, tracker_match=2).table == "ternary"
     assert MatchSpec(tracker_match=2).table == "tracker"
     assert MatchSpec().table == "exact"
 

@@ -4,14 +4,13 @@ outgoing header stamping, incoming label buckets, and reboots."""
 import pytest
 
 from difcnet.errors import (
-    CapabilityViolation,
     PidReuseViolation,
     UnknownEntry,
     UnknownInode,
 )
 from difcnet.header import DifcHeader, FlowKey
 from difcnet.hostagent import FIRST_AUTO_INODE, HostAgent, SeqSource
-from difcnet.labels import CapabilitySet, Label, tag_bit
+from difcnet.labels import Label, tag_bit
 from difcnet.packets import (
     PROTO_ICMP,
     PROTO_TCP,
@@ -26,9 +25,9 @@ S = tag_bit(0)
 T = tag_bit(1)
 
 
-def agent(label=S, files=(), caps=None):
+def agent(label=S, files=()):
     a = HostAgent("H", "10.0.0.1")
-    a.initialize(Label(label), files, caps)
+    a.initialize(Label(label), files)
     return a
 
 
@@ -57,10 +56,9 @@ def udp_pkt(sport=41000, dst="10.0.0.2", dport=53):
 
 
 def test_spawn_inherits_host_label_and_caps():
-    a = agent(caps=CapabilitySet(plus=T, minus=S))
+    a = agent()
     a.spawn(100)
     assert a.pid_labels[100].bits == S
-    assert a.pid_caps[100] == CapabilitySet(plus=T, minus=S)
     assert a.pid_trackers[100] == 0
 
 
@@ -133,26 +131,6 @@ def test_unknown_paths_and_inodes():
         a.inode_of("/ghost")
     with pytest.raises(UnknownInode):
         a.read(100, 424242)
-
-
-# -- privileges ------------------------------------------------------------
-
-
-def test_declassify_and_endorse_through_caps():
-    a = agent(caps=CapabilitySet(plus=T, minus=S))
-    a.spawn(100)
-    a.declassify(100, S)
-    assert a.pid_labels[100].bits == 0
-    a.endorse(100, T)
-    assert a.pid_labels[100].bits == T
-
-
-def test_privilege_without_capability_fails_cleanly():
-    a = agent()
-    a.spawn(100)
-    with pytest.raises(CapabilityViolation):
-        a.declassify(100, S)
-    assert a.pid_labels[100].bits == S  # unchanged
 
 
 # -- outgoing labeling -----------------------------------------------------
@@ -278,11 +256,7 @@ def _populated_agent():
     """An agent with something in every part of its state: a bound and a
     created file, a live process that read a tracked file, a pending label
     bucket, a UDP label count and an acknowledged UDP flow."""
-    a = agent(
-        label=S,
-        files=(("/srv/f", 7),),
-        caps=CapabilitySet(plus=T, minus=S),
-    )
+    a = agent(label=S, files=(("/srv/f", 7),))
     a.spawn(100)
     a.read(100, a.inode_of("/srv/f"))
     a.create(100, "/tmp/copy")
@@ -303,15 +277,13 @@ def test_reboot_preserves_files_clears_processes():
     assert a.pid_labels and a.in_labels and a.udp_sent and a.udp_acked
     assert a.pid_trackers == {100: 7}
     a.reboot(now_ns=5)
-    # file labels, trackers and paths, the host label and the capabilities
-    # persist on disk
+    # file labels, trackers and paths and the host label persist on disk
     assert a.file_labels == files
     assert a.file_trackers == trackers
     assert a.file_paths == paths
     assert a.host_label.bits == S
-    assert a.host_caps == CapabilitySet(plus=T, minus=S)
     # process, flow and UDP state never survives
-    assert not a.pid_labels and not a.pid_caps and not a.pid_trackers
+    assert not a.pid_labels and not a.pid_trackers
     assert not a.in_labels and not a.udp_sent and not a.udp_acked
     assert [(e.kind, e.time_ns) for e in a.events[-2:]] == [("restore", 5), ("reboot", 5)]
     a.spawn(100)  # the old incarnation is gone

@@ -1,4 +1,4 @@
-"""Label algebra: bit layout, set semantics, capabilities.
+"""Label algebra: bit layout, set semantics, the tag registry.
 
 Set-typed properties are checked against plain Python sets, which act as
 the reference model for every bitmap operation.
@@ -8,17 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from difcnet.errors import CapabilityViolation, UnknownTag
+from difcnet.errors import UnknownTag
 from difcnet.labels import (
     EMPTY_LABEL,
     LABEL_MASK,
     TAG_SPACE,
-    CapabilitySet,
     Label,
-    TagKind,
     TagRegistry,
-    declassify_label,
-    endorse_label,
     tag_bit,
 )
 
@@ -63,61 +59,16 @@ def test_empty_label_is_falsy():
 def test_set_operations_match_python_sets(a, b):
     la, lb = Label.of(*a), Label.of(*b)
     assert set((la | lb).indexes()) == a | b
-    assert set((la & lb).indexes()) == a & b
-    assert set(la.without(lb.bits).indexes()) == a - b
-    assert la.issubset(lb) == (a <= b)
-    assert la.issuperset(lb) == (a >= b)
-
-
-@given(tag_sets, tag_sets)
-def test_declassify_removes_exactly_the_mask(label, removed):
-    caps = CapabilitySet(minus=Label.of(*removed).bits)
-    out = declassify_label(Label.of(*label), Label.of(*removed).bits, caps)
-    assert set(out.indexes()) == label - removed
-
-
-def test_declassify_requires_minus_capability():
-    caps = CapabilitySet(minus=tag_bit(1))
-    label = Label.of(1, 2)
-    with pytest.raises(CapabilityViolation):
-        declassify_label(label, tag_bit(1) | tag_bit(2), caps)
-    # label untouched by the failed attempt
-    assert label.indexes() == [1, 2]
-
-
-@given(tag_sets, tag_sets)
-def test_endorse_adds_exactly_the_mask(label, added):
-    caps = CapabilitySet(plus=Label.of(*added).bits)
-    out = endorse_label(Label.of(*label), Label.of(*added).bits, caps)
-    assert set(out.indexes()) == label | added
-
-
-def test_endorse_requires_plus_capability():
-    with pytest.raises(CapabilityViolation):
-        endorse_label(EMPTY_LABEL, tag_bit(9), CapabilitySet())
-
-
-def test_capability_sets_are_independent():
-    caps = CapabilitySet(plus=tag_bit(0), minus=tag_bit(0))
-    assert endorse_label(EMPTY_LABEL, tag_bit(0), caps).has(0)
-    assert not declassify_label(Label.of(0), tag_bit(0), caps).has(0)
 
 
 def test_registry_assigns_indexes_in_order():
     reg = TagRegistry()
-    assert reg.register("x", TagKind.SECRECY) == 0
-    assert reg.register("y", TagKind.INTEGRITY) == 1
-    assert reg.register("x", TagKind.SECRECY) == 0  # idempotent
-    assert reg.next_free == 2
+    assert reg.register("x") == 0
+    assert reg.register("y") == 1
+    assert reg.register("x") == 0  # idempotent
+    assert reg.name_to_id == {"x": 0, "y": 1}
     assert reg.name_of(1) == "y"
-    assert reg.kind_of("y") is TagKind.INTEGRITY
-
-
-def test_registry_rejects_kind_change():
-    reg = TagRegistry()
-    reg.register("x", TagKind.SECRECY)
-    with pytest.raises(UnknownTag):
-        reg.register("x", TagKind.INTEGRITY)
+    assert reg.lookup("y") == 1
 
 
 def test_registry_lookup_unknown():
@@ -129,8 +80,8 @@ def test_registry_lookup_unknown():
 
 def test_registry_label_of_and_format():
     reg = TagRegistry()
-    reg.register("b", TagKind.SECRECY)
-    reg.register("a", TagKind.SECRECY)
+    reg.register("b")
+    reg.register("a")
     label = reg.label_of(["a", "b"])
     assert label.bits == tag_bit(0) | tag_bit(1)
     assert reg.format_label(label) == "{a, b}"  # sorted by name
@@ -140,9 +91,9 @@ def test_registry_label_of_and_format():
 def test_registry_tag_space_exhaustion():
     reg = TagRegistry()
     for i in range(TAG_SPACE):
-        reg.register(f"t{i}", TagKind.SECRECY)
+        reg.register(f"t{i}")
     with pytest.raises(UnknownTag):
-        reg.register("overflow", TagKind.SECRECY)
+        reg.register("overflow")
 
 
 def test_label_mask_constant():
@@ -173,24 +124,15 @@ def outcome(fn, *args):
 
 
 @given(
-    st.lists(
-        st.tuples(st.text(alphabet="abXY_", min_size=1, max_size=3), st.sampled_from(TagKind)),
-        max_size=30,
-    ),
+    st.lists(st.text(alphabet="abXY_", min_size=1, max_size=3), max_size=30),
     # mostly registered indexes, some never registered
     st.sets(st.one_of(st.integers(0, 12), st.integers(0, TAG_SPACE - 1)), max_size=6),
     st.integers(-1, TAG_SPACE),
 )
 def test_registry_lookups_equal_scans(registrations, indexes, index):
     reg = TagRegistry()
-    for name, kind in registrations:
-        try:
-            reg.register(name, kind)
-        except UnknownTag:
-            pass  # a kind change is refused and leaves the registry as it was
+    for name in registrations:
+        reg.register(name)
     label = Label.of(*indexes)
-    # a registry built from existing maps derives the same lookups
-    rebuilt = TagRegistry(dict(reg.name_to_id), dict(reg.kind), reg.next_free)
-    for r in (reg, rebuilt):
-        assert outcome(r.name_of, index) == outcome(scan_name_of, reg, index)
-        assert outcome(r.format_label, label) == outcome(scan_format_label, reg, label)
+    assert outcome(reg.name_of, index) == outcome(scan_name_of, reg, index)
+    assert outcome(reg.format_label, label) == outcome(scan_format_label, reg, label)

@@ -24,7 +24,7 @@ from difcnet.errors import (
     UnknownName,
     UnknownTag,
 )
-from difcnet.labels import TAG_SPACE, Label, TagKind, TagRegistry
+from difcnet.labels import TAG_SPACE, Label, TagRegistry
 from difcnet.netcl import compile_program, parse
 from difcnet.netcl.ast import (
     Alert,
@@ -49,9 +49,7 @@ from difcnet.netcl.compiler import (
     SwitchConfig,
     TableEntry,
     _check_modify,
-    _check_privilege_kinds,
     _register_tags,
-    _tag_mask,
 )
 from tests.conftest import make_lan, make_split
 
@@ -183,39 +181,35 @@ def ref_parse(source):
 
 
 def ref_register_tags(program, registry):
-    """Two passes over every rule: the kinds that privilege actions
-    require, then a `register` per tag of every node, in source order."""
-    required = {}
+    """Two passes over every rule: the tags that privilege actions
+    declassify and endorse, which must not meet, then a `register` per tag
+    of every node, in source order."""
+    declassified, endorsed = set(), set()
     for stmt in program.statements:
-        if not isinstance(stmt, Rule):
-            continue
-        if isinstance(stmt.action, Endorse):
-            kind = TagKind.INTEGRITY
-        elif isinstance(stmt.action, Declassify):
-            kind = TagKind.SECRECY
-        else:
-            continue
-        for t in stmt.action.tags:
-            if required.setdefault(t, kind) is not kind:
-                raise CompileError(
-                    f"tag {t!r} cannot be both declassified and endorsed"
-                )
-
-    def kind_for(t):
-        return required.get(t, TagKind.SECRECY)
+        if isinstance(stmt, Rule) and isinstance(stmt.action, (Endorse, Declassify)):
+            mine, other = (
+                (endorsed, declassified) if isinstance(stmt.action, Endorse)
+                else (declassified, endorsed)
+            )
+            for t in stmt.action.tags:
+                if t in other:
+                    raise CompileError(
+                        f"tag {t!r} cannot be both declassified and endorsed"
+                    )
+                mine.add(t)
 
     for stmt in program.statements:
         if isinstance(stmt, LabelHost):
             for t in stmt.tags:
-                registry.register(t, kind_for(t))
+                registry.register(t)
         elif isinstance(stmt, Rule):
             for c in stmt.conjuncts:
                 if isinstance(c, Contains):
                     for t in c.tags:
-                        registry.register(t, kind_for(t))
+                        registry.register(t)
             if isinstance(stmt.action, (Endorse, Declassify)):
                 for t in stmt.action.tags:
-                    registry.register(t, kind_for(t))
+                    registry.register(t)
 
 
 def ref_compile(program, topology):
@@ -268,7 +262,7 @@ def ref_compile(program, topology):
 
         for c in rule.conjuncts:
             if isinstance(c, Contains):
-                label_mask |= _tag_mask(c.tags, registry)
+                label_mask |= registry.label_of(c.tags).bits
                 continue
             if c.lhs == "tracker_id":
                 if c.op != "==":
@@ -329,15 +323,13 @@ def ref_compile(program, topology):
 
         spec = MatchSpec(
             label_mask=label_mask,
-            label_value=label_mask,
             tracker_match=tracker_match,
             src=src_field,
             dst=dst_field,
         )
 
         if isinstance(rule.action, (Declassify, Endorse)):
-            _check_privilege_kinds(rule.action, registry)
-            mask = _tag_mask(rule.action.tags, registry)
+            mask = registry.label_of(rule.action.tags).bits
             direction = "declassify" if isinstance(rule.action, Declassify) else "endorse"
             entry = PrivilegeEntry(spec, mask, direction, rule.priority, rule.line)
             for s in placements:
@@ -589,17 +581,14 @@ def tag_programs(draw):
         else:
             body = tuple(node(conjuncts) for _ in range(draw(st.integers(1, 3))))
             statements.append(Rule(body, node(actions), len(statements), line))
-    known = draw(st.lists(
-        st.tuples(st.sampled_from(TAG_NAMES), st.sampled_from(TagKind)), max_size=3,
-        unique_by=lambda p: p[0],
-    ))
+    known = draw(st.lists(st.sampled_from(TAG_NAMES), max_size=3, unique=True))
     return Program(tuple(statements)), known
 
 
 def _registered(fn, program, known):
     registry = TagRegistry()
-    for name, kind in known:
-        registry.register(name, kind)
+    for name in known:
+        registry.register(name)
     _, err = _outcome(fn, program, registry)
     return registry, err
 
@@ -613,7 +602,6 @@ def test_register_tags_equals_the_two_pass_reference(drawn):
     if want_err is None:
         assert err is None
         assert got.name_to_id == want.name_to_id
-        assert got.kind == want.kind
     else:
         _same_error(err, want_err)
 

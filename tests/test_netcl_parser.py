@@ -3,7 +3,7 @@ parse/format round trip."""
 
 import pytest
 
-from difcnet.errors import NetclSyntaxError
+from difcnet.errors import DifcnetError, NetclSyntaxError
 from difcnet.netcl import (
     Alert,
     Allow,
@@ -19,6 +19,7 @@ from difcnet.netcl import (
     Rule,
     format_program,
     parse,
+    parse_files,
 )
 from tests.conftest import POLICY_DIR
 
@@ -216,3 +217,10 @@ def test_shipped_policies_round_trip():
     for name in ("listing1.ncl", "listing2.ncl", "listing3.ncl"):
         prog = parse((POLICY_DIR / name).read_text())
         assert parse(format_program(prog)) == prog
+
+
+def test_parse_files_names_a_file_it_cannot_read(tmp_path):
+    path = tmp_path / "nowhere.ncl"
+    with pytest.raises(DifcnetError) as info:
+        parse_files([str(POLICY_DIR / "listing1.ncl"), str(path)])
+    assert str(info.value) == f"{path}: cannot read: No such file or directory"

@@ -87,8 +87,8 @@ def _flow_edges(ev):
         yield pid_entity(ev.host, ev.pid), flow_entity(ev.flow), False
     elif ev.kind == "label-file":
         yield host_entity(ev.host), file_entity(ev.host, ev.inode), False
-    # label-init, deliver, label-ack, declassify, endorse, exit, restore,
-    # reboot: no cross-entity flow
+    # label-init, deliver, label-ack, exit, restore, reboot and any other
+    # kind: no cross-entity flow
 
 
 def reference_slice(events, sink, *, until_seq=None):
@@ -211,6 +211,8 @@ def test_merged_events_total_order():
 
 
 EDGE_KINDS = ("spawn", "read", "write", "create", "accept", "send", "label-file")
+# the agent's kinds without an edge, and two kinds no agent emits, which
+# must have none either
 KINDS = EDGE_KINDS + (
     "label-init", "deliver", "label-ack", "declassify", "endorse", "exit",
     "restore", "reboot",

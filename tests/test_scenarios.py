@@ -76,11 +76,13 @@ def _minimal_scenario(tmp_path, extra):
 
 
 def test_unknown_event_op(tmp_path):
-    scn = _minimal_scenario(
-        tmp_path, {"events": [{"host": "Host1", "op": "frobnicate"}]}
+    # caught when the scenario loads, not when the event is scheduled
+    with pytest.raises(ScenarioError) as exc:
+        _minimal_scenario(tmp_path, {"events": [{"host": "Host1", "op": "frobnicate"}]})
+    assert str(exc.value) == (
+        f"{tmp_path / 'scn.yaml'}: events[0] (op 'frobnicate'): unknown op, expected one "
+        "of spawn, exit, read, write, create, accept, reboot, gc, update"
     )
-    with pytest.raises(ScenarioError, match="frobnicate"):
-        run_scenario(scn)
 
 
 def test_event_requires_known_host(tmp_path):

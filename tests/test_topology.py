@@ -339,3 +339,11 @@ def test_yaml_errors_name_the_file_and_line(tmp_path, monkeypatch, loader, text,
         with pytest.raises(DifcnetError) as info:
             load(path)
         assert str(info.value).startswith(f"{path}:{line}: invalid YAML: "), load
+
+
+def test_a_missing_file_is_named(tmp_path):
+    path = tmp_path / "nowhere.yaml"
+    for load in (read_yaml, load_topology, load_scenario):
+        with pytest.raises(DifcnetError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: cannot read: No such file or directory", load

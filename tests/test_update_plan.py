@@ -83,7 +83,7 @@ IPS = ["10.9.0.1", "10.9.0.2"]
 MATCHES = [
     MatchSpec(dst=FieldMatch(frozenset(IPS[:1]))),
     MatchSpec(dst=FieldMatch(frozenset(IPS))),
-    MatchSpec(label_mask=1, label_value=1),
+    MatchSpec(label_mask=1),
     MatchSpec(tracker_match=2),
 ]
 # distinct entries share each priority; the same entry recurs with two
