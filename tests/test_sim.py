@@ -2,6 +2,8 @@
 bidirectional installs, recirculation under eviction, UDP acks, and
 trace determinism."""
 
+import inspect
+
 import pytest
 
 from difcnet.dataplane import Decision, Switch
@@ -297,3 +299,17 @@ def test_packets_of_a_flow_share_one_key(monkeypatch):
     assert all(pkt.flow_key is by_value[pkt.flow_key] for pkt in data)
     assert {id(pkt.flow_key) for pkt in data} == {id(rec.key) for rec in flows}
     assert any(pkt.control is not None for pkt in seen)  # label acks carry keys of their own
+
+
+
+def test_default_params_are_the_switch_and_agent_defaults():
+    switch = inspect.signature(Switch).parameters
+    p = SimParams()
+    for name in ("index_bits", "conn_dec_capacity", "recirc_limit", "rate_limit", "rate_window_ns"):
+        assert getattr(p, name) == switch[name].default
+    agent = inspect.signature(HostAgent).parameters
+    assert p.udp_label_prefix == agent["udp_label_prefix"].default
+    # a buffer miss waits 1.5 round trips, so the install it waits for has landed
+    assert lan_network().switches["S2"].recirc_delay_ns == switch["recirc_delay_ns"].default
+    assert switch["recirc_delay_ns"].default == 15 * MS
+    assert lan_network(SimParams(rtt_ns=4 * MS)).switches["S2"].recirc_delay_ns == 6 * MS
