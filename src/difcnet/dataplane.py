@@ -8,14 +8,14 @@ else is forwarded untouched. Enforcement order for an enforced packet:
   2. initial packets: per-source rate check, then classification, then the
      matched entry's action; the verdict is written to the direct-mapped
      decision buffer and an install request is emitted
-  3. classification of an initial packet: the switch's classification
-     cache, keyed on (original label bits, tracker id, source, destination),
-     answers with the rewritten label and the matched entry. A miss runs
-     the privilege stage (declassify/endorse against the original label),
-     then the match entries in ascending priority, where the first match
-     wins and no match means drop, and stores the answer. `set_config`
-     empties the cache, and a full cache (CLASSIFY_CACHE_CAPACITY keys) is
-     emptied before the next store
+  3. classification of an initial packet: `decide`, shared with the route
+     analysis, behind a cache keyed on (original label bits, tracker id,
+     source, destination). It runs the privilege stage (declassify/endorse
+     against the original label; no header means the empty label, and a
+     rewrite that changes the bits writes one), then the match entries in
+     ascending priority: the first match wins, no match means drop.
+     `set_config` empties the cache, and a full cache
+     (CLASSIFY_CACHE_CAPACITY keys) is emptied before the next store
   4. non-initial packets: decision buffer lookup; a miss recirculates the
      packet after a delay longer than one RTT, bounded by a recirculation
      budget, after which it drops
@@ -88,9 +88,6 @@ class ConnDecTable:
             return None
         self._entries[key] = (hit[0], now_ns)
         return hit[0]
-
-    def remove(self, key: FlowKey) -> bool:
-        return self._entries.pop(key, None) is not None
 
     def gc(self, now_ns: int, idle_ns: int) -> int:
         stale = [k for k, (_, t) in self._entries.items() if now_ns - t >= idle_ns]
@@ -188,6 +185,17 @@ def apply_privileges(
         else:
             endorse |= entry.mask
     return (label_bits & ~declass) | endorse
+
+
+def decide(
+    config: SwitchConfig, label_bits: int, tracker: int, src_ip: str, dst_ip: str
+) -> tuple[int, TableEntry | None]:
+    """(rewritten label bits, first matching entry or None) for an initial
+    packet: the one admission decision of the switch and the route analysis."""
+    new_bits = label_bits
+    if config.privilege_entries:  # most configs have none; skip the call
+        new_bits = apply_privileges(config.privilege_entries, label_bits, tracker, src_ip, dst_ip)
+    return new_bits, match_policies(config, new_bits, tracker, src_ip, dst_ip)
 
 
 @dataclass(frozen=True)
@@ -343,19 +351,15 @@ class Switch:
     def classify(
         self, label_bits: int, tracker: int, src_ip: str, dst_ip: str
     ) -> tuple[int, TableEntry | None]:
-        """(rewritten label bits, first matching entry or None) for an
-        initial packet under the current config, from the classification
-        cache or, on a miss, from the privilege stage and the match entries."""
+        """`decide` for an initial packet under the current config, served
+        from the classification cache when the key was seen before."""
         ckey = (label_bits, tracker, src_ip, dst_ip)
         cached = self._classified.get(ckey)
         if cached is not None:
             self.classify_hits += 1
             return cached
         self.classify_misses += 1
-        new_bits = apply_privileges(
-            self.config.privilege_entries, label_bits, tracker, src_ip, dst_ip
-        )
-        result = (new_bits, match_policies(self.config, new_bits, tracker, src_ip, dst_ip))
+        result = decide(self.config, label_bits, tracker, src_ip, dst_ip)
         if len(self._classified) >= CLASSIFY_CACHE_CAPACITY:
             self._classified.clear()
         self._classified[ckey] = result
@@ -366,11 +370,11 @@ class Switch:
             log = [f"{self.switch_id} drop {key} rate-limited"]
             return PipelineResult("drop", pkt, decision_source="rate", log=log)
 
-        orig_bits = pkt.difc.label.bits if pkt.difc is not None else 0
-        tracker = pkt.difc.tracker_id if pkt.difc is not None else 0
+        difc = pkt.difc  # no header: the empty label
+        orig_bits, tracker = (0, 0) if difc is None else (difc.label.bits, difc.tracker_id)
         new_bits, entry = self.classify(orig_bits, tracker, pkt.src_ip, pkt.dst_ip)
         log: Log = ()
-        if pkt.difc is not None and new_bits != orig_bits:
+        if new_bits != orig_bits:
             pkt = pkt.with_header(DifcHeader(Label(new_bits), tracker))
             log = [
                 f"{self.switch_id} rewrite-label {key} "
@@ -389,7 +393,7 @@ class Switch:
 
         self.buffer.insert(key, decision)
         result.install_requests = [InstallRequest(self.switch_id, key, decision, now_ns)]
-        if pkt.protocol == PROTO_UDP and pkt.difc is not None:
+        if pkt.protocol == PROTO_UDP:
             result.generated = [
                 SimPacket(
                     src_ip=pkt.dst_ip,

@@ -182,7 +182,7 @@ def parse(source: str) -> Program:
 def parse_files(paths) -> Program:
     """Parse and concatenate several policy files into one program, in
     order. Priorities follow the concatenation order. A file that cannot be
-    read is a DifcnetError naming it."""
+    read or is not UTF-8 text is a DifcnetError naming it."""
     merged = []
     for path in paths:
         try:
@@ -190,4 +190,6 @@ def parse_files(paths) -> Program:
                 merged.append(fh.read())
         except OSError as exc:
             raise DifcnetError(f"{path}: cannot read: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DifcnetError(f"{path}: cannot read: not UTF-8 text ({exc.reason})") from None
     return parse("\n".join(merged))

@@ -20,7 +20,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .dataplane import apply_privileges, match_policies
+# bench/tracing.py patches apply_privileges and match_policies by name here
+from .dataplane import apply_privileges, decide, match_policies  # noqa: F401
 from .netcl.ast import Drop
 from .netcl.compiler import CompiledPolicy
 from .topology import FirewallRule, Topology, firewall_admits
@@ -54,17 +55,12 @@ def iter_routes(candidates: list[str], k: int):
 
 
 def make_policy_admit(compiled: CompiledPolicy, topology: Topology):
-    """Static admission through the destination's enforcement switch:
-    privilege rewrite, then the first matching entry, default deny."""
+    """Admission by the destination switch's `decide`: any entry but `drop` admits."""
 
     def admit(src_ip: str, dst_ip: str, label_bits: int) -> tuple[bool, int]:
         cfg = compiled.configs[topology.switch_of_ip(dst_ip)]
-        new_bits = apply_privileges(
-            cfg.privilege_entries, label_bits, 0, src_ip, dst_ip
-        )
-        entry = match_policies(cfg, new_bits, 0, src_ip, dst_ip)
-        ok = entry is not None and not isinstance(entry.action, Drop)
-        return ok, new_bits
+        new_bits, entry = decide(cfg, label_bits, 0, src_ip, dst_ip)
+        return entry is not None and not isinstance(entry.action, Drop), new_bits
 
     return admit
 

@@ -30,8 +30,13 @@ EVENT_FIELDS = {
 }
 # fields every flow entry needs, checked when the scenario loads
 FLOW_FIELDS = ("id", "src", "dst")
-# the container each part of `expect` is, checked when the scenario loads
+# what `expect` may hold, checked when the scenario loads: the container
+# each part is, the counts, and per expected flow its fields
 EXPECT_SHAPES = {"flows": dict, "pids": list, "files": list, "trace_contains": list}
+EXPECT_KEYS = (*EXPECT_SHAPES, "external_delivered")
+EXPECT_FLOW_NUMBERS = {"delivered": "count", "sent": "count", "dropped": "count"}
+EXPECT_FLOW_KEYS = ("verdict", *EXPECT_FLOW_NUMBERS)
+VERDICTS = ("allow", "drop")
 
 # Numbers checked when the scenario loads, by kind: "ms" is a time or a
 # duration in milliseconds, "count" a whole number, "port" a whole number
@@ -97,6 +102,12 @@ class Scenario:
     flows: list[dict]
     expect: dict
     path: Path  # the scenario file, named by every error about its entries
+
+
+def _check_keys(where: str, entry: dict, known: tuple[str, ...]) -> None:
+    for key in entry:
+        if key not in known:
+            raise ScenarioError(f"{where}.{key}: unknown key, expected one of {', '.join(known)}")
 
 
 def _flow_where(path: Path, i: int, flow: dict) -> str:
@@ -183,10 +194,18 @@ def load_scenario(path: str | Path) -> Scenario:
         if problem:
             raise ScenarioError(f"{path}: params.{name} {problem}")
     expect = _typed(f"{path}: expect", doc.get("expect", {}), dict)
+    _check_keys(f"{path}: expect", expect, EXPECT_KEYS)
     for key, kind in EXPECT_SHAPES.items():
         _typed(f"{path}: expect.{key}", expect.get(key, kind()), kind)
+    _check_numbers(f"{path}: expect", expect, {"external_delivered": "count"})
     for flow_id, want in expect.get("flows", {}).items():
-        _typed(f"{path}: expect.flows.{flow_id}", want, dict)
+        where = f"{path}: expect.flows.{flow_id}"
+        _check_keys(where, _typed(where, want, dict), EXPECT_FLOW_KEYS)
+        _check_numbers(where, want, EXPECT_FLOW_NUMBERS)
+        if want.get("verdict", "allow") not in VERDICTS:
+            raise ScenarioError(
+                f"{where}: verdict must be one of {', '.join(VERDICTS)}, not {want['verdict']!r}"
+            )
     return Scenario(
         name=doc.get("name", path.stem),
         base_dir=base,

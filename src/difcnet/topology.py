@@ -286,6 +286,8 @@ def read_yaml(path) -> object:
             return yaml.load(fh, Loader=YAML_LOADER)
     except OSError as exc:
         raise DifcnetError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DifcnetError(f"{path}: cannot read: not UTF-8 text ({exc.reason})") from None
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark or exc.context_mark
         where = f"{path}:{mark.line + 1}" if mark is not None else str(path)

@@ -239,6 +239,16 @@ MALFORMED = {
     "expect_flows_list": "expect.flows must be a mapping",
     "update_policies_string": "events[0] (op 'update'): policies must be a list of file "
     "names, not '../../../scenarios/policies/listing1.ncl'",
+    "expect_unknown_key": "expect.flow: unknown key, expected one of flows, pids, files, "
+    "trace_contains, external_delivered",
+    "expect_flow_unknown_key": "expect.flows.entry.verdcit: unknown key, expected one of "
+    "verdict, delivered, sent, dropped",
+    "expect_delivered_not_a_count": "expect.flows.entry: delivered must be an integer >= 0, "
+    "not 'lots'",
+    "expect_external_delivered_negative": "expect: external_delivered must be an integer >= 0, "
+    "not -1",
+    "expect_verdict_misspelt": "expect.flows.entry: verdict must be one of allow, drop, "
+    "not 'alow'",
 }
 
 
@@ -267,6 +277,15 @@ def test_a_directory_given_as_a_file_is_named_without_traceback(runner, tmp_path
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.output == f"Error: {tmp_path}: cannot read: Is a directory\n"
+
+
+def test_check_names_a_policy_that_is_not_utf8_without_traceback(runner, tmp_path):
+    path = tmp_path / "bad.ncl"
+    path.write_bytes(b"\xff\xfe\x00")
+    res = runner.invoke(main, ["check", str(path), "--topology", HOSPITAL])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == f"Error: {path}: cannot read: not UTF-8 text (invalid start byte)\n"
 
 
 def test_run_reports_an_unknown_flow_protocol_at_load(runner, tmp_path):

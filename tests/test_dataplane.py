@@ -76,14 +76,6 @@ def test_conn_dec_capacity_and_reinstall():
     assert t.lookup(_key(1), 2) is Decision.ALLOW
 
 
-def test_conn_dec_remove():
-    t = ConnDecTable()
-    t.install(_key(), Decision.ALLOW, 0)
-    assert t.remove(_key())
-    assert not t.remove(_key())
-    assert t.lookup(_key(), 1) is None
-
-
 def test_conn_dec_gc_respects_lookup_refresh():
     t = ConnDecTable()
     t.install(_key(0), Decision.ALLOW, 0)

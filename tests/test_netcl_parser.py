@@ -224,3 +224,11 @@ def test_parse_files_names_a_file_it_cannot_read(tmp_path):
     with pytest.raises(DifcnetError) as info:
         parse_files([str(POLICY_DIR / "listing1.ncl"), str(path)])
     assert str(info.value) == f"{path}: cannot read: No such file or directory"
+
+
+def test_parse_files_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.ncl"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(DifcnetError) as info:
+        parse_files([str(POLICY_DIR / "listing1.ncl"), str(path)])
+    assert str(info.value) == f"{path}: cannot read: not UTF-8 text (invalid start byte)"

@@ -347,3 +347,14 @@ def test_a_missing_file_is_named(tmp_path):
         with pytest.raises(DifcnetError) as info:
             load(path)
         assert str(info.value) == f"{path}: cannot read: No such file or directory", load
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+def test_a_file_that_is_not_utf8_is_named(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(topology, "YAML_LOADER", loader)
+    path = tmp_path / "doc.yaml"
+    path.write_bytes(b"\xff\xfe\x00")
+    for load in (read_yaml, load_topology, load_scenario):
+        with pytest.raises(DifcnetError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: cannot read: not UTF-8 text (invalid start byte)", load
