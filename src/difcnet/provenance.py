@@ -16,12 +16,14 @@ Each event's edge, `source` -> `target`, is fixed once in the AgentEvent
 constructor. backward_slice answers: which entities could have contributed
 state to the sink at the cut point. Events from all agents merge into one
 global order by (time, seq); seq comes from a shared counter, so the order
-is total. A slice is two stable sorts into that order and one reverse
-sweep over the edges.
+is total. An EventLog holds a log in that order. It is sorted once, when it
+is made, and keeps its edges newest first after the first slice, so each
+slice is one reverse sweep over the edges alone.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import attrgetter
 
 from .hostagent import (
@@ -35,6 +37,7 @@ from .hostagent import (
 
 __all__ = [
     "Entity",
+    "EventLog",
     "backward_slice",
     "file_entity",
     "flow_entity",
@@ -47,23 +50,31 @@ _BY_SEQ = attrgetter("seq")
 _BY_TIME = attrgetter("time_ns")
 
 
-def _in_order(events) -> list[AgentEvent]:
-    """A new list in (time_ns, seq) order: sorting by seq and then, stably,
-    by time_ns gives that order without a key tuple per event."""
-    out = sorted(events, key=_BY_SEQ)
-    out.sort(key=_BY_TIME)
-    return out
+class EventLog(tuple):
+    """Agent events in (time_ns, seq) order. Make one with `of`; a tuple
+    cannot change, so the view below is built once and then reused."""
+
+    @classmethod
+    def of(cls, events) -> EventLog:
+        """Sorting by seq and then, stably, by time_ns gives the order
+        without a key tuple per event."""
+        out = sorted(events, key=_BY_SEQ)
+        out.sort(key=_BY_TIME)
+        return cls(out)
+
+    @cached_property
+    def edges_newest_first(self) -> tuple[AgentEvent, ...]:
+        # self[::-1] is a plain tuple: reversed() on a tuple subclass goes
+        # through the generic sequence protocol, several times slower
+        return tuple([ev for ev in self[::-1] if ev.target is not None])
 
 
-def merged_events(*event_lists: list[AgentEvent]) -> list[AgentEvent]:
-    out: list[AgentEvent] = []
-    for lst in event_lists:
-        out.extend(lst)
-    return _in_order(out)
+def merged_events(*event_lists: list[AgentEvent]) -> EventLog:
+    return EventLog.of(ev for lst in event_lists for ev in lst)
 
 
 def backward_slice(
-    events: list[AgentEvent],
+    events: EventLog | list[AgentEvent],
     sink: Entity,
     *,
     until_seq: int | None = None,
@@ -74,14 +85,17 @@ def backward_slice(
     `active` is the traversal frontier; `result` is the answer. A strong
     update closes the target for traversal (everything before it belongs to
     a different incarnation) but the entity stays in the answer, since its
-    current incarnation did contribute."""
+    current incarnation did contribute. A log that is not an EventLog is
+    sorted into one first."""
+    log = events if isinstance(events, EventLog) else EventLog.of(events)
+    edges = log.edges_newest_first
+    if until_seq is not None:
+        edges = [ev for ev in edges if ev.seq <= until_seq]
     active: set[Entity] = {sink}
     result: set[Entity] = {sink}
-    for ev in reversed(_in_order(events)):
+    for ev in edges:
         target = ev.target
         if target not in active:
-            continue
-        if until_seq is not None and ev.seq > until_seq:
             continue
         source = ev.source
         active.add(source)

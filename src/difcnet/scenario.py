@@ -200,6 +200,8 @@ def load_scenario(path: str | Path) -> Scenario:
     _check_numbers(f"{path}: expect", expect, {"external_delivered": "count"})
     for flow_id, want in expect.get("flows", {}).items():
         where = f"{path}: expect.flows.{flow_id}"
+        if flow_id not in flow_ids:
+            raise ScenarioError(f"{where}: {flow_id!r} is not a flow id in this file")
         _check_keys(where, _typed(where, want, dict), EXPECT_FLOW_KEYS)
         _check_numbers(where, want, EXPECT_FLOW_NUMBERS)
         if want.get("verdict", "allow") not in VERDICTS:

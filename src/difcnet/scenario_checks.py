@@ -19,8 +19,9 @@ def _tracker_ref(compiled, ref):
 
 def check_expectation_names(where: str, expect: dict, topology, compiled) -> None:
     """Checks, before the run, that each `expect.pids` and `expect.files`
-    entry names a host of the topology and, if it names a tracker, a file
-    the policy tracks; `where` is the scenario file."""
+    entry names a host of the topology, only tags the policy declares and,
+    if it names a tracker, a file the policy tracks; `where` is the
+    scenario file."""
     for section, fields in EXPECT_FIELDS.items():
         for i, spec in enumerate(expect.get(section, [])):
             entry = f"{where}: expect.{section}[{i}]"
@@ -39,6 +40,13 @@ def check_expectation_names(where: str, expect: dict, topology, compiled) -> Non
                 _tracker_ref(compiled, ref)
             except DifcnetError as exc:
                 raise ScenarioError(f"{entry}: tracker {ref!r}: {exc}") from None
+            for key in ("includes", "excludes"):
+                names = spec.get(key, [])
+                if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                    raise ScenarioError(f"{entry}: {key} must be a list of tag names, not {names!r}")
+                for name in names:
+                    if name not in compiled.registry.name_to_id:
+                        raise ScenarioError(f"{entry}: {key}: unknown tag {name!r}")
 
 
 def _label_check(compiled, bits: int, spec: dict) -> tuple[bool, str]:
@@ -57,10 +65,7 @@ def evaluate_expectations(net, compiled, topology, expect: dict):
     checks: list[tuple[str, bool, str]] = []
 
     for flow_id, want in expect.get("flows", {}).items():
-        rec = net.flows.get(flow_id)
-        if rec is None:
-            checks.append((f"flow:{flow_id}", False, "flow never ran"))
-            continue
+        rec = net.flows[flow_id]  # load_scenario checked that the flow is in the file
         ok = True
         bits = []
         if "verdict" in want:

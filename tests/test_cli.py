@@ -249,6 +249,7 @@ MALFORMED = {
     "not -1",
     "expect_verdict_misspelt": "expect.flows.entry: verdict must be one of allow, drop, "
     "not 'alow'",
+    "expect_flow_unknown_id": "expect.flows.entyr: 'entyr' is not a flow id in this file",
 }
 
 
@@ -288,16 +289,23 @@ def test_check_names_a_policy_that_is_not_utf8_without_traceback(runner, tmp_pat
     assert res.output == f"Error: {path}: cannot read: not UTF-8 text (invalid start byte)\n"
 
 
-def test_run_reports_an_unknown_flow_protocol_at_load(runner, tmp_path):
-    text = (SCENARIO_DIR / "scenario1.yaml").read_text()
-    assert text.count("protocol: udp") == 1
+def _edited_scenario(tmp_path, name: str, old: str, new: str):
+    """A copy of a shipped scenario under tmp_path with `old`, which occurs
+    once, replaced by `new`, and its topology and policies named in place."""
+    text = (SCENARIO_DIR / f"{name}.yaml").read_text()
+    assert text.count(old) == 1
     text = (
-        text.replace("protocol: udp", "protocol: sctp")
+        text.replace(old, new)
         .replace("topology: topologies/", f"topology: {SCENARIO_DIR}/topologies/")
         .replace("  - policies/", f"  - {SCENARIO_DIR}/policies/")
     )
     path = tmp_path / "scn.yaml"
     path.write_text(text)
+    return path
+
+
+def test_run_reports_an_unknown_flow_protocol_at_load(runner, tmp_path):
+    path = _edited_scenario(tmp_path, "scenario1", "protocol: udp", "protocol: sctp")
     res = runner.invoke(main, ["run", str(path)])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
@@ -305,6 +313,28 @@ def test_run_reports_an_unknown_flow_protocol_at_load(runner, tmp_path):
         f"Error: {path}: flows[5] (id 'benign_out'): "
         "protocol must be one of tcp, udp, icmp, not 'sctp'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "name, old, new, error",
+    [
+        ("scenario1", "includes: [PACS]", "includes: [Nope]",
+         "expect.pids[1]: includes: unknown tag 'Nope'"),
+        ("scenario3", "excludes: [Top_Secret], tracker: /", "excludes: [Nope], tracker: /",
+         "expect.files[0]: excludes: unknown tag 'Nope'"),
+        ("scenario1", "includes: [PACS]", "includes: PACS",
+         "expect.pids[1]: includes must be a list of tag names, not 'PACS'"),
+    ],
+    ids=["pid-includes", "file-excludes", "not-a-list"],
+)
+def test_run_reports_an_undeclared_expected_tag_before_the_run(
+    runner, tmp_path, name, old, new, error
+):
+    path = _edited_scenario(tmp_path, name, old, new)
+    res = runner.invoke(main, ["run", str(path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == f"Error: {path}: {error}\n"
 
 
 def test_routes_unknown_target_is_a_click_error(runner):

@@ -299,7 +299,37 @@ def test_merged_events_sort_by_time_then_seq(log, parts):
     events, _ = log
     lists = [events[i::parts] for i in range(parts)]
     merged = merged_events(*lists)
-    assert merged == sorted(events, key=lambda e: (e.time_ns, e.seq))
+    assert list(merged) == sorted(events, key=lambda e: (e.time_ns, e.seq))
+
+
+@settings(max_examples=200, deadline=None)
+@given(event_logs(), st.data())
+def test_one_merged_log_sliced_many_times_equals_the_reference(log, data):
+    """A merged log keeps its edges after the first slice. Every target
+    entity, sliced twice at several cuts in a drawn order, must still get
+    the reference answer over the shuffled list, and events appended to
+    the source lists after the merge must not reach the log."""
+    events, hosts = log
+    per_host = {h: [ev for ev in events if ev.host == h] for h in hosts}
+    merged = merged_events(*per_host.values())
+    sinks = list(dict.fromkeys(ev.target for ev in events if ev.target is not None))
+    cuts = [None, *data.draw(st.lists(st.integers(0, len(events) + 1), max_size=3))]
+    queries = data.draw(st.permutations([(s, c) for s in sinks for c in cuts] * 2))
+    want = {q: reference_slice(events, q[0], until_seq=q[1]) for q in queries}
+    for sink, cut in queries:
+        assert backward_slice(merged, sink, until_seq=cut) == want[sink, cut]
+
+    # a read of a new file into every pid, newer than anything in the log
+    seq = len(events) + 1
+    late = max(ev.time_ns for ev in events) + 1
+    for h in hosts:
+        for pid in (1, 2):
+            per_host[h].append(AgentEvent(seq, late, h, "read", pid=pid, inode=99))
+            seq += 1
+    remerged = merged_events(*per_host.values())
+    assert file_entity(hosts[0], 99) in backward_slice(remerged, pid_entity(hosts[0], 1))
+    for sink, cut in queries:
+        assert backward_slice(merged, sink, until_seq=cut) == want[sink, cut]
 
 
 # -- randomized comparison against the versioned graph ---------------------
