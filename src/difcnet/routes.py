@@ -11,11 +11,17 @@ own label, so provenance survives re-termination.
 A route of length k is an ordered k-permutation of the non-target hosts;
 the attack succeeds when every hop, including the final hop into the
 target, is admitted.
+
+What follows a prefix of a chain depends only on its last host, the set of
+hosts it has visited and the label bits it carries. So both searches here,
+`chain_exists` and the exhaustive rows of `coverage_report`, merge the
+prefixes that reach the same state and expand each state once, keeping a
+count of the prefixes it stands for (Held and Karp's dynamic programme
+over subsets, J. SIAM 1962).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -45,10 +51,6 @@ def route_count(n: int, k: int) -> int:
     if k > n:
         return 0
     return math.perm(n, k)
-
-
-def iter_routes(candidates: list[str], k: int):
-    return itertools.permutations(candidates, k)
 
 
 # -- admission functions --------------------------------------------------
@@ -87,6 +89,38 @@ def allowlist_firewall(topology: Topology, target: str, allowed: int) -> tuple[F
 # -- reachability ---------------------------------------------------------
 
 
+def _advance(layer: dict, ips: list[str], labels: list[int], admit) -> tuple[dict, int]:
+    """One hop from every state of `layer` to every host it has not
+    visited. A state is (index of the last host, mask of the visited hosts,
+    label bits carried) and maps to the number of prefixes that reach it.
+    Returns the admitted successors, merged the same way, and the number of
+    prefixes whose hop was refused."""
+    nxt: dict = {}
+    refused = 0
+    for (x, seen, bits), count in layer.items():
+        src = ips[x]
+        for y, dst in enumerate(ips):
+            if seen >> y & 1:
+                continue
+            ok, delivered = admit(src, dst, bits)
+            if ok:
+                state = (y, seen | 1 << y, delivered | labels[y])
+                nxt[state] = nxt.get(state, 0) + count
+            else:
+                refused += count
+    return nxt, refused
+
+
+def _pivots(topology: Topology, target: str, label_of) -> tuple[list[str], list[int], str]:
+    """The non-target hosts' addresses and labels, and the target's address."""
+    pivots = [h for h in topology.hosts if h.name != target]
+    return (
+        [h.ip for h in pivots],
+        [label_of(h.name) for h in pivots],
+        topology.host_by_name[target].ip,
+    )
+
+
 def chain_exists(
     topology: Topology,
     start: str,
@@ -95,24 +129,16 @@ def chain_exists(
     admit,
     label_of,
 ) -> bool:
-    names = [h.name for h in topology.hosts]
-    ip_of = {h.name: h.ip for h in topology.hosts}
-    stack: list[tuple[str, int, int, frozenset[str]]] = [
-        (start, label_of(start), 0, frozenset({start}))
-    ]
-    while stack:
-        x, bits, used, path = stack.pop()
-        if used >= max_steps:
-            continue
-        for y in names:
-            if y in path:
-                continue
-            ok, delivered = admit(ip_of[x], ip_of[y], bits)
-            if not ok:
-                continue
-            if y == target:
-                return True
-            stack.append((y, delivered | label_of(y), used + 1, path | {y}))
+    """Whether a chain of at most `max_steps` hops leads from `start` into
+    `target`."""
+    ips, labels, target_ip = _pivots(topology, target, label_of)
+    i = [h.name for h in topology.hosts if h.name != target].index(start)
+    layer = {(i, 1 << i, labels[i]): 1}
+    for used in range(max_steps):
+        if any(admit(ips[x], target_ip, bits)[0] for x, _, bits in layer):
+            return True
+        if used + 1 < max_steps:
+            layer = _advance(layer, ips, labels, admit)[0]
     return False
 
 
@@ -197,6 +223,29 @@ def route_blocked(route: tuple[str, ...], target: str, topology: Topology, admit
     return False
 
 
+def blocked_routes(topology: Topology, target: str, k: int, admit, label_of) -> int:
+    """How many of the routes of length k `admit` refuses somewhere, counted
+    over merged prefix states rather than route by route. A hop refused
+    from a prefix of j pivots blocks each of the perm(n - j - 1, k - j - 1)
+    ways to finish the route at once; at length k the hop into the target
+    decides."""
+    if k < 1:
+        raise ValueError(f"a route has at least one pivot, not {k}")
+    ips, labels, target_ip = _pivots(topology, target, label_of)
+    n = len(ips)
+    if k > n:
+        return 0
+    layer = {(i, 1 << i, labels[i]): 1 for i in range(n)}
+    blocked = 0
+    for j in range(1, k):
+        layer, refused = _advance(layer, ips, labels, admit)
+        blocked += refused * math.perm(n - j - 1, k - j - 1)
+    for (x, _, bits), count in layer.items():
+        if not admit(ips[x], target_ip, bits)[0]:
+            blocked += count
+    return blocked
+
+
 @dataclass
 class CoverageRow:
     topology: str
@@ -242,31 +291,36 @@ def coverage_report(
             )
             continue
         if total <= sample_threshold:
-            routes = list(iter_routes(candidates, k))
+            fw_blocked = blocked_routes(topology, target, k, fw_admit, lambda h: 0)
+            pol_blocked = blocked_routes(
+                topology, target, k, policy_admit, policy_label.__getitem__
+            )
+            evaluated = total
             sampled = False
         else:
             rng = random.Random(seed)
             routes = [tuple(rng.sample(candidates, k)) for _ in range(sample_size)]
+            fw_blocked = 0
+            pol_blocked = 0
+            for route in routes:
+                if route_blocked(route, target, topology, fw_admit, lambda h: 0):
+                    fw_blocked += 1
+                if route_blocked(
+                    route, target, topology, policy_admit, policy_label.__getitem__
+                ):
+                    pol_blocked += 1
+            evaluated = len(routes)
             sampled = True
-        fw_blocked = 0
-        pol_blocked = 0
-        for route in routes:
-            if route_blocked(route, target, topology, fw_admit, lambda h: 0):
-                fw_blocked += 1
-            if route_blocked(
-                route, target, topology, policy_admit, policy_label.__getitem__
-            ):
-                pol_blocked += 1
         out.append(
             CoverageRow(
                 topology=topology.name,
                 steps=k,
                 allowed=allowed,
                 routes=total,
-                evaluated=len(routes),
+                evaluated=evaluated,
                 sampled=sampled,
-                firewall_coverage=100.0 * fw_blocked / len(routes),
-                policy_coverage=100.0 * pol_blocked / len(routes),
+                firewall_coverage=100.0 * fw_blocked / evaluated,
+                policy_coverage=100.0 * pol_blocked / evaluated,
             )
         )
     return out

@@ -19,9 +19,9 @@ def _tracker_ref(compiled, ref):
 
 def check_expectation_names(where: str, expect: dict, topology, compiled) -> None:
     """Checks, before the run, that each `expect.pids` and `expect.files`
-    entry names a host of the topology, only tags the policy declares and,
-    if it names a tracker, a file the policy tracks; `where` is the
-    scenario file."""
+    entry names a host of the topology, a pid that is a count or a path
+    that is a string, only tags the policy declares and, if it names a
+    tracker, a file the policy tracks; `where` is the scenario file."""
     for section, fields in EXPECT_FIELDS.items():
         for i, spec in enumerate(expect.get(section, [])):
             entry = f"{where}: expect.{section}[{i}]"
@@ -35,6 +35,12 @@ def check_expectation_names(where: str, expect: dict, topology, compiled) -> Non
                 raise ScenarioError(
                     f"{entry}: host {host!r} is not a host in topology {topology.name!r}"
                 )
+            if section == "pids":
+                pid = spec["pid"]
+                if isinstance(pid, bool) or not isinstance(pid, int) or pid < 0:
+                    raise ScenarioError(f"{entry}: pid must be an integer >= 0, not {pid!r}")
+            elif not isinstance(spec["path"], str):
+                raise ScenarioError(f"{entry}: path must be a string, not {spec['path']!r}")
             ref = spec.get("tracker")
             try:
                 _tracker_ref(compiled, ref)
@@ -88,7 +94,7 @@ def evaluate_expectations(net, compiled, topology, expect: dict):
         )
 
     for spec in expect.get("pids", []):
-        host, pid = spec["host"], int(spec["pid"])
+        host, pid = spec["host"], spec["pid"]  # a count, checked before the run
         agent = net.agents[host]
         name = f"pid:{host}/{pid}"
         if pid not in agent.pid_labels:

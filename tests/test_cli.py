@@ -143,6 +143,38 @@ def test_routes_with_explicit_rows(runner):
     assert len(lines) == 2
 
 
+# `difcnet routes` with the default rows, as printed before exhaustive rows
+# were counted over merged prefix states; the sampled row walks its routes
+ROUTES_TABLES = {
+    ("enterprise", "Server1"): (
+        "topology=enterprise hosts=8 target=Server1 candidates=7\n"
+        "steps allowed       routes  filter%  labels%  basis\n"
+        "    6       1         5040     85.7    100.0  exhaustive\n"
+        "    5       2         2520     71.4    100.0  exhaustive\n"
+        "    4       3          840     57.1    100.0  exhaustive\n"
+        "    3       4          210     42.9    100.0  exhaustive\n"
+        "    2       5           42     28.6    100.0  exhaustive\n"
+    ),
+    ("cisco", "host1"): (
+        "topology=cisco hosts=14 target=host1 candidates=13\n"
+        "steps allowed       routes  filter%  labels%  basis\n"
+        "    5       2       154440     84.8    100.0  sampled 20000\n"
+        "    4       4        17160     69.2    100.0  exhaustive\n"
+        "    3       6         1716     53.8    100.0  exhaustive\n"
+        "    2       8          156     38.5    100.0  exhaustive\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("topology, target", ROUTES_TABLES)
+def test_routes_default_table_is_pinned(runner, topology, target):
+    res = runner.invoke(
+        main, ["routes", str(TOPOLOGY_DIR / f"{topology}.yaml"), "--target", target]
+    )
+    assert res.exit_code == 0, res.output
+    assert res.output == ROUTES_TABLES[topology, target]
+
+
 def test_routes_needs_rows_for_unknown_topology(runner):
     res = runner.invoke(main, ["routes", HOSPITAL])
     assert res.exit_code != 0
@@ -324,8 +356,15 @@ def test_run_reports_an_unknown_flow_protocol_at_load(runner, tmp_path):
          "expect.files[0]: excludes: unknown tag 'Nope'"),
         ("scenario1", "includes: [PACS]", "includes: PACS",
          "expect.pids[1]: includes must be a list of tag names, not 'PACS'"),
+        ("scenario1", "pid: 503, includes", "pid: abc, includes",
+         "expect.pids[1]: pid must be an integer >= 0, not 'abc'"),
+        ("scenario1", "pid: 503, includes", "pid: -3, includes",
+         "expect.pids[1]: pid must be an integer >= 0, not -3"),
+        ("scenario3", "path: /shared/declassified, includes", "path: 5, includes",
+         "expect.files[0]: path must be a string, not 5"),
     ],
-    ids=["pid-includes", "file-excludes", "not-a-list"],
+    ids=["pid-includes", "file-excludes", "not-a-list", "pid-not-a-count", "pid-negative",
+         "path-not-a-string"],
 )
 def test_run_reports_an_undeclared_expected_tag_before_the_run(
     runner, tmp_path, name, old, new, error

@@ -1,19 +1,22 @@
-"""Attack-route enumeration, admission models, and coverage accounting."""
+"""Attack-route counting, admission models, and coverage accounting. The
+merged-state count is checked against enumerating every route."""
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difcnet.netcl import compile_program, parse
 from difcnet.routes import (
     DEFAULT_COVERAGE_ROWS,
     allowlist_firewall,
+    blocked_routes,
     build_coverage_policy,
     build_reachability_policy,
     chain_exists,
     coverage_report,
     hosts_reaching,
-    iter_routes,
     make_firewall_admit,
     make_policy_admit,
     reachability_table,
@@ -23,20 +26,36 @@ from difcnet.routes import (
 from difcnet.topology import FirewallRule, topology_from_dict
 
 
-def make_flat(n_hosts=5, target="T"):
-    """n pivot hosts plus one target, all on a single access switch."""
+def make_flat(n_hosts=5, target="T", placement=None):
+    """n pivot hosts plus one target, all on a single access switch unless
+    `placement` puts host Hi on access switch S(placement[i - 1] + 1)."""
+    switch = (lambda i: "S2") if placement is None else (lambda i: f"S{placement[i - 1] + 2}")
     hosts = [
-        {"name": f"H{i}", "ip": f"10.9.0.{10 + i}", "switch": "S2"}
+        {"name": f"H{i}", "ip": f"10.9.0.{10 + i}", "switch": switch(i)}
         for i in range(1, n_hosts + 1)
     ]
     hosts.append({"name": target, "ip": "10.9.0.200", "switch": "S2"})
+    access = sorted({h["switch"] for h in hosts})
     return topology_from_dict(
         {
             "name": "flat",
-            "switches": ["S1", "S2"],
-            "links": [["S1", "S2"]],
+            "switches": ["S1", *access],
+            "links": [["S1", s] for s in access],
             "hosts": hosts,
         }
+    )
+
+
+def iter_routes(candidates: list[str], k: int):
+    """Every route of length k, one by one: the oracle for the merged count."""
+    return itertools.permutations(candidates, k)
+
+
+def enumerated_blocked(topo, target, k, admit, label_of) -> int:
+    candidates = [h.name for h in topo.hosts if h.name != target]
+    return sum(
+        route_blocked(route, target, topo, admit, label_of)
+        for route in iter_routes(candidates, k)
     )
 
 
@@ -250,6 +269,137 @@ def test_coverage_report_vacuous_row():
     (row,) = coverage_report(topo, "T", ((3, 1),))
     assert row.routes == 0 and row.evaluated == 0
     assert row.firewall_coverage == 100.0 and row.policy_coverage == 100.0
+
+
+# -- merged count against enumeration ----------------------------------------
+
+TAGS = ["A", "B", "C"]
+
+
+@st.composite
+def labelled_worlds(draw):
+    """(topology, policy text) over 2-7 pivots and the target T on 1-3
+    access switches: label_host lines for some hosts, then privilege,
+    address and label rules, then optionally allow-all. Each tag is either
+    declassified or endorsed, never both."""
+    n = draw(st.integers(2, 7))
+    topo = make_flat(n, placement=draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    names = [h.name for h in topo.hosts]
+    host = st.sampled_from(names)
+    tags = st.lists(st.sampled_from(TAGS), min_size=1, max_size=2, unique=True)
+    direction = {t: draw(st.sampled_from(["declassify", "endorse"])) for t in TAGS}
+    lines = [
+        f"label_host(ip={h}, label={{{', '.join(draw(tags))}}})"
+        for h in names
+        if draw(st.booleans())
+    ]
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["privilege", "address", "label"]))
+        dst = draw(host)
+        tag = draw(st.sampled_from(TAGS))
+        verdict = draw(st.sampled_from(["allow", "drop"]))
+        if kind == "privilege":
+            lines.append(
+                f"if match(src_ip=={draw(host)} && dst_ip=={dst}) then {direction[tag]}({{{tag}}})"
+            )
+        elif kind == "address":
+            lines.append(f"if match(src_ip=={draw(host)} && dst_ip=={dst}) then {verdict}")
+        else:
+            lines.append(f"if match(pkt_label contains {tag} && dst_ip=={dst}) then {verdict}")
+    if draw(st.booleans()):
+        lines.append("if match(dst_ip==any) then allow")
+    return topo, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_worlds(), st.data())
+def test_merged_count_equals_enumeration_under_labelled_policies(world, data):
+    topo, text = world
+    compiled = compile_program(parse(text), topo)
+    admit = make_policy_admit(compiled, topo)
+    label = {h.name: compiled.label_of_ip(h.ip).bits for h in topo.hosts}
+    n = len(topo.hosts) - 1
+    k = data.draw(st.integers(1, min(n + 1, 5)), label="k")
+    assert blocked_routes(topo, "T", k, admit, label.__getitem__) == enumerated_blocked(
+        topo, "T", k, admit, label.__getitem__
+    )
+
+
+# any fixed function of (src, dst, bits) that may refuse a hop or rewrite
+# the bits it delivers
+ANY_ADMIT = st.functions(
+    like=lambda src_ip, dst_ip, bits: None,
+    returns=st.tuples(st.booleans(), st.integers(0, 7)),
+    pure=True,
+)
+
+
+def any_labels(topo):
+    return st.fixed_dictionaries({h.name: st.integers(0, 7) for h in topo.hosts})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_merged_count_equals_enumeration_under_any_admission(n, data):
+    topo = make_flat(n)
+    admit = data.draw(ANY_ADMIT, label="admit")
+    label = data.draw(any_labels(topo), label="label")
+    k = data.draw(st.integers(1, n + 1), label="k")
+    assert blocked_routes(topo, "T", k, admit, label.__getitem__) == enumerated_blocked(
+        topo, "T", k, admit, label.__getitem__
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_chain_exists_equals_enumeration_under_any_admission(n, data):
+    """A chain of at most `steps` hops exists exactly when some route from
+    the start through at most steps - 1 further pivots is not blocked."""
+    topo = make_flat(n)
+    admit = data.draw(ANY_ADMIT, label="admit")
+    label = data.draw(any_labels(topo), label="label")
+    start = data.draw(st.sampled_from([f"H{i}" for i in range(1, n + 1)]), label="start")
+    steps = data.draw(st.integers(1, n + 1), label="steps")
+    others = [f"H{i}" for i in range(1, n + 1) if f"H{i}" != start]
+    open_route = any(
+        not route_blocked((start, *rest), "T", topo, admit, label.__getitem__)
+        for j in range(min(steps, n))
+        for rest in iter_routes(others, j)
+    )
+    assert chain_exists(topo, start, "T", steps, admit, label.__getitem__) == open_route
+
+
+@settings(max_examples=40, deadline=None)
+@given(labelled_worlds(), st.data())
+def test_exhaustive_coverage_rows_equal_enumeration(world, data):
+    """coverage_report's exhaustive rows, vacuous ones included, give the
+    percentages that walking every route gives."""
+    topo, _ = world
+    n = len(topo.hosts) - 1
+    rows = tuple(
+        data.draw(st.tuples(st.integers(1, min(n + 1, 5)), st.integers(0, n)), label="row")
+        for _ in range(2)
+    )
+    compiled = compile_program(parse(build_coverage_policy(topo, "T")), topo)
+    policy_admit = make_policy_admit(compiled, topo)
+    label = {h.name: compiled.label_of_ip(h.ip).bits for h in topo.hosts}
+    for (k, allowed), row in zip(rows, coverage_report(topo, "T", rows)):
+        total = route_count(n, k)
+        assert not row.sampled and row.routes == row.evaluated == total
+        if total == 0:
+            assert row.firewall_coverage == row.policy_coverage == 100.0
+            continue
+        fw_admit = make_firewall_admit(allowlist_firewall(topo, "T", allowed))
+        fw = enumerated_blocked(topo, "T", k, fw_admit, lambda h: 0)
+        pol = enumerated_blocked(topo, "T", k, policy_admit, label.__getitem__)
+        assert row.firewall_coverage == 100.0 * fw / total
+        assert row.policy_coverage == 100.0 * pol / total
+
+
+def test_a_route_without_pivots_is_an_error():
+    topo = make_flat(3)
+    with pytest.raises(ValueError, match="at least one pivot, not 0"):
+        coverage_report(topo, "T", ((0, 1),))
 
 
 def test_default_rows_present():
