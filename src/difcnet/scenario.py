@@ -254,7 +254,12 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     net = Network(topology, compiled, build_params(scn.params))
     _schedule_events(net, topology, scn)
     _schedule_flows(net, scn)
-    net.run()
+    try:
+        net.run()
+    except ScenarioError:
+        raise  # a setup or events entry, named where it was scheduled
+    except DifcnetError as exc:
+        raise ScenarioError(f"{scn.path}: at {net.now / MS:g} ms: {exc}") from None
     checks = evaluate_expectations(net, compiled, topology, scn.expect)
     return ScenarioResult(scn, net, checks)
 
@@ -300,9 +305,20 @@ def _schedule_events(net: Network, topology: Topology, scn: Scenario) -> None:
             continue
         if not isinstance(host, str) or host not in net.agents:
             raise ScenarioError(f"{where}: needs a known host, not {host!r}")
-        agent = net.agents[host]
-        fn = _agent_call(net, agent, op, raw)
+        fn = _located(where, _agent_call(net, net.agents[host], op, raw))
         net.schedule_call(at, f"event host={host} op={op}", lambda f=fn, t=at: f(t))
+
+
+def _located(where: str, fn):
+    """`fn`, with an agent's error prefixed by the entry that scheduled it."""
+
+    def call(t: int) -> None:
+        try:
+            fn(t)
+        except DifcnetError as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
+
+    return call
 
 
 def _agent_call(net: Network, agent, op: str, raw: dict):

@@ -6,7 +6,9 @@ is delivered when every hop is. Random small worlds (1-3 access switches,
 3-4 hosts, some of them labelled, endorse, declassify, address and label
 rules, the default allow on or off) must agree on every chain of up to
 three hops, and so must the two cases pinned below, where an endorse on
-traffic without a label header must reach the next hop."""
+traffic without a label header must reach the next hop. On the same
+simulated logs, the backward slice of each delivered chain's last pid
+must account for every tag that pid holds."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from difcnet.netcl import compile_program, parse
+from difcnet.provenance import backward_slice, host_entity, merged_events, pid_entity
 from difcnet.routes import make_policy_admit, route_blocked
 from difcnet.sim import Network
 from difcnet.topology import load_topology, topology_from_dict
@@ -83,11 +86,12 @@ def worlds(draw):
     return topo, "\n".join(lines) + "\n"
 
 
-def simulated_open_chains(topo, compiled) -> set[tuple[str, ...]]:
+def simulate_chains(topo, compiled):
     """Every chain of 1 to MAX_HOPS hops, simulated as a prefix tree in one
     network: each tree edge is one flow from the pid that accepted its
     parent's flow (a fresh pid for a chain's first host) to a fresh pid.
-    Flows of depth d start at d * HOP_NS. Returns the delivered chains."""
+    Flows of depth d start at d * HOP_NS. Returns the network, each chain's
+    pid and the delivered chains."""
     net = Network(topo, compiled)
     names = [h.name for h in topo.hosts]
     pid_of: dict[tuple[str, ...], int] = {}
@@ -117,11 +121,16 @@ def simulated_open_chains(topo, compiled) -> set[tuple[str, ...]]:
                 nxt.append(child)
         frontier = nxt
     net.run()
-    return {
+    delivered = {
         chain
         for chain in records
         if all(records[chain[:i]].verdict == "allow" for i in range(2, len(chain) + 1))
     }
+    return net, pid_of, delivered
+
+
+def simulated_open_chains(topo, compiled) -> set[tuple[str, ...]]:
+    return simulate_chains(topo, compiled)[2]
 
 
 def analysed_open_chains(topo, compiled) -> set[tuple[str, ...]]:
@@ -158,6 +167,37 @@ def test_chain_delivered_exactly_when_route_open(world):
     topo, text = world
     compiled = compile_program(parse(text), topo)
     assert simulated_open_chains(topo, compiled) == analysed_open_chains(topo, compiled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(worlds())
+@example(HOSPITAL_ENDORSE)
+@example(UNLABELLED_ENDORSE)
+def test_delivered_tags_come_from_hosts_in_the_backward_slice(world):
+    """Each tag a delivered chain's last pid holds is held by a labelled
+    host in that pid's backward slice, or set by an endorse rule. The slice
+    follows a hop only where a label header arrived and was accepted, back
+    through the flow's repeated per-packet sends, so it holds no host off
+    the chain."""
+    topo, text = world
+    compiled = compile_program(parse(text), topo)
+    net, pid_of, delivered = simulate_chains(topo, compiled)
+    held = {h.name: compiled.label_of_ip(h.ip).bits for h in topo.hosts}
+    endorsed = 0
+    for config in compiled.configs.values():
+        for entry in config.privilege_entries:
+            if entry.direction == "endorse":
+                endorsed |= entry.mask
+    log = merged_events(*(agent.events for agent in net.agents.values()))
+    for chain in delivered:
+        last, pid = chain[-1], pid_of[chain]
+        sliced = backward_slice(log, pid_entity(last, pid))
+        hosts = {e[1] for e in sliced if e[0] == "host"}
+        assert hosts <= set(chain), chain
+        bits = net.agents[last].pid_labels[pid].bits
+        for h in hosts:
+            bits &= ~held[h]
+        assert bits & ~endorsed == 0, chain
 
 
 def test_pinned_chains_are_blocked_at_the_pivot():

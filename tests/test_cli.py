@@ -376,6 +376,34 @@ def test_run_reports_an_undeclared_expected_tag_before_the_run(
     assert res.output == f"Error: {path}: {error}\n"
 
 
+SETUP_EXIT = ("{host: PACS, op: spawn, pid: 503}",
+              "{host: PACS, op: spawn, pid: 503}\n  - {host: PACS, op: exit, pid: 999}")
+
+
+@pytest.mark.parametrize(
+    "name, old, new, error",
+    [
+        ("scenario1", *SETUP_EXIT, "setup[5] (op 'exit'): PACS: pid 999 is not live"),
+        ("scenario3", "op: read, pid: 802, path: /shared/declassified",
+         "op: read, pid: 802, path: /nope",
+         "events[1] (op 'read'): Dev_Admin: no file at /nope"),
+        ("scenario1", "pid: 101, accept_pid: 501", "pid: 999, accept_pid: 501",
+         "at 50 ms: Host1: pid 999 is not live"),
+        ("scenario1", "pid: 101, accept_pid: 501", "pid: 101, accept_pid: 999",
+         "at 50.2 ms: PACS: pid 999 is not live"),
+    ],
+    ids=["setup-exit", "events-read", "flow-pid", "flow-accept-pid"],
+)
+def test_run_names_where_an_agent_error_arises_mid_run(runner, tmp_path, name, old, new, error):
+    """An agent error from a setup or events entry names the entry; one
+    raised while flows run names the simulated time."""
+    path = _edited_scenario(tmp_path, name, old, new)
+    res = runner.invoke(main, ["run", str(path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == f"Error: {path}: {error}\n"
+
+
 def test_routes_unknown_target_is_a_click_error(runner):
     res = runner.invoke(main, ["routes", HOSPITAL, "--target", "Nobody", "--row", "2:2"])
     assert res.exit_code == 2
