@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .errors import DifcnetError, ScenarioError
 from .netcl import compile_program, parse_files
-from .scenario_checks import check_expectation_names, evaluate_expectations
+from .scenario_checks import EXPECT_FIELDS, check_expectation_names, evaluate_expectations
 from .sim import FLOW_PROTOCOLS, Network, SimParams
 from .topology import Topology, load_topology, read_yaml
 
@@ -28,6 +28,8 @@ EVENT_FIELDS = {
     "gc": (),
     "update": ("policies",),
 }
+# keys any event may have besides its op's fields
+EVENT_KEYS = ("op", "host", "at_ms", "idle_ms")
 # fields every flow entry needs, checked when the scenario loads
 FLOW_FIELDS = ("id", "src", "dst")
 # what `expect` may hold, checked when the scenario loads: the container
@@ -36,6 +38,11 @@ EXPECT_SHAPES = {"flows": dict, "pids": list, "files": list, "trace_contains": l
 EXPECT_KEYS = (*EXPECT_SHAPES, "external_delivered")
 EXPECT_FLOW_NUMBERS = {"delivered": "count", "sent": "count", "dropped": "count"}
 EXPECT_FLOW_KEYS = ("verdict", *EXPECT_FLOW_NUMBERS)
+# per expect.pids or expect.files entry: its fields and the label checks
+EXPECT_ENTRY_KEYS = {
+    section: (*fields, "includes", "excludes", "tracker")
+    for section, fields in EXPECT_FIELDS.items()
+}
 VERDICTS = ("allow", "drop")
 
 # Numbers checked when the scenario loads, by kind: "ms" is a time or a
@@ -57,6 +64,7 @@ FLOW_NUMBERS = {
     "pid": "pid",
     "accept_pid": "pid",
 }
+FLOW_KEYS = (*FLOW_FIELDS, *FLOW_NUMBERS, "protocol")
 EVENT_NUMBERS = {"at_ms": "ms", "idle_ms": "ms", "pid": "count"}
 # scenario params -> (kind, SimParams field); a *_ms value is stored in ns
 PARAMS = {
@@ -156,6 +164,7 @@ def load_scenario(path: str | Path) -> Scenario:
                 raise ScenarioError(
                     f"{where}: unknown op, expected one of {', '.join(EVENT_FIELDS)}"
                 )
+            _check_keys(f"{path}: {section}[{i}]", event, (*EVENT_KEYS, *EVENT_FIELDS[op]))
             for name in EVENT_FIELDS[op]:
                 if name not in event:
                     raise ScenarioError(f"{where}: missing field {name!r}")
@@ -170,6 +179,7 @@ def load_scenario(path: str | Path) -> Scenario:
     for i, flow in enumerate(flows):
         if not isinstance(flow, dict):
             raise ScenarioError(f"{path}: flows[{i}]: a flow must be a mapping")
+        _check_keys(f"{path}: flows[{i}]", flow, FLOW_KEYS)
         where = _flow_where(path, i, flow)
         for name in FLOW_FIELDS:
             if name not in flow:
@@ -198,6 +208,12 @@ def load_scenario(path: str | Path) -> Scenario:
     for key, kind in EXPECT_SHAPES.items():
         _typed(f"{path}: expect.{key}", expect.get(key, kind()), kind)
     _check_numbers(f"{path}: expect", expect, {"external_delivered": "count"})
+    for section, known in EXPECT_ENTRY_KEYS.items():
+        for i, spec in enumerate(expect.get(section, [])):
+            where = f"{path}: expect.{section}[{i}]"
+            if not isinstance(spec, dict):
+                raise ScenarioError(f"{where}: an entry must be a mapping")
+            _check_keys(where, spec, known)
     for flow_id, want in expect.get("flows", {}).items():
         where = f"{path}: expect.flows.{flow_id}"
         if flow_id not in flow_ids:

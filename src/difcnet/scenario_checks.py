@@ -19,14 +19,13 @@ def _tracker_ref(compiled, ref):
 
 def check_expectation_names(where: str, expect: dict, topology, compiled) -> None:
     """Checks, before the run, that each `expect.pids` and `expect.files`
-    entry names a host of the topology, a pid that is a count or a path
-    that is a string, only tags the policy declares and, if it names a
-    tracker, a file the policy tracks; `where` is the scenario file."""
+    entry (a mapping of known keys, as load_scenario checked) names a host
+    of the topology, a pid that is a count or a path that is a string, only
+    tags the policy declares and, if it names a tracker, a file the policy
+    tracks; `where` is the scenario file."""
     for section, fields in EXPECT_FIELDS.items():
         for i, spec in enumerate(expect.get(section, [])):
             entry = f"{where}: expect.{section}[{i}]"
-            if not isinstance(spec, dict):
-                raise ScenarioError(f"{entry}: an entry must be a mapping")
             for name in fields:
                 if name not in spec:
                     raise ScenarioError(f"{entry}: missing field {name!r}")

@@ -5,7 +5,7 @@ Loaded from a YAML document:
     name: enterprise
     switches: [S1, S2]
     links:
-      - [S1, S2]            # optional third element: latency in ns
+      - [S1, S2]            # optional third element: latency in ns, an int >= 0
     hosts:
       - {name: Host1, ip: 10.0.2.11, switch: S2}
     external:
@@ -86,10 +86,15 @@ class Topology:
     def __post_init__(self):
         if not self.switches:
             raise DifcnetError("'switches' must list at least one switch")
-        for a, b, _lat in self.links:
+        for i, (a, b, lat) in enumerate(self.links):
             for s in (a, b):
                 if s not in self.switches:
                     raise DifcnetError(f"link {a}-{b} names unknown switch {s!r}")
+            # a negative latency would deliver a packet before it was sent
+            if isinstance(lat, bool) or not isinstance(lat, int) or lat < 0:
+                raise DifcnetError(
+                    f"links[{i}]: latency must be a number of ns, not {lat!r} (an integer >= 0)"
+                )
         _check_address("external.ip", self.external_ip)
         by_ip: dict[str, str] = {}
         for i, h in enumerate(self.hosts):
@@ -115,6 +120,8 @@ class Topology:
         self.host_by_ip = {h.ip: h for h in self.hosts}
         if not self.gateway:
             self.gateway = self.switches[0]
+        elif self.gateway not in self.switches:
+            raise DifcnetError(f"external.gateway: {self.gateway!r} is not a switch")
         for group, members in self.groups.items():
             for m in members:
                 if m not in self.host_by_name:
@@ -318,12 +325,7 @@ def topology_from_dict(doc: dict) -> Topology:
                 f"links[{i}]: a link is [switch, switch] or [switch, switch, latency_ns], "
                 f"not {entry!r}"
             )
-        try:
-            lat = int(entry[2]) if len(entry) == 3 else DEFAULT_LINK_LATENCY_NS
-        except (TypeError, ValueError):
-            raise DifcnetError(
-                f"links[{i}]: latency must be a number of ns, not {entry[2]!r}"
-            ) from None
+        lat = entry[2] if len(entry) == 3 else DEFAULT_LINK_LATENCY_NS
         links.append((entry[0], entry[1], lat))
     hosts = []
     for i, h in enumerate(doc.get("hosts", [])):

@@ -282,6 +282,12 @@ MALFORMED = {
     "expect_verdict_misspelt": "expect.flows.entry: verdict must be one of allow, drop, "
     "not 'alow'",
     "expect_flow_unknown_id": "expect.flows.entyr: 'entyr' is not a flow id in this file",
+    "flow_unknown_key": "flows[1].acept_pid: unknown key, expected one of id, src, dst, at_ms, "
+    "packets, src_port, dst_port, payload_len, pid, accept_pid, protocol",
+    "event_unknown_key": "setup[0].at: unknown key, expected one of op, host, at_ms, idle_ms, "
+    "pid",
+    "expect_pids_unknown_key": "expect.pids[0].include: unknown key, expected one of host, pid, "
+    "includes, excludes, tracker",
 }
 
 
@@ -297,6 +303,27 @@ def test_run_rejects_a_malformed_scenario_fixture_at_load(runner, name):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.output == f"Error: {want}\n"
+
+
+MALFORMED_TOPOLOGY_DIR = REPO_ROOT / "tests" / "data" / "malformed_topology"
+# each fixture once loaded (time ran backwards) or ended in a KeyError traceback
+MALFORMED_TOPOLOGY = {
+    "negative_latency": "links[1]: latency must be a number of ns, not -1000000000 "
+    "(an integer >= 0)",
+    "unknown_gateway": "external.gateway: 'S9' is not a switch",
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_TOPOLOGY)
+def test_check_rejects_a_malformed_topology_fixture_at_load(runner, name):
+    assert sorted(MALFORMED_TOPOLOGY) == sorted(
+        p.stem for p in MALFORMED_TOPOLOGY_DIR.glob("*.yaml")
+    )
+    path = MALFORMED_TOPOLOGY_DIR / f"{name}.yaml"
+    res = runner.invoke(main, ["check", str(POLICY_DIR / "listing2.ncl"), "--topology", str(path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == f"Error: {path}: {MALFORMED_TOPOLOGY[name]}\n"
 
 
 @pytest.mark.parametrize(

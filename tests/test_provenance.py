@@ -7,9 +7,9 @@ previous version. The ancestor set of an entity's latest version,
 projected back onto entities, is what backward_slice must return. The
 second is the earlier slice, which sorted by a (time_ns, seq) tuple and
 regenerated each event's edges on every call; on any log, in any list
-order, it must give the same answer as the slice over a log's folded edge
-table. Logs built around a repeated edge pin the two cases where the older
-copy of an edge must not be folded away.
+order, it must give the same answer as the slice read from the ancestry
+built over a log's folded edge table. Logs built around a repeated edge pin
+the two cases where the older copy of an edge must not be folded away.
 """
 
 import random
@@ -391,14 +391,21 @@ def test_repeated_edges_slice_as_the_reference(log):
 @settings(max_examples=200, deadline=None)
 @given(event_logs(), st.data())
 def test_one_merged_log_sliced_many_times_equals_the_reference(log, data):
-    """A merged log keeps its edge table after the first slice. Every target
-    entity, sliced twice at several cuts in a drawn order, must still get
-    the reference answer over the shuffled list, and events appended to
-    the source lists after the merge must not reach the log."""
+    """A merged log keeps its ancestry after the first slice. Every entity
+    of the log, sources that are never a target (such as a host) included,
+    and one entity not in the log, sliced twice at several cuts in a drawn
+    order, must still get the reference answer over the shuffled list, and
+    events appended to the source lists after the merge must not reach the
+    log."""
     events, hosts = log
     per_host = {h: [ev for ev in events if ev.host == h] for h in hosts}
     merged = merged_events(*per_host.values())
-    sinks = list(dict.fromkeys(ev.target for ev in events if ev.target is not None))
+    sinks = list(dict.fromkeys(
+        entity
+        for ev in events if ev.target is not None
+        for entity in (ev.target, ev.source)
+    ))
+    sinks.append(file_entity(hosts[0], 99))  # read into the log only below
     cuts = [None, *data.draw(st.lists(st.integers(0, len(events) + 1), max_size=3))]
     queries = data.draw(st.permutations([(s, c) for s in sinks for c in cuts] * 2))
     want = {q: reference_slice(events, q[0], until_seq=q[1]) for q in queries}

@@ -176,6 +176,35 @@ def test_setup_event_missing_field_names_the_setup_list(tmp_path):
         _minimal_scenario(tmp_path, {"setup": ["spawn"]})
 
 
+@pytest.mark.parametrize(
+    "extra, problem",
+    [
+        ({"flows": [{"id": "f", "src": "Host1", "dst": "Host2", "acept_pid": 1}]},
+         "flows[0].acept_pid: unknown key, expected one of id, src, dst, at_ms, packets, "
+         "src_port, dst_port, payload_len, pid, accept_pid, protocol"),
+        ({"setup": [{"host": "Host1", "op": "spawn", "pid": 1, "at": 5}]},
+         "setup[0].at: unknown key, expected one of op, host, at_ms, idle_ms, pid"),
+        # a field of another op is not a field of this one
+        ({"events": [{"host": "Host1", "op": "spawn", "pid": 1, "path": "/f"}]},
+         "events[0].path: unknown key, expected one of op, host, at_ms, idle_ms, pid"),
+        ({"events": [{"op": "gc", "idle": 5}]},
+         "events[0].idle: unknown key, expected one of op, host, at_ms, idle_ms"),
+        ({"expect": {"pids": [{"host": "Host1", "pid": 1, "include": ["A"]}]}},
+         "expect.pids[0].include: unknown key, expected one of host, pid, includes, "
+         "excludes, tracker"),
+        ({"expect": {"files": [{"host": "Host1", "path": "/f", "trackr": "/f@Host1"}]}},
+         "expect.files[0].trackr: unknown key, expected one of host, path, includes, "
+         "excludes, tracker"),
+        ({"expect": {"files": ["/f"]}}, "expect.files[0]: an entry must be a mapping"),
+    ],
+    ids=["flow", "setup", "other-op", "gc", "pids", "files", "files-entry"],
+)
+def test_unknown_entry_key_fails_at_load(tmp_path, extra, problem):
+    with pytest.raises(ScenarioError) as exc:
+        _minimal_scenario(tmp_path, extra)
+    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: {problem}"
+
+
 def test_event_pid_that_is_not_an_integer_fails_at_load(tmp_path):
     events = [{"host": "Host1", "op": "spawn", "pid": "seven"}]
     with pytest.raises(ScenarioError, match=r"events\[0\] \(op 'spawn'\): pid must be an integer"):

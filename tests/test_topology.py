@@ -190,6 +190,34 @@ def test_malformed_link_is_named(tmp_path, link, problem):
     assert f"links[0]: {problem}" in _broken(tmp_path, doc)
 
 
+@pytest.mark.parametrize(
+    "latency",
+    # a negative latency delivered a packet before it was sent; int() read
+    # 1.5 as 1 and "100" as 100
+    [-1_000_000_000, -1, 1.5, 100.0, "100", True, None, [100]],
+    ids=["negative", "minus-one", "fraction", "float", "text", "bool", "null", "list"],
+)
+def test_link_latency_that_is_not_an_integer_at_least_zero_is_named(tmp_path, latency):
+    doc = _small_doc()
+    doc["links"].append(["S2", "S1", latency])
+    message = _broken(tmp_path, doc)
+    assert message.endswith(
+        f"links[1]: latency must be a number of ns, not {latency!r} (an integer >= 0)"
+    )
+
+
+def test_link_latency_zero_is_accepted():
+    doc = _small_doc()
+    doc["links"][0].append(0)
+    assert topology_from_dict(doc).link_latency("S2", "S1") == 0
+
+
+def test_gateway_that_is_not_a_switch_is_named(tmp_path):
+    doc = _small_doc()
+    doc["external"] = {"gateway": "S9"}
+    assert _broken(tmp_path, doc).endswith("external.gateway: 'S9' is not a switch")
+
+
 def test_yaml_syntax_error_names_file_and_line(tmp_path):
     path = tmp_path / "topo.yaml"
     path.write_text("name: t\nswitches: [S1, S2\nhosts: []\n")
