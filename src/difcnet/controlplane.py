@@ -78,7 +78,7 @@ class ControlPlane:
     def perform_install(self, switches: dict[str, Switch], pending: PendingInstall) -> bool:
         sw = switches[pending.switch_id]
         try:
-            sw.install_conn_dec(pending.key, pending.decision, pending.due_ns)
+            sw.conn_dec.install(pending.key, pending.decision, pending.due_ns)
         except CapacityExceeded:
             self.install_failures += 1
             return False

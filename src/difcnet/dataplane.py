@@ -242,7 +242,6 @@ class Switch:
         rate_window_ns: int = DEFAULT_RATE_WINDOW_NS,
     ) -> None:
         self.switch_id = switch_id
-        self.topology = topology
         self.config = config
         self.conn_dec = ConnDecTable(conn_dec_capacity)
         self.buffer = DecisionBuffer(index_bits)
@@ -259,9 +258,6 @@ class Switch:
         self.classify_misses = 0
 
     # control plane hooks -------------------------------------------------
-
-    def install_conn_dec(self, key: FlowKey, decision: Decision, now_ns: int) -> None:
-        self.conn_dec.install(key, decision, now_ns)
 
     def set_config(self, config: SwitchConfig) -> None:
         self.config = config

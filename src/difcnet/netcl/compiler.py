@@ -148,7 +148,6 @@ class SwitchConfig:
 
 @dataclass
 class CompiledPolicy:
-    program: Program
     registry: TagRegistry
     configs: dict[str, SwitchConfig]
     host_labels: dict[str, Label]  # ip -> assigned label
@@ -389,7 +388,6 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
         for s in topology.switches
     }
     return CompiledPolicy(
-        program=program,
         registry=registry,
         configs=configs,
         host_labels=host_labels,

@@ -201,6 +201,9 @@ def load_scenario(path: str | Path) -> Scenario:
                 f"{', '.join(PARAMS)}"
             )
         problem = _number_problem(value, PARAMS[name][0])
+        if problem is None and name == "rate_window_ms" and int(value * MS) == 0:
+            # the rate limiter divides the clock by the window
+            problem = f"must be at least 1 ns (0.000001), not {value!r}"
         if problem:
             raise ScenarioError(f"{path}: params.{name} {problem}")
     expect = _typed(f"{path}: expect", doc.get("expect", {}), dict)

@@ -313,13 +313,23 @@ def load_topology(path: str) -> Topology:
         raise
 
 
+def _shaped(value, shape: type, where: str):
+    """`value` if it is a `shape` (list or dict), else a DifcnetError naming
+    `where`; a string where a list belongs is not read as its characters."""
+    if not isinstance(value, shape):
+        kinds = {list: "a list", dict: "a mapping"}
+        got = kinds.get(type(value), repr(value))
+        raise DifcnetError(f"{where}: must be {kinds[shape]}, not {got}")
+    return value
+
+
 def topology_from_dict(doc: dict) -> Topology:
     if not isinstance(doc, dict):
         raise DifcnetError("topology must be a mapping")
     if "switches" not in doc:
         raise DifcnetError("missing field 'switches'")
     links = []
-    for i, entry in enumerate(doc.get("links", [])):
+    for i, entry in enumerate(_shaped(doc.get("links", []), list, "links")):
         if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 3):
             raise DifcnetError(
                 f"links[{i}]: a link is [switch, switch] or [switch, switch, latency_ns], "
@@ -328,17 +338,21 @@ def topology_from_dict(doc: dict) -> Topology:
         lat = entry[2] if len(entry) == 3 else DEFAULT_LINK_LATENCY_NS
         links.append((entry[0], entry[1], lat))
     hosts = []
-    for i, h in enumerate(doc.get("hosts", [])):
+    for i, h in enumerate(_shaped(doc.get("hosts", []), list, "hosts")):
+        _shaped(h, dict, f"hosts[{i}]")
         for key in ("name", "ip", "switch"):
             if key not in h:
                 raise DifcnetError(f"hosts[{i}] ({h.get('name', '?')}): missing field {key!r}")
         hosts.append(Host(h["name"], h["ip"], h["switch"]))
-    ext = doc.get("external", {})
-    groups = {k: tuple(v) for k, v in doc.get("groups", {}).items()}
+    ext = _shaped(doc.get("external", {}), dict, "external")
+    groups = {
+        k: tuple(_shaped(v, list, f"groups.{k}"))
+        for k, v in _shaped(doc.get("groups", {}), dict, "groups").items()
+    }
 
     topo = Topology(
         name=doc.get("name", "unnamed"),
-        switches=list(doc["switches"]),
+        switches=list(_shaped(doc["switches"], list, "switches")),
         hosts=hosts,
         links=links,
         external_name=ext.get("name", "external"),
@@ -348,7 +362,8 @@ def topology_from_dict(doc: dict) -> Topology:
     )
 
     fw = []
-    for i, r in enumerate(doc.get("firewall", [])):
+    for i, r in enumerate(_shaped(doc.get("firewall", []), list, "firewall")):
+        _shaped(r, dict, f"firewall[{i}]")
         fw.append(
             FirewallRule(
                 action=r.get("action"),

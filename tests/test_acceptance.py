@@ -571,7 +571,7 @@ def test_criterion_09_rate_limit_resilience():
         if res.verdict == "forward":
             admitted_attack += 1
             for req in res.install_requests:
-                sw.install_conn_dec(req.key, req.decision, now)
+                sw.conn_dec.install(req.key, req.decision, now)
         if i % benign_every == 0:
             j = i // benign_every
             bpkt = SimPacket(
@@ -581,7 +581,7 @@ def test_criterion_09_rate_limit_resilience():
             )
             bres = sw.process_packet(bpkt, now)
             for req in bres.install_requests:
-                sw.install_conn_dec(req.key, req.decision, now)
+                sw.conn_dec.install(req.key, req.decision, now)
             benign_results.append(
                 bres.verdict == "forward" and bpkt.flow_key in sw.conn_dec
             )

@@ -288,6 +288,7 @@ MALFORMED = {
     "pid",
     "expect_pids_unknown_key": "expect.pids[0].include: unknown key, expected one of host, pid, "
     "includes, excludes, tracker",
+    "rate_window_zero": "params.rate_window_ms must be at least 1 ns (0.000001), not 0",
 }
 
 
@@ -306,11 +307,19 @@ def test_run_rejects_a_malformed_scenario_fixture_at_load(runner, name):
 
 
 MALFORMED_TOPOLOGY_DIR = REPO_ROOT / "tests" / "data" / "malformed_topology"
-# each fixture once loaded (time ran backwards) or ended in a KeyError traceback
+# each fixture once loaded (time ran backwards, or a string was read as its
+# characters) or ended in a KeyError or AttributeError traceback
 MALFORMED_TOPOLOGY = {
     "negative_latency": "links[1]: latency must be a number of ns, not -1000000000 "
     "(an integer >= 0)",
     "unknown_gateway": "external.gateway: 'S9' is not a switch",
+    "host_entry_string": "hosts[1]: must be a mapping, not 'Host1'",
+    "hosts_mapping": "hosts: must be a list, not a mapping",
+    "external_string": "external: must be a mapping, not 'external'",
+    "groups_list": "groups: must be a mapping, not a list",
+    "group_string": "groups.Servers_Floor: must be a list, not 'Server1'",
+    "switches_string": "switches: must be a list, not 'S1'",
+    "firewall_entry_string": "firewall[1]: must be a mapping, not 'deny'",
 }
 
 

@@ -246,7 +246,7 @@ def test_exact_drop_rule():
 def test_conn_dec_overrides_policy():
     sw, _ = _switch()
     key = _syn(A, C, Label(tag_bit(0))).flow_key
-    sw.install_conn_dec(key, Decision.DROP, 50)
+    sw.conn_dec.install(key, Decision.DROP, 50)
     res = sw.process_packet(_syn(A, C, Label(tag_bit(0))), 100)
     assert res.verdict == "drop"
     assert res.decision_source == "conn_dec"
@@ -256,7 +256,7 @@ def test_conn_dec_overrides_policy():
 def test_conn_dec_allow_short_circuits():
     sw, _ = _switch()
     pkt = _data(B, C)  # policy would drop B, the table says otherwise
-    sw.install_conn_dec(pkt.flow_key, Decision.ALLOW, 50)
+    sw.conn_dec.install(pkt.flow_key, Decision.ALLOW, 50)
     res = sw.process_packet(pkt, 100)
     assert res.verdict == "forward"
     assert res.decision_source == "conn_dec"
@@ -448,7 +448,7 @@ def test_hops_that_write_no_line_share_the_empty_log():
         control=ControlKind.LABEL_ACK,
     )
     held = _data(B, C, sport=41001)
-    sw.install_conn_dec(held.flow_key, Decision.ALLOW, 50)
+    sw.conn_dec.install(held.flow_key, Decision.ALLOW, 50)
     hops = [
         (ack, "control"),
         (_data(A, "203.0.113.10"), "transit"),

@@ -354,7 +354,6 @@ def ref_compile(program, topology):
         for s in topology.switches
     }
     return CompiledPolicy(
-        program=program,
         registry=registry,
         configs=configs,
         host_labels=host_labels,

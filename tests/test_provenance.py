@@ -8,8 +8,9 @@ projected back onto entities, is what backward_slice must return. The
 second is the earlier slice, which sorted by a (time_ns, seq) tuple and
 regenerated each event's edges on every call; on any log, in any list
 order, it must give the same answer as the slice read from the ancestry
-built over a log's folded edge table. Logs built around a repeated edge pin
-the two cases where the older copy of an edge must not be folded away.
+that one forward pass over the log builds. Logs built around a repeated
+edge pin the cases where the older copy of an edge still matters, and a
+cut just before each respawn of a pid pins the strong update.
 """
 
 import random
@@ -21,7 +22,6 @@ from difcnet.hostagent import AgentEvent, HostAgent, SeqSource
 from difcnet.labels import Label, tag_bit
 from difcnet.packets import PROTO_TCP, SimPacket, TcpFlags
 from difcnet.provenance import (
-    EventLog,
     backward_slice,
     file_entity,
     flow_entity,
@@ -220,16 +220,6 @@ def test_spawn_between_repeated_edges_keeps_the_older_edge():
     assert backward_slice(events, sink) == want
 
 
-def test_repeated_sends_fold_to_one_row():
-    """A flow's per-packet sends from one pid, with nothing leaving the
-    flow in between, are one row of the table; an accept out of the flow
-    keeps the next older send."""
-    sends = [AgentEvent(i, i, "HA", "send", pid=1, flow="f0") for i in range(1, 6)]
-    assert len(EventLog.of(sends).edge_table.targets) == 1
-    accept = AgentEvent(6, 3, "HB", "accept", pid=2, flow="f0")
-    assert len(EventLog.of([*sends, accept]).edge_table.targets) == 3
-
-
 def test_merged_events_total_order():
     a, b = _two_hosts()
     a.spawn(1, now_ns=100)
@@ -346,6 +336,9 @@ REPEAT_GADGETS = (
     (("read", "p", "i", "f0"), ("write", "p", "j", "f0"), ("read", "p", "i", "f0")),
     (("read", "p", "j", "f0"), ("send", "p", "i", "f0"), ("accept", "q", "i", "f0"),
      ("send", "p", "i", "f0")),
+    # a pid that spawns again after it was a source
+    (("spawn", "p", "i", "f0"), ("read", "p", "j", "f0"), ("write", "p", "i", "f0"),
+     ("spawn", "p", "i", "f0"), ("write", "p", "i", "f0")),
 )
 
 
@@ -353,7 +346,9 @@ REPEAT_GADGETS = (
 def repeated_edge_logs(draw):
     """(events in log order, cuts): one to three gadgets, their pids,
     inodes and flow drawn, and a few single rows of any kind, interleaved
-    so that each gadget keeps its own order. Times rise with log order."""
+    so that each gadget keeps its own order. Times rise with log order.
+    The cuts are None, one just before each respawn of a pid, so the cut
+    log ends between its two spawns, and up to two drawn ones."""
     pids, inodes, flows = st.integers(1, 3), st.integers(1, 3), st.sampled_from(("f0", "f1"))
     parts = []
     for _ in range(draw(st.integers(1, 3))):
@@ -372,7 +367,14 @@ def repeated_edge_logs(draw):
         AgentEvent(n, n, "HA", kind, pid=pid, inode=inode, flow=flow)
         for n, (kind, pid, inode, flow) in enumerate(rows, start=1)
     ]
-    cuts = [None, *draw(st.lists(st.integers(1, len(events)), max_size=2))]
+    spawned = set()
+    respawns = []
+    for ev in events:
+        if ev.kind == "spawn":
+            if ev.target in spawned:
+                respawns.append(ev.seq - 1)
+            spawned.add(ev.target)
+    cuts = [None, *respawns, *draw(st.lists(st.integers(1, len(events)), max_size=2))]
     return events, cuts
 
 

@@ -274,8 +274,13 @@ def test_event_number_fails_at_load(tmp_path, section, event, problem):
          "recirc_delay_ms, rate_window_ms, recirc_limit, index_bits, conn_dec_capacity, "
          "rate_limit, udp_label_prefix"),
         (["rtt_ms"], "params must be a mapping"),
+        # a window of 0 ns once ended in a ZeroDivisionError on the first
+        # initial packet
+        ({"rate_window_ms": 0}, "params.rate_window_ms must be at least 1 ns (0.000001), not 0"),
+        ({"rate_window_ms": 0.0000001},
+         "params.rate_window_ms must be at least 1 ns (0.000001), not 1e-07"),
     ],
-    ids=["text", "fraction", "bool", "unknown", "list"],
+    ids=["text", "fraction", "bool", "unknown", "list", "zero-window", "sub-ns-window"],
 )
 def test_params_fail_at_load(tmp_path, params, problem):
     with pytest.raises(ScenarioError) as exc:
