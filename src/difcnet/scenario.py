@@ -10,93 +10,83 @@ from pathlib import Path
 
 from .errors import DifcnetError, ScenarioError
 from .netcl import compile_program, parse_files
-from .scenario_checks import EXPECT_FIELDS, check_expectation_names, evaluate_expectations
+from .scenario_checks import check_expectation_names, evaluate_expectations
 from .sim import FLOW_PROTOCOLS, Network, SimParams
-from .topology import Topology, load_topology, read_yaml
+from .topology import LIST, MAPPING, STRING, STRINGS, Kind, Topology, check_entry, one_of
+from .topology import load_topology, read_yaml
 
 MS = 1_000_000
 
-# every event op and the fields it reads, checked when the scenario loads
-EVENT_FIELDS = {
-    "spawn": ("pid",),
-    "exit": ("pid",),
-    "read": ("pid", "path"),
-    "write": ("pid", "path"),
-    "create": ("pid", "path"),
-    "accept": ("pid", "flow"),
-    "reboot": (),
-    "gc": (),
+
+def _count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+# The numbers a scenario holds, by kind: a time or a duration in ms, a
+# count, a port and a pid, which may be null (a flow with no pid); and a
+# tracker expectation, a <path>@<host> name or 0 or null (no tracker).
+# Strings and booleans are never numbers.
+MILLISECONDS = Kind(
+    "a number >= 0",
+    lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    and math.isfinite(v) and v >= 0,
+)
+COUNT = Kind("an integer >= 0", _count)
+PORT = Kind("an integer from 0 to 65535", lambda v: _count(v) and v <= 65_535)
+PID = Kind("an integer >= 0 or null", lambda v: v is None or _count(v))
+TRACKER = Kind(
+    "a string, 0 or null", lambda v: v is None or isinstance(v, str) or (v == 0 and _count(v))
+)
+
+# Each entry of a scenario file, checked when it loads: {key: kind}, and
+# the keys it must have.
+SCENARIO_FIELDS = {
+    "name": STRING, "topology": STRING, "policies": STRINGS, "params": MAPPING,
+    "setup": LIST, "events": LIST, "flows": LIST, "expect": MAPPING,
+}
+FLOW_FIELDS = {
+    "id": STRING, "src": STRING, "dst": STRING, "at_ms": MILLISECONDS, "packets": COUNT,
+    "src_port": PORT, "dst_port": PORT, "payload_len": COUNT, "pid": PID, "accept_pid": PID,
+    "protocol": one_of(*FLOW_PROTOCOLS),
+}
+FLOW_REQUIRED = ("id", "src", "dst")
+# every event op and the fields it reads, besides those any event may have
+EVENT_OPS = {
+    "spawn": ("pid",), "exit": ("pid",), "read": ("pid", "path"), "write": ("pid", "path"),
+    "create": ("pid", "path"), "accept": ("pid", "flow"), "reboot": (), "gc": (),
     "update": ("policies",),
 }
-# keys any event may have besides its op's fields
-EVENT_KEYS = ("op", "host", "at_ms", "idle_ms")
-# fields every flow entry needs, checked when the scenario loads
-FLOW_FIELDS = ("id", "src", "dst")
-# what `expect` may hold, checked when the scenario loads: the container
-# each part is, the counts, and per expected flow its fields
-EXPECT_SHAPES = {"flows": dict, "pids": list, "files": list, "trace_contains": list}
-EXPECT_KEYS = (*EXPECT_SHAPES, "external_delivered")
-EXPECT_FLOW_NUMBERS = {"delivered": "count", "sent": "count", "dropped": "count"}
-EXPECT_FLOW_KEYS = ("verdict", *EXPECT_FLOW_NUMBERS)
-# per expect.pids or expect.files entry: its fields and the label checks
-EXPECT_ENTRY_KEYS = {
-    section: (*fields, "includes", "excludes", "tracker")
-    for section, fields in EXPECT_FIELDS.items()
+EVENT_COMMON = ("op", "host", "at_ms", "idle_ms")
+EVENT_FIELDS = {
+    "op": one_of(*EVENT_OPS), "host": STRING, "at_ms": MILLISECONDS, "idle_ms": MILLISECONDS,
+    "pid": COUNT, "path": STRING, "flow": STRING, "policies": STRINGS,
 }
-VERDICTS = ("allow", "drop")
-
-# Numbers checked when the scenario loads, by kind: "ms" is a time or a
-# duration in milliseconds, "count" a whole number, "port" a whole number
-# that fits the 16-bit port field and "pid" a whole number or null (a flow
-# with no pid). Strings and booleans are never numbers.
-NUMBER_KINDS = {
-    "ms": "a number >= 0",
-    "count": "an integer >= 0",
-    "port": "an integer from 0 to 65535",
-    "pid": "an integer >= 0 or null",
+# per op, its fields and required keys; an event whose op is not an op is
+# checked against every op's fields, so the error names its op
+EVENT_ENTRIES = {
+    op: ({k: EVENT_FIELDS[k] for k in (*EVENT_COMMON, *reads)}, ("op", *reads))
+    for op, reads in EVENT_OPS.items()
 }
-FLOW_NUMBERS = {
-    "at_ms": "ms",
-    "packets": "count",
-    "src_port": "port",
-    "dst_port": "port",
-    "payload_len": "count",
-    "pid": "pid",
-    "accept_pid": "pid",
-}
-FLOW_KEYS = (*FLOW_FIELDS, *FLOW_NUMBERS, "protocol")
-EVENT_NUMBERS = {"at_ms": "ms", "idle_ms": "ms", "pid": "count"}
-# scenario params -> (kind, SimParams field); a *_ms value is stored in ns
+ANY_EVENT = (EVENT_FIELDS, ("op",))
+# a *_ms param is stored in ns, in the SimParams field *_ns
 PARAMS = {
-    "rtt_ms": ("ms", "rtt_ns"),
-    "recirc_delay_ms": ("ms", "recirc_delay_ns"),
-    "rate_window_ms": ("ms", "rate_window_ns"),
-    "recirc_limit": ("count", "recirc_limit"),
-    "index_bits": ("count", "index_bits"),
-    "conn_dec_capacity": ("count", "conn_dec_capacity"),
-    "rate_limit": ("count", "rate_limit"),
-    "udp_label_prefix": ("count", "udp_label_prefix"),
+    "rtt_ms": MILLISECONDS, "recirc_delay_ms": MILLISECONDS, "rate_window_ms": MILLISECONDS,
+    "recirc_limit": COUNT, "index_bits": COUNT, "conn_dec_capacity": COUNT,
+    "rate_limit": COUNT, "udp_label_prefix": COUNT,
 }
-
-
-def _number_problem(value, kind: str) -> str | None:
-    """Why `value` is not a number of `kind`, or None when it is one."""
-    if value is None and kind == "pid":
-        good = True
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        good = False
-    elif kind == "ms":
-        good = math.isfinite(value) and value >= 0
-    else:
-        good = isinstance(value, int) and 0 <= value <= (65_535 if kind == "port" else math.inf)
-    return None if good else f"must be {NUMBER_KINDS[kind]}, not {value!r}"
-
-
-def _check_numbers(where: str, entry: dict, kinds: dict[str, str]) -> None:
-    for name, kind in kinds.items():
-        problem = _number_problem(entry[name], kind) if name in entry else None
-        if problem:
-            raise ScenarioError(f"{where}: {name} {problem}")
+EXPECT_SECTIONS = {
+    "flows": MAPPING, "pids": LIST, "files": LIST, "trace_contains": STRINGS,
+    "external_delivered": COUNT,
+}
+EXPECT_FLOW_FIELDS = {
+    "verdict": one_of("allow", "drop"), "delivered": COUNT, "sent": COUNT, "dropped": COUNT,
+}
+# per expect.pids or expect.files entry, its fields and required keys
+_LABEL_CHECKS = {"includes": STRINGS, "excludes": STRINGS, "tracker": TRACKER}
+EXPECT_ENTRIES = {
+    "pids": ({"host": STRING, "pid": COUNT, **_LABEL_CHECKS}, ("host", "pid")),
+    "files": ({"host": STRING, "path": STRING, **_LABEL_CHECKS}, ("host", "path")),
+}
 
 
 @dataclass
@@ -112,121 +102,60 @@ class Scenario:
     path: Path  # the scenario file, named by every error about its entries
 
 
-def _check_keys(where: str, entry: dict, known: tuple[str, ...]) -> None:
-    for key in entry:
-        if key not in known:
-            raise ScenarioError(f"{where}.{key}: unknown key, expected one of {', '.join(known)}")
-
-
 def _flow_where(path: Path, i: int, flow: dict) -> str:
     return f"{path}: flows[{i}] (id {flow.get('id')!r})"
 
 
-def _check_files(where: str, base: Path, names) -> None:
-    """Checks that `names` lists files that exist, relative to `base`."""
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ScenarioError(f"{where} must be a list of file names, not {names!r}")
+def _check_files(where: str, base: Path, names: list[str]) -> None:
+    """Checks that each of `names` is a file, relative to `base`."""
     for name in names:
         if not (base / name).is_file():
             raise ScenarioError(f"{where}: no file {base / name}")
 
 
-def _typed(where: str, value, kind: type):
-    """`value`, checked to be a list or a dict as `kind` says."""
-    if not isinstance(value, kind):
-        raise ScenarioError(f"{where} must be {'a list' if kind is list else 'a mapping'}")
-    return value
-
-
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    doc = read_yaml(path)
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: scenario must be a mapping")
-    for key in ("topology", "policies"):
-        if key not in doc:
-            raise ScenarioError(f"{path}: missing {key!r}")
+    file = str(path)
+    doc = check_entry(
+        ScenarioError, file, "", read_yaml(path), SCENARIO_FIELDS, ("topology", "policies")
+    )
     base = path.parent
-    if not isinstance(doc["topology"], str):
-        raise ScenarioError(f"{path}: topology must be a file name, not {doc['topology']!r}")
     _check_files(f"{path}: topology", base, [doc["topology"]])
     _check_files(f"{path}: policies", base, doc["policies"])
-    flows = _typed(f"{path}: flows", doc.get("flows", []), list)
-    flow_ids = [flow.get("id") for flow in flows if isinstance(flow, dict)]
+    flows = doc.get("flows", [])
+    for i, flow in enumerate(flows):
+        check_entry(ScenarioError, file, f"flows[{i}]", flow, FLOW_FIELDS, FLOW_REQUIRED)
+    flow_ids = {flow["id"] for flow in flows}
     events = []
     for section in ("setup", "events"):
-        for i, event in enumerate(_typed(f"{path}: {section}", doc.get(section, []), list)):
-            if not isinstance(event, dict):
-                raise ScenarioError(f"{path}: {section}[{i}]: an event must be a mapping")
-            op = event.get("op")
+        for i, event in enumerate(doc.get(section, [])):
+            op = event.get("op") if isinstance(event, dict) else None
+            entry = EVENT_ENTRIES.get(op, ANY_EVENT) if isinstance(op, str) else ANY_EVENT
+            check_entry(ScenarioError, file, f"{section}[{i}]", event, *entry)
             where = f"{path}: {section}[{i}] (op {op!r})"
-            if op not in EVENT_FIELDS:
-                raise ScenarioError(
-                    f"{where}: unknown op, expected one of {', '.join(EVENT_FIELDS)}"
-                )
-            _check_keys(f"{path}: {section}[{i}]", event, (*EVENT_KEYS, *EVENT_FIELDS[op]))
-            for name in EVENT_FIELDS[op]:
-                if name not in event:
-                    raise ScenarioError(f"{where}: missing field {name!r}")
             if op == "update":
                 _check_files(f"{where}: policies", base, event["policies"])
-            _check_numbers(where, event, EVENT_NUMBERS)
-            if op == "accept" and event["flow"] not in flow_ids:
+            elif op == "accept" and event["flow"] not in flow_ids:
                 raise ScenarioError(
                     f"{where}: flow {event['flow']!r} is not a flow id in this file"
                 )
             events.append((where, event))
-    for i, flow in enumerate(flows):
-        if not isinstance(flow, dict):
-            raise ScenarioError(f"{path}: flows[{i}]: a flow must be a mapping")
-        _check_keys(f"{path}: flows[{i}]", flow, FLOW_KEYS)
-        where = _flow_where(path, i, flow)
-        for name in FLOW_FIELDS:
-            if name not in flow:
-                raise ScenarioError(f"{where}: missing field {name!r}")
-        for name in ("src", "dst"):
-            if not isinstance(flow[name], str):
-                raise ScenarioError(f"{where}: {name} must be a name, not {flow[name]!r}")
-        if flow.get("protocol", "tcp") not in FLOW_PROTOCOLS:
-            raise ScenarioError(
-                f"{where}: protocol must be one of {', '.join(FLOW_PROTOCOLS)}, "
-                f"not {flow['protocol']!r}"
-            )
-        _check_numbers(where, flow, FLOW_NUMBERS)
-    params = _typed(f"{path}: params", doc.get("params", {}), dict)
-    for name, value in params.items():
-        if name not in PARAMS:
-            raise ScenarioError(
-                f"{path}: params.{name}: unknown parameter, expected one of "
-                f"{', '.join(PARAMS)}"
-            )
-        problem = _number_problem(value, PARAMS[name][0])
-        if problem is None and name == "rate_window_ms" and int(value * MS) == 0:
-            # the rate limiter divides the clock by the window
-            problem = f"must be at least 1 ns (0.000001), not {value!r}"
-        if problem:
-            raise ScenarioError(f"{path}: params.{name} {problem}")
-    expect = _typed(f"{path}: expect", doc.get("expect", {}), dict)
-    _check_keys(f"{path}: expect", expect, EXPECT_KEYS)
-    for key, kind in EXPECT_SHAPES.items():
-        _typed(f"{path}: expect.{key}", expect.get(key, kind()), kind)
-    _check_numbers(f"{path}: expect", expect, {"external_delivered": "count"})
-    for section, known in EXPECT_ENTRY_KEYS.items():
-        for i, spec in enumerate(expect.get(section, [])):
-            where = f"{path}: expect.{section}[{i}]"
-            if not isinstance(spec, dict):
-                raise ScenarioError(f"{where}: an entry must be a mapping")
-            _check_keys(where, spec, known)
+    params = check_entry(ScenarioError, file, "params", doc.get("params", {}), PARAMS)
+    # the rate limiter divides the clock by the window
+    if int(params.get("rate_window_ms", 1) * MS) == 0:
+        raise ScenarioError(
+            f"{path}: params.rate_window_ms: must be at least 1 ns (0.000001), "
+            f"not {params['rate_window_ms']!r}"
+        )
+    expect = check_entry(ScenarioError, file, "expect", doc.get("expect", {}), EXPECT_SECTIONS)
     for flow_id, want in expect.get("flows", {}).items():
-        where = f"{path}: expect.flows.{flow_id}"
+        field = f"expect.flows.{flow_id}"
         if flow_id not in flow_ids:
-            raise ScenarioError(f"{where}: {flow_id!r} is not a flow id in this file")
-        _check_keys(where, _typed(where, want, dict), EXPECT_FLOW_KEYS)
-        _check_numbers(where, want, EXPECT_FLOW_NUMBERS)
-        if want.get("verdict", "allow") not in VERDICTS:
-            raise ScenarioError(
-                f"{where}: verdict must be one of {', '.join(VERDICTS)}, not {want['verdict']!r}"
-            )
+            raise ScenarioError(f"{path}: {field}: {flow_id!r} is not a flow id in this file")
+        check_entry(ScenarioError, file, field, want, EXPECT_FLOW_FIELDS)
+    for section, (fields, required) in EXPECT_ENTRIES.items():
+        for i, spec in enumerate(expect.get(section, [])):
+            check_entry(ScenarioError, file, f"expect.{section}[{i}]", spec, fields, required)
     return Scenario(
         name=doc.get("name", path.stem),
         base_dir=base,
@@ -244,8 +173,10 @@ def build_params(raw: dict) -> SimParams:
     """SimParams from a scenario's params, checked by load_scenario."""
     p = SimParams()
     for name, value in raw.items():
-        kind, attr = PARAMS[name]
-        setattr(p, attr, int(value * MS) if kind == "ms" else value)
+        if name.endswith("_ms"):
+            setattr(p, f"{name[:-3]}_ns", int(value * MS))
+        else:
+            setattr(p, name, value)
     return p
 
 
@@ -292,12 +223,12 @@ def _schedule_flows(net: Network, scn: Scenario) -> None:
                 dst=raw["dst"],
                 at_ns=int(raw.get("at_ms", 0) * MS),
                 protocol=raw.get("protocol", "tcp"),
-                src_port=int(raw.get("src_port", 41000)),
-                dst_port=int(raw.get("dst_port", 80)),
+                src_port=raw.get("src_port", 41000),
+                dst_port=raw.get("dst_port", 80),
                 pid=raw.get("pid"),
                 accept_pid=raw.get("accept_pid"),
-                packets=int(raw.get("packets", 3)),
-                payload_len=int(raw.get("payload_len", 512)),
+                packets=raw.get("packets", 3),
+                payload_len=raw.get("payload_len", 512),
             )
         except DifcnetError as exc:
             raise ScenarioError(f"{_flow_where(scn.path, i, raw)}: {exc}") from None
@@ -322,7 +253,7 @@ def _schedule_events(net: Network, topology: Topology, scn: Scenario) -> None:
             idle = int(raw.get("idle_ms", 60_000) * MS)
             net.schedule_call(at, "conn-dec-gc", lambda i=idle: net.gc_conn_dec(i))
             continue
-        if not isinstance(host, str) or host not in net.agents:
+        if host not in net.agents:
             raise ScenarioError(f"{where}: needs a known host, not {host!r}")
         fn = _located(where, _agent_call(net, net.agents[host], op, raw))
         net.schedule_call(at, f"event host={host} op={op}", lambda f=fn, t=at: f(t))
@@ -341,22 +272,19 @@ def _located(where: str, fn):
 
 
 def _agent_call(net: Network, agent, op: str, raw: dict):
+    pid = raw.get("pid")  # a count, for every op that reads it
     if op == "spawn":
-        return lambda t: agent.spawn(int(raw["pid"]), now_ns=t)
+        return lambda t: agent.spawn(pid, now_ns=t)
     if op == "exit":
-        return lambda t: agent.exit(int(raw["pid"]), now_ns=t)
+        return lambda t: agent.exit(pid, now_ns=t)
     if op == "read":
-        return lambda t: agent.read(
-            int(raw["pid"]), agent.inode_of(raw["path"]), now_ns=t
-        )
+        return lambda t: agent.read(pid, agent.inode_of(raw["path"]), now_ns=t)
     if op == "write":
-        return lambda t: agent.write(
-            int(raw["pid"]), agent.inode_of(raw["path"]), now_ns=t
-        )
+        return lambda t: agent.write(pid, agent.inode_of(raw["path"]), now_ns=t)
     if op == "create":
-        return lambda t: agent.create(int(raw["pid"]), raw["path"], now_ns=t)
+        return lambda t: agent.create(pid, raw["path"], now_ns=t)
     if op == "accept":
         # load_scenario checked that the flow is in the file
-        return lambda t: agent.accept(int(raw["pid"]), net.flows[raw["flow"]].key, now_ns=t)
+        return lambda t: agent.accept(pid, net.flows[raw["flow"]].key, now_ns=t)
     # reboot: load_scenario rejects every op not handled here or in _schedule_events
     return lambda t: agent.reboot(now_ns=t)

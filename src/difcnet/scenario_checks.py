@@ -7,9 +7,6 @@ from .errors import DifcnetError, ScenarioError
 from .labels import Label, tag_bit
 from .netcl.compiler import tracker_of
 
-# fields each expectation list entry needs, checked before the run
-EXPECT_FIELDS = {"pids": ("host", "pid"), "files": ("host", "path")}
-
 
 def _tracker_ref(compiled, ref):
     """Tracker expectations name the file as <path>@<host>; 0 or None means
@@ -19,37 +16,23 @@ def _tracker_ref(compiled, ref):
 
 def check_expectation_names(where: str, expect: dict, topology, compiled) -> None:
     """Checks, before the run, that each `expect.pids` and `expect.files`
-    entry (a mapping of known keys, as load_scenario checked) names a host
-    of the topology, a pid that is a count or a path that is a string, only
-    tags the policy declares and, if it names a tracker, a file the policy
-    tracks; `where` is the scenario file."""
-    for section, fields in EXPECT_FIELDS.items():
+    entry (of the keys and kinds load_scenario checked) names a host of the
+    topology, only tags the policy declares and, if it names a tracker, a
+    file the policy tracks; `where` is the scenario file."""
+    for section in ("pids", "files"):
         for i, spec in enumerate(expect.get(section, [])):
             entry = f"{where}: expect.{section}[{i}]"
-            for name in fields:
-                if name not in spec:
-                    raise ScenarioError(f"{entry}: missing field {name!r}")
-            host = spec["host"]
-            if not isinstance(host, str) or host not in topology.host_by_name:
+            if spec["host"] not in topology.host_by_name:
                 raise ScenarioError(
-                    f"{entry}: host {host!r} is not a host in topology {topology.name!r}"
+                    f"{entry}: host {spec['host']!r} is not a host in topology {topology.name!r}"
                 )
-            if section == "pids":
-                pid = spec["pid"]
-                if isinstance(pid, bool) or not isinstance(pid, int) or pid < 0:
-                    raise ScenarioError(f"{entry}: pid must be an integer >= 0, not {pid!r}")
-            elif not isinstance(spec["path"], str):
-                raise ScenarioError(f"{entry}: path must be a string, not {spec['path']!r}")
             ref = spec.get("tracker")
             try:
                 _tracker_ref(compiled, ref)
             except DifcnetError as exc:
                 raise ScenarioError(f"{entry}: tracker {ref!r}: {exc}") from None
             for key in ("includes", "excludes"):
-                names = spec.get(key, [])
-                if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-                    raise ScenarioError(f"{entry}: {key} must be a list of tag names, not {names!r}")
-                for name in names:
+                for name in spec.get(key, []):
                     if name not in compiled.registry.name_to_id:
                         raise ScenarioError(f"{entry}: {key}: unknown tag {name!r}")
 

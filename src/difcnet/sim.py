@@ -237,14 +237,8 @@ class Network:
             )
         if flow_id in self.flows:
             raise DifcnetError(f"flow {flow_id!r}: flow id already in use")
-        resolve = self.topology.resolve
-        try:  # each endpoint names one address
-            (src_ip,) = resolve(src)
-            (dst_ip,) = resolve(dst)
-        except (UnknownName, ValueError):
-            flow_address(self.topology, flow_id, "src", src)  # raises naming the field
-            flow_address(self.topology, flow_id, "dst", dst)
-            raise
+        src_ip = flow_address(self.topology, flow_id, "src", src)
+        dst_ip = flow_address(self.topology, flow_id, "dst", dst)
         key = FlowKey(src_ip, src_port, dst_ip, dst_port, proto)
         rec = FlowRecord(flow_id, src, dst, key, accept_pid=accept_pid)
         self.flows[flow_id] = rec

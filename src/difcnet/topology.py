@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import yaml
 
@@ -60,15 +61,9 @@ class Host:
 class FirewallRule:
     """Stateless 5-tuple-level allow/deny. None matches anything."""
 
-    action: str  # "allow" | "deny"
+    action: str  # "allow" | "deny", checked when the topology loads
     src: frozenset[str] | None = None  # ips
     dst: frozenset[str] | None = None
-
-    def __post_init__(self):
-        if self.action not in ("allow", "deny"):
-            raise DifcnetError(
-                f"firewall rule action must be 'allow' or 'deny', not {self.action!r}"
-            )
 
 
 @dataclass
@@ -273,11 +268,8 @@ def _firewall_side(topo: Topology, value, where: str) -> frozenset[str] | None:
     None (the side is absent) matches anything."""
     if value is None:
         return None
-    names = value if isinstance(value, list) else [value]
     ips: set[str] = set()
-    for name in names:
-        if not isinstance(name, str):
-            raise DifcnetError(f"{where}: a name must be a string, not {name!r}")
+    for name in value if isinstance(value, list) else [value]:
         try:
             ips.update(topo.resolve(name))
         except UnknownName as exc:
@@ -313,46 +305,107 @@ def load_topology(path: str) -> Topology:
         raise
 
 
-def _shaped(value, shape: type, where: str):
-    """`value` if it is a `shape` (list or dict), else a DifcnetError naming
-    `where`; a string where a list belongs is not read as its characters."""
-    if not isinstance(value, shape):
-        kinds = {list: "a list", dict: "a mapping"}
-        got = kinds.get(type(value), repr(value))
-        raise DifcnetError(f"{where}: must be {kinds[shape]}, not {got}")
-    return value
+class Kind(NamedTuple):
+    """What an input field may hold: the words an error says it must be,
+    the test a value of it passes and, for a list, the kind of each item."""
+
+    words: str
+    test: Callable[[object], bool]
+    item: Kind | None = None
+
+
+def one_of(*values: str) -> Kind:
+    return Kind(f"one of {', '.join(values)}", values.__contains__)
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+STRING = Kind("a string", lambda v: isinstance(v, str))
+STRINGS = Kind("a list of strings", _strings, STRING)
+LIST = Kind("a list", lambda v: isinstance(v, list))
+MAPPING = Kind("a mapping", lambda v: isinstance(v, dict))
+
+
+def _joined(*parts: str) -> str:
+    return ": ".join(p for p in parts if p)
+
+
+def _kind_error(error: type[DifcnetError], where: str, value, kind: Kind) -> DifcnetError:
+    """`error` saying that `value`, at `where`, is not of `kind`; in a list,
+    it names the first item that is not of the item kind. A list or a
+    mapping is shown by its kind, any other value by its repr."""
+    if kind.item is not None and isinstance(value, list):
+        for j, item in enumerate(value):
+            if not kind.item.test(item):
+                return _kind_error(error, f"{where}[{j}]", item, kind.item)
+    shown = {list: "a list", dict: "a mapping"}.get(type(value)) or repr(value)
+    return error(_joined(where, f"must be {kind.words}, not {shown}"))
+
+
+def check_entry(
+    error: type[DifcnetError], file: str, field: str, entry, fields: dict, required=()
+) -> dict:
+    """`entry`, the mapping at `field` ("" for the root) of `file`, checked
+    to hold only keys `fields` lists, each with a value of its kind, and
+    every key in `required`. Anything else raises `error` as `<file>:
+    <field path>: ...`; `file` is "" where the caller adds it."""
+    if not isinstance(entry, dict):
+        raise _kind_error(error, _joined(file, field), entry, MAPPING)
+    for key, value in entry.items():
+        kind = fields.get(key)
+        if kind is None or not kind.test(value):
+            where = _joined(file, f"{field}.{key}" if field else str(key))
+            if kind is None:
+                raise error(f"{where}: unknown key, expected one of {', '.join(fields)}")
+            raise _kind_error(error, where, value, kind)
+    for key in required:
+        if key not in entry:
+            raise error(_joined(file, field, f"missing field {key!r}"))
+    return entry
+
+
+# Each entry of a topology document: {key: kind}. A link is checked on its own.
+TOPOLOGY_FIELDS = {
+    "name": STRING, "switches": STRINGS, "links": LIST, "hosts": LIST, "external": MAPPING,
+    "groups": MAPPING, "firewall": LIST,
+}
+HOST_FIELDS = {"name": STRING, "ip": STRING, "switch": STRING}  # all required
+EXTERNAL_FIELDS = {"name": STRING, "ip": STRING, "gateway": STRING}
+_SIDE = Kind("a string or a list of strings", lambda v: isinstance(v, str) or _strings(v), STRING)
+FIREWALL_FIELDS = {"action": one_of("allow", "deny"), "src": _SIDE, "dst": _SIDE}
 
 
 def topology_from_dict(doc: dict) -> Topology:
-    if not isinstance(doc, dict):
-        raise DifcnetError("topology must be a mapping")
-    if "switches" not in doc:
-        raise DifcnetError("missing field 'switches'")
+    check_entry(DifcnetError, "", "", doc, TOPOLOGY_FIELDS, ("switches",))
     links = []
-    for i, entry in enumerate(_shaped(doc.get("links", []), list, "links")):
+    for i, entry in enumerate(doc.get("links", [])):
         if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 3):
             raise DifcnetError(
                 f"links[{i}]: a link is [switch, switch] or [switch, switch, latency_ns], "
                 f"not {entry!r}"
             )
+        for j in (0, 1):
+            if not isinstance(entry[j], str):
+                raise _kind_error(DifcnetError, f"links[{i}][{j}]", entry[j], STRING)
         lat = entry[2] if len(entry) == 3 else DEFAULT_LINK_LATENCY_NS
         links.append((entry[0], entry[1], lat))
-    hosts = []
-    for i, h in enumerate(_shaped(doc.get("hosts", []), list, "hosts")):
-        _shaped(h, dict, f"hosts[{i}]")
-        for key in ("name", "ip", "switch"):
-            if key not in h:
-                raise DifcnetError(f"hosts[{i}] ({h.get('name', '?')}): missing field {key!r}")
-        hosts.append(Host(h["name"], h["ip"], h["switch"]))
-    ext = _shaped(doc.get("external", {}), dict, "external")
-    groups = {
-        k: tuple(_shaped(v, list, f"groups.{k}"))
-        for k, v in _shaped(doc.get("groups", {}), dict, "groups").items()
-    }
+    hosts = [
+        Host(**check_entry(DifcnetError, "", f"hosts[{i}]", h, HOST_FIELDS, tuple(HOST_FIELDS)))
+        for i, h in enumerate(doc.get("hosts", []))
+    ]
+    ext = check_entry(DifcnetError, "", "external", doc.get("external", {}), EXTERNAL_FIELDS)
+    groups = {}
+    for group, members in doc.get("groups", {}).items():
+        for value, kind in ((group, STRING), (members, STRINGS)):
+            if not kind.test(value):
+                raise _kind_error(DifcnetError, f"groups.{group}", value, kind)
+        groups[group] = tuple(members)
 
     topo = Topology(
         name=doc.get("name", "unnamed"),
-        switches=list(_shaped(doc["switches"], list, "switches")),
+        switches=list(doc["switches"]),
         hosts=hosts,
         links=links,
         external_name=ext.get("name", "external"),
@@ -362,13 +415,14 @@ def topology_from_dict(doc: dict) -> Topology:
     )
 
     fw = []
-    for i, r in enumerate(_shaped(doc.get("firewall", []), list, "firewall")):
-        _shaped(r, dict, f"firewall[{i}]")
+    for i, r in enumerate(doc.get("firewall", [])):
+        where = f"firewall[{i}]"
+        check_entry(DifcnetError, "", where, r, FIREWALL_FIELDS, ("action",))
         fw.append(
             FirewallRule(
-                action=r.get("action"),
-                src=_firewall_side(topo, r.get("src"), f"firewall[{i}].src"),
-                dst=_firewall_side(topo, r.get("dst"), f"firewall[{i}].dst"),
+                action=r["action"],
+                src=_firewall_side(topo, r.get("src"), f"{where}.src"),
+                dst=_firewall_side(topo, r.get("dst"), f"{where}.dst"),
             )
         )
     topo.firewall = fw

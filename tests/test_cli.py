@@ -229,7 +229,7 @@ def test_bad_topology_is_a_click_error(runner, broken_topology, args):
     res = runner.invoke(main, [a.format(topo=broken_topology) for a in args])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
-    assert f"Error: {broken_topology}: hosts[0] (A): missing field 'ip'" in res.output
+    assert f"Error: {broken_topology}: hosts[0]: missing field 'ip'" in res.output
 
 
 @pytest.mark.parametrize(
@@ -259,27 +259,28 @@ def test_run_reports_a_malformed_scenario_without_traceback(runner, tmp_path):
 
 
 MALFORMED_DIR = REPO_ROOT / "tests" / "data" / "malformed"
-UNKNOWN_OP = "unknown op, expected one of spawn, exit, read, write, create, accept, reboot, gc, update"
-# each fixture once ended in a traceback, or in an error naming no file or entry
+OPS = "spawn, exit, read, write, create, accept, reboot, gc, update"
+# each fixture once loaded and checked nothing, ended in a traceback, or in an
+# error naming no file or entry
 MALFORMED = {
     "missing_topology": "topology: no file {dir}/../../../scenarios/topologies/nowhere.yaml",
     "missing_policy": "policies: no file {dir}/nowhere.ncl",
     "missing_update_policy": "events[0] (op 'update'): policies: no file {dir}/nowhere.ncl",
-    "unknown_op": "events[0] (op 'frobnicate'): " + UNKNOWN_OP,
-    "unknown_op_without_host": "setup[0] (op 'frobnicate'): " + UNKNOWN_OP,
-    "setup_not_a_list": "setup must be a list",
-    "expect_flows_list": "expect.flows must be a mapping",
-    "update_policies_string": "events[0] (op 'update'): policies must be a list of file "
-    "names, not '../../../scenarios/policies/listing1.ncl'",
+    "unknown_op": f"events[0].op: must be one of {OPS}, not 'frobnicate'",
+    "unknown_op_without_host": f"setup[0].op: must be one of {OPS}, not 'frobnicate'",
+    "setup_not_a_list": "setup: must be a list, not 5",
+    "expect_flows_list": "expect.flows: must be a mapping, not a list",
+    "update_policies_string": "events[0].policies: must be a list of strings, "
+    "not '../../../scenarios/policies/listing1.ncl'",
     "expect_unknown_key": "expect.flow: unknown key, expected one of flows, pids, files, "
     "trace_contains, external_delivered",
     "expect_flow_unknown_key": "expect.flows.entry.verdcit: unknown key, expected one of "
     "verdict, delivered, sent, dropped",
-    "expect_delivered_not_a_count": "expect.flows.entry: delivered must be an integer >= 0, "
+    "expect_delivered_not_a_count": "expect.flows.entry.delivered: must be an integer >= 0, "
     "not 'lots'",
-    "expect_external_delivered_negative": "expect: external_delivered must be an integer >= 0, "
+    "expect_external_delivered_negative": "expect.external_delivered: must be an integer >= 0, "
     "not -1",
-    "expect_verdict_misspelt": "expect.flows.entry: verdict must be one of allow, drop, "
+    "expect_verdict_misspelt": "expect.flows.entry.verdict: must be one of allow, drop, "
     "not 'alow'",
     "expect_flow_unknown_id": "expect.flows.entyr: 'entyr' is not a flow id in this file",
     "flow_unknown_key": "flows[1].acept_pid: unknown key, expected one of id, src, dst, at_ms, "
@@ -288,7 +289,18 @@ MALFORMED = {
     "pid",
     "expect_pids_unknown_key": "expect.pids[0].include: unknown key, expected one of host, pid, "
     "includes, excludes, tracker",
-    "rate_window_zero": "params.rate_window_ms must be at least 1 ns (0.000001), not 0",
+    "rate_window_zero": "params.rate_window_ms: must be at least 1 ns (0.000001), not 0",
+    "event_op_list": f"setup[0].op: must be one of {OPS}, not a list",
+    "event_host_list": "setup[0].host: must be a string, not a list",
+    "event_path_number": "events[0].path: must be a string, not 5",
+    "flow_id_list": "flows[0].id: must be a string, not a list",
+    "trace_contains_number": "expect.trace_contains[1]: must be a string, not 5",
+    "expect_pid_text": "expect.pids[0].pid: must be an integer >= 0, not 'abc'",
+    "expect_file_path_number": "expect.files[0].path: must be a string, not 5",
+    "expect_includes_string": "expect.pids[0].includes: must be a list of strings, not 'Host1'",
+    "expect_tracker_list": "expect.pids[0].tracker: must be a string, 0 or null, not a list",
+    "scenario_unknown_key": "expcet: unknown key, expected one of name, topology, policies, "
+    "params, setup, events, flows, expect",
 }
 
 
@@ -307,8 +319,9 @@ def test_run_rejects_a_malformed_scenario_fixture_at_load(runner, name):
 
 
 MALFORMED_TOPOLOGY_DIR = REPO_ROOT / "tests" / "data" / "malformed_topology"
-# each fixture once loaded (time ran backwards, or a string was read as its
-# characters) or ended in a KeyError or AttributeError traceback
+# each fixture once loaded (time ran backwards, a string was read as its
+# characters, a misspelt key was ignored or a name was not a string) or ended
+# in a KeyError, AttributeError or TypeError traceback
 MALFORMED_TOPOLOGY = {
     "negative_latency": "links[1]: latency must be a number of ns, not -1000000000 "
     "(an integer >= 0)",
@@ -317,9 +330,15 @@ MALFORMED_TOPOLOGY = {
     "hosts_mapping": "hosts: must be a list, not a mapping",
     "external_string": "external: must be a mapping, not 'external'",
     "groups_list": "groups: must be a mapping, not a list",
-    "group_string": "groups.Servers_Floor: must be a list, not 'Server1'",
-    "switches_string": "switches: must be a list, not 'S1'",
+    "group_string": "groups.Servers_Floor: must be a list of strings, not 'Server1'",
+    "switches_string": "switches: must be a list of strings, not 'S1'",
     "firewall_entry_string": "firewall[1]: must be a mapping, not 'deny'",
+    "external_name_list": "external.name: must be a string, not a list",
+    "host_name_int": "hosts[1].name: must be a string, not 5",
+    "group_member_list": "groups.Servers_Floor[1]: must be a string, not a list",
+    "external_key_misspelt": "external.nmae: unknown key, expected one of name, ip, gateway",
+    "firewall_misspelt": "firewal: unknown key, expected one of name, switches, links, hosts, "
+    "external, groups, firewall",
 }
 
 
@@ -378,8 +397,7 @@ def test_run_reports_an_unknown_flow_protocol_at_load(runner, tmp_path):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.output == (
-        f"Error: {path}: flows[5] (id 'benign_out'): "
-        "protocol must be one of tcp, udp, icmp, not 'sctp'\n"
+        f"Error: {path}: flows[5].protocol: must be one of tcp, udp, icmp, not 'sctp'\n"
     )
 
 
@@ -391,13 +409,13 @@ def test_run_reports_an_unknown_flow_protocol_at_load(runner, tmp_path):
         ("scenario3", "excludes: [Top_Secret], tracker: /", "excludes: [Nope], tracker: /",
          "expect.files[0]: excludes: unknown tag 'Nope'"),
         ("scenario1", "includes: [PACS]", "includes: PACS",
-         "expect.pids[1]: includes must be a list of tag names, not 'PACS'"),
+         "expect.pids[1].includes: must be a list of strings, not 'PACS'"),
         ("scenario1", "pid: 503, includes", "pid: abc, includes",
-         "expect.pids[1]: pid must be an integer >= 0, not 'abc'"),
+         "expect.pids[1].pid: must be an integer >= 0, not 'abc'"),
         ("scenario1", "pid: 503, includes", "pid: -3, includes",
-         "expect.pids[1]: pid must be an integer >= 0, not -3"),
+         "expect.pids[1].pid: must be an integer >= 0, not -3"),
         ("scenario3", "path: /shared/declassified, includes", "path: 5, includes",
-         "expect.files[0]: path must be a string, not 5"),
+         "expect.files[0].path: must be a string, not 5"),
     ],
     ids=["pid-includes", "file-excludes", "not-a-list", "pid-not-a-count", "pid-negative",
          "path-not-a-string"],

@@ -159,7 +159,7 @@ def _set(doc, dotted, value):
         (("hosts", 2, "ip"), "10.9.0.1", "hosts[2] (C): ip 10.9.0.1 is already used by hosts[0] (A)"),
         (("external", "ip"), "198.51.100.01", "external.ip: not an IPv4 address: '198.51.100.01'"),
         (("firewall",), [{"action": "deny", "dst": {"host": "A"}}],
-         "firewall[0].dst: a name must be a string, not {'host': 'A'}"),
+         "firewall[0].dst: must be a string or a list of strings, not a mapping"),
     ],
     ids=["group-is-host", "group-is-external", "binding-is-external", "group-is-binding",
          "duplicate-host", "host-is-external",
@@ -204,7 +204,7 @@ def _scenario(tmp_path, **extra):
         ({"setup": [{"host": "Hots1", "op": "spawn", "pid": 1}]},
          "setup[0] (op 'spawn'): needs a known host, not 'Hots1'"),
         ({"events": [{"host": ["PACS"], "op": "reboot"}]},
-         "events[0] (op 'reboot'): needs a known host, not ['PACS']"),
+         "events[0].host: must be a string, not a list"),
         ({"flows": [{"id": "ok", "src": "Host1", "dst": "PACS"},
                     {"id": "typo", "src": "PACS", "dst": "Hots1"}]},
          "flows[1] (id 'typo'): flow 'typo': dst: cannot resolve 'Hots1' in topology 'hospital'"),
@@ -225,12 +225,14 @@ def _scenario(tmp_path, **extra):
          "file-host", "file-path", "tracker-without-at", "untracked-file"],
 )
 def test_scenario_names_fail_before_the_first_event(tmp_path, monkeypatch, sections, problem):
+    """Each fails when the scenario loads (a host that is not a string, a
+    missing field) or once the policies compile (a name that does not
+    resolve), never in the run."""
     path = _scenario(tmp_path, **sections)
-    scn = load_scenario(path)
     ran = []
     monkeypatch.setattr(Network, "run", lambda self, until_ns=None: ran.append(until_ns))
     with pytest.raises(ScenarioError) as exc:
-        run_scenario(scn)
+        run_scenario(load_scenario(path))
     assert str(exc.value) == f"{path}: {problem}"
     assert not ran
 
@@ -239,7 +241,7 @@ def test_scenario_endpoint_that_is_not_a_string_fails_at_load(tmp_path):
     path = _scenario(tmp_path, flows=[{"id": "f", "src": "Host1", "dst": ["PACS"]}])
     with pytest.raises(ScenarioError) as exc:
         load_scenario(path)
-    assert str(exc.value) == f"{path}: flows[0] (id 'f'): dst must be a name, not ['PACS']"
+    assert str(exc.value) == f"{path}: flows[0].dst: must be a string, not a list"
 
 
 def test_scenario3_tracker_without_a_host_is_named(tmp_path):

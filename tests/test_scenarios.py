@@ -80,8 +80,8 @@ def test_unknown_event_op(tmp_path):
     with pytest.raises(ScenarioError) as exc:
         _minimal_scenario(tmp_path, {"events": [{"host": "Host1", "op": "frobnicate"}]})
     assert str(exc.value) == (
-        f"{tmp_path / 'scn.yaml'}: events[0] (op 'frobnicate'): unknown op, expected one "
-        "of spawn, exit, read, write, create, accept, reboot, gc, update"
+        f"{tmp_path / 'scn.yaml'}: events[0].op: must be one of spawn, exit, read, write, "
+        "create, accept, reboot, gc, update, not 'frobnicate'"
     )
 
 
@@ -98,18 +98,18 @@ def test_flow_entry_missing_field(tmp_path):
     # caught when the scenario loads, not when the flow is scheduled
     with pytest.raises(ScenarioError, match="missing") as exc:
         _minimal_scenario(tmp_path, {"flows": [{"id": "f", "src": "Host1"}]})  # no dst
-    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: flows[0] (id 'f'): missing field 'dst'"
+    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: flows[0]: missing field 'dst'"
 
 
 @pytest.mark.parametrize(
     "flow, problem",
     [
-        ({"src": "Host1", "dst": "Host2"}, "missing field 'id'"),
-        ({"id": "f", "dst": "Host2"}, "missing field 'src'"),
+        ({"src": "Host1", "dst": "Host2"}, "flows[1]: missing field 'id'"),
+        ({"id": "f", "dst": "Host2"}, "flows[1]: missing field 'src'"),
         ({"id": "f", "src": "Host1", "dst": "Host2", "protocol": "sctp"},
-         "protocol must be one of tcp, udp, icmp, not 'sctp'"),
+         "flows[1].protocol: must be one of tcp, udp, icmp, not 'sctp'"),
         ({"id": "f", "src": "Host1", "dst": "Host2", "protocol": ["tcp"]},
-         "protocol must be one of tcp, udp, icmp, not ['tcp']"),
+         "flows[1].protocol: must be one of tcp, udp, icmp, not a list"),
     ],
     ids=["id", "src", "sctp", "list"],
 )
@@ -117,11 +117,11 @@ def test_flow_entry_fails_at_load_naming_file_index_and_field(tmp_path, flow, pr
     ok = {"id": "g", "src": "Host1", "dst": "Host2", "protocol": "udp"}
     with pytest.raises(ScenarioError) as exc:
         _minimal_scenario(tmp_path, {"flows": [ok, flow]})
-    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: flows[1] (id {flow.get('id')!r}): {problem}"
+    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: {problem}"
 
 
 def test_flow_entry_that_is_not_a_mapping_fails_at_load(tmp_path):
-    with pytest.raises(ScenarioError, match=r"flows\[0\]: a flow must be a mapping"):
+    with pytest.raises(ScenarioError, match=r"flows\[0\]: must be a mapping, not 'f1'$"):
         _minimal_scenario(tmp_path, {"flows": ["f1"]})
 
 
@@ -165,14 +165,14 @@ def test_event_missing_field_fails_at_load(tmp_path, event, missing):
     with pytest.raises(ScenarioError) as exc:
         _minimal_scenario(tmp_path, {"events": events})
     assert str(exc.value) == (
-        f"{tmp_path / 'scn.yaml'}: events[1] (op {event['op']!r}): missing field {missing!r}"
+        f"{tmp_path / 'scn.yaml'}: events[1]: missing field {missing!r}"
     )
 
 
 def test_setup_event_missing_field_names_the_setup_list(tmp_path):
-    with pytest.raises(ScenarioError, match=r"setup\[0\] \(op 'spawn'\): missing field 'pid'"):
+    with pytest.raises(ScenarioError, match=r"setup\[0\]: missing field 'pid'$"):
         _minimal_scenario(tmp_path, {"setup": [{"host": "Host1", "op": "spawn"}]})
-    with pytest.raises(ScenarioError, match=r"setup\[0\]: an event must be a mapping"):
+    with pytest.raises(ScenarioError, match=r"setup\[0\]: must be a mapping, not 'spawn'$"):
         _minimal_scenario(tmp_path, {"setup": ["spawn"]})
 
 
@@ -195,7 +195,7 @@ def test_setup_event_missing_field_names_the_setup_list(tmp_path):
         ({"expect": {"files": [{"host": "Host1", "path": "/f", "trackr": "/f@Host1"}]}},
          "expect.files[0].trackr: unknown key, expected one of host, path, includes, "
          "excludes, tracker"),
-        ({"expect": {"files": ["/f"]}}, "expect.files[0]: an entry must be a mapping"),
+        ({"expect": {"files": ["/f"]}}, "expect.files[0]: must be a mapping, not '/f'"),
     ],
     ids=["flow", "setup", "other-op", "gc", "pids", "files", "files-entry"],
 )
@@ -207,7 +207,7 @@ def test_unknown_entry_key_fails_at_load(tmp_path, extra, problem):
 
 def test_event_pid_that_is_not_an_integer_fails_at_load(tmp_path):
     events = [{"host": "Host1", "op": "spawn", "pid": "seven"}]
-    with pytest.raises(ScenarioError, match=r"events\[0\] \(op 'spawn'\): pid must be an integer"):
+    with pytest.raises(ScenarioError, match=r"events\[0\]\.pid: must be an integer >= 0, not 'seven'$"):
         _minimal_scenario(tmp_path, {"events": events})
 
 
@@ -232,53 +232,53 @@ def test_event_pid_that_is_not_an_integer_fails_at_load(tmp_path):
     ids=lambda v: v if isinstance(v, str) and " " not in v else None,
 )
 def test_flow_number_fails_at_load_naming_file_index_and_field(tmp_path, field, value, problem):
+    """`problem` reads `<field> must be ...`; the error names the entry's
+    field path in front of `must be ...`."""
     flows = [
         {"id": "g", "src": "Host1", "dst": "Host2", "at_ms": 1.5, "pid": None},
         {"id": "f", "src": "Host1", "dst": "Host2", field: value},
     ]
     with pytest.raises(ScenarioError) as exc:
         _minimal_scenario(tmp_path, {"flows": flows})
-    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: flows[1] (id 'f'): {problem}"
+    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: flows[1].{problem.replace(' ', ': ', 1)}"
 
 
 @pytest.mark.parametrize(
     "section, event, problem",
     [
-        ("events", {"op": "gc", "at_ms": "later"},
-         "(op 'gc'): at_ms must be a number >= 0, not 'later'"),
-        ("events", {"op": "gc", "idle_ms": False},
-         "(op 'gc'): idle_ms must be a number >= 0, not False"),
+        ("events", {"op": "gc", "at_ms": "later"}, "at_ms: must be a number >= 0, not 'later'"),
+        ("events", {"op": "gc", "idle_ms": False}, "idle_ms: must be a number >= 0, not False"),
         ("setup", {"host": "Host1", "op": "spawn", "pid": 1, "at_ms": -3},
-         "(op 'spawn'): at_ms must be a number >= 0, not -3"),
+         "at_ms: must be a number >= 0, not -3"),
         ("events", {"host": "Host1", "op": "spawn", "pid": None},
-         "(op 'spawn'): pid must be an integer >= 0, not None"),
+         "pid: must be an integer >= 0, not None"),
         ("events", {"host": "Host1", "op": "exit", "pid": "101"},
-         "(op 'exit'): pid must be an integer >= 0, not '101'"),
+         "pid: must be an integer >= 0, not '101'"),
     ],
     ids=["at_ms", "idle_ms", "setup", "null-pid", "text-pid"],
 )
 def test_event_number_fails_at_load(tmp_path, section, event, problem):
     with pytest.raises(ScenarioError) as exc:
         _minimal_scenario(tmp_path, {section: [{"op": "gc", "at_ms": 2}, event]})
-    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: {section}[1] {problem}"
+    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: {section}[1].{problem}"
 
 
 @pytest.mark.parametrize(
     "params, problem",
     [
-        ({"rtt_ms": "ten"}, "params.rtt_ms must be a number >= 0, not 'ten'"),
+        ({"rtt_ms": "ten"}, "params.rtt_ms: must be a number >= 0, not 'ten'"),
         ({"rtt_ms": 5, "recirc_limit": 2.5},
-         "params.recirc_limit must be an integer >= 0, not 2.5"),
-        ({"rate_window_ms": True}, "params.rate_window_ms must be a number >= 0, not True"),
-        ({"rtt_msec": 10}, "params.rtt_msec: unknown parameter, expected one of rtt_ms, "
+         "params.recirc_limit: must be an integer >= 0, not 2.5"),
+        ({"rate_window_ms": True}, "params.rate_window_ms: must be a number >= 0, not True"),
+        ({"rtt_msec": 10}, "params.rtt_msec: unknown key, expected one of rtt_ms, "
          "recirc_delay_ms, rate_window_ms, recirc_limit, index_bits, conn_dec_capacity, "
          "rate_limit, udp_label_prefix"),
-        (["rtt_ms"], "params must be a mapping"),
+        (["rtt_ms"], "params: must be a mapping, not a list"),
         # a window of 0 ns once ended in a ZeroDivisionError on the first
         # initial packet
-        ({"rate_window_ms": 0}, "params.rate_window_ms must be at least 1 ns (0.000001), not 0"),
+        ({"rate_window_ms": 0}, "params.rate_window_ms: must be at least 1 ns (0.000001), not 0"),
         ({"rate_window_ms": 0.0000001},
-         "params.rate_window_ms must be at least 1 ns (0.000001), not 1e-07"),
+         "params.rate_window_ms: must be at least 1 ns (0.000001), not 1e-07"),
     ],
     ids=["text", "fraction", "bool", "unknown", "list", "zero-window", "sub-ns-window"],
 )

@@ -229,7 +229,7 @@ def test_yaml_syntax_error_names_file_and_line(tmp_path):
 def test_host_without_ip_is_named(tmp_path):
     doc = _small_doc()
     del doc["hosts"][0]["ip"]
-    assert "hosts[0] (A): missing field 'ip'" in _broken(tmp_path, doc)
+    assert _broken(tmp_path, doc).endswith(": hosts[0]: missing field 'ip'")
 
 
 def test_missing_switches_is_named(tmp_path):
@@ -247,7 +247,7 @@ def test_unknown_firewall_action_is_named(tmp_path):
     doc = _small_doc()
     doc["firewall"] = [{"action": "permit", "dst": "A"}]
     message = _broken(tmp_path, doc)
-    assert "firewall rule action must be 'allow' or 'deny', not 'permit'" in message
+    assert message.endswith(": firewall[0].action: must be one of allow, deny, not 'permit'")
 
 
 def test_disconnected_switch_graph_rejected():
