@@ -19,16 +19,7 @@ from .netcl.compiler import (
     diff_configs,
     merge_to_single_switch,
 )
-from .header import FlowKey
 from .topology import Topology
-
-
-@dataclass(frozen=True)
-class PendingInstall:
-    switch_id: str
-    key: FlowKey
-    decision: Decision
-    due_ns: int
 
 
 @dataclass
@@ -58,27 +49,28 @@ class ControlPlane:
         self.rtt_ns = rtt_ns
         self.install_failures = 0
 
-    def serve_conndec(self, req: InstallRequest) -> list[PendingInstall]:
+    def serve_conndec(self, req: InstallRequest) -> list[InstallRequest]:
         """One request fans out to the deciding switch and, for admitted
         connections, the reversed key near the source so return traffic is
-        covered without a second decision."""
-        due = req.created_ns + self.rtt_ns
-        out = [PendingInstall(req.switch_id, req.key, req.decision, due)]
+        covered without a second decision. Each install is due one RTT
+        after the request."""
+        due = req.at_ns + self.rtt_ns
+        out = [InstallRequest(req.switch_id, req.key, req.decision, due)]
         if req.decision is Decision.ALLOW:
             try:
                 src_switch = self.topology.switch_of_ip(req.key.src_ip)
             except UnknownHost:  # spoofed or out-of-inventory source
                 src_switch = None
             if src_switch is not None:
-                rev = PendingInstall(src_switch, req.key.reversed(), req.decision, due)
+                rev = InstallRequest(src_switch, req.key.reversed(), req.decision, due)
                 if rev.switch_id != req.switch_id or rev.key != req.key:
                     out.append(rev)
         return out
 
-    def perform_install(self, switches: dict[str, Switch], pending: PendingInstall) -> bool:
+    def perform_install(self, switches: dict[str, Switch], pending: InstallRequest) -> bool:
         sw = switches[pending.switch_id]
         try:
-            sw.conn_dec.install(pending.key, pending.decision, pending.due_ns)
+            sw.conn_dec.install(pending.key, pending.decision, pending.at_ns)
         except CapacityExceeded:
             self.install_failures += 1
             return False

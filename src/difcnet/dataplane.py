@@ -35,24 +35,36 @@ from dataclasses import dataclass
 
 from .errors import CapacityExceeded
 from .header import DifcHeader, FlowKey
+from .hostagent import DEFAULT_UDP_LABEL_PREFIX
 from .labels import Label
 from .netcl.ast import Alert, Allow, Drop, Modify, Reroute
 from .netcl.compiler import PrivilegeEntry, SwitchConfig, TableEntry
 from .packets import PROTO_UDP, ControlKind, SimPacket
 from .topology import Topology
 
-CONN_DEC_CAPACITY = 220_000
 CLASSIFY_CACHE_CAPACITY = 4_096
-DEFAULT_INDEX_BITS = 16
-DEFAULT_RECIRC_LIMIT = 3
-DEFAULT_RATE_LIMIT = 128
-DEFAULT_RATE_WINDOW_NS = 1_000_000_000
-DEFAULT_RTT_NS = 10_000_000
 
 
 def recirc_delay(rtt_ns: int) -> int:
     """1.5 RTT: a buffer miss recirculates once the install it awaits lands."""
     return rtt_ns * 3 // 2
+
+
+@dataclass
+class SimParams:
+    """The simulator's settings, each default written here once: a switch
+    reads its table sizes, recirculation budget and rate limit from it, a
+    host agent its UDP label prefix, the network its RTT and packet gap."""
+
+    rtt_ns: int = 10_000_000
+    recirc_delay_ns: int | None = None  # None: recirc_delay(rtt_ns)
+    recirc_limit: int = 3
+    index_bits: int = 16
+    conn_dec_capacity: int = 220_000
+    rate_limit: int = 128
+    rate_window_ns: int = 1_000_000_000
+    udp_label_prefix: int = DEFAULT_UDP_LABEL_PREFIX
+    packet_gap_ns: int = 200_000
 
 
 class Decision(enum.Enum):
@@ -65,7 +77,7 @@ class ConnDecTable:
     full means install fails (CapacityExceeded), relying on gc of idle
     entries rather than displacement."""
 
-    def __init__(self, capacity: int = CONN_DEC_CAPACITY) -> None:
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._entries: dict[FlowKey, tuple[Decision, int]] = {}
 
@@ -100,7 +112,7 @@ class DecisionBuffer:
     """Direct-mapped decision store covering the window between a verdict
     and the conn_dec install landing one RTT later."""
 
-    def __init__(self, index_bits: int = DEFAULT_INDEX_BITS) -> None:
+    def __init__(self, index_bits: int) -> None:
         self.index_bits = index_bits
         self._mask = (1 << index_bits) - 1
         self._slots: dict[int, tuple[int, Decision]] = {}
@@ -134,11 +146,7 @@ class RateLimiter:
     packets that would occupy decision state are counted, so an attacker
     burning its budget cannot crowd out other sources."""
 
-    def __init__(
-        self,
-        limit: int = DEFAULT_RATE_LIMIT,
-        window_ns: int = DEFAULT_RATE_WINDOW_NS,
-    ) -> None:
+    def __init__(self, limit: int, window_ns: int) -> None:
         self.limit = limit
         self.window_ns = window_ns
         self._window_idx = -1
@@ -200,10 +208,14 @@ def decide(
 
 @dataclass(frozen=True)
 class InstallRequest:
+    """A conn_dec install of `decision` for `key` at switch `switch_id`,
+    at time `at_ns`: both the request a switch makes when it decides and
+    each install the control plane fans it out to, due one RTT later."""
+
     switch_id: str
     key: FlowKey
     decision: Decision
-    created_ns: int
+    at_ns: int
 
 
 # a hop's trace lines: a list on the paths that write one, else the shared
@@ -233,21 +245,18 @@ class Switch:
         switch_id: str,
         topology: Topology,
         config: SwitchConfig,
-        *,
-        index_bits: int = DEFAULT_INDEX_BITS,
-        conn_dec_capacity: int = CONN_DEC_CAPACITY,
-        recirc_limit: int = DEFAULT_RECIRC_LIMIT,
-        recirc_delay_ns: int = recirc_delay(DEFAULT_RTT_NS),
-        rate_limit: int = DEFAULT_RATE_LIMIT,
-        rate_window_ns: int = DEFAULT_RATE_WINDOW_NS,
+        params: SimParams | None = None,
     ) -> None:
+        p = params or SimParams()
         self.switch_id = switch_id
         self.config = config
-        self.conn_dec = ConnDecTable(conn_dec_capacity)
-        self.buffer = DecisionBuffer(index_bits)
-        self.limiter = RateLimiter(rate_limit, rate_window_ns)
-        self.recirc_limit = recirc_limit
-        self.recirc_delay_ns = recirc_delay_ns
+        self.conn_dec = ConnDecTable(p.conn_dec_capacity)
+        self.buffer = DecisionBuffer(p.index_bits)
+        self.limiter = RateLimiter(p.rate_limit, p.rate_window_ns)
+        self.recirc_limit = p.recirc_limit
+        self.recirc_delay_ns = (
+            recirc_delay(p.rtt_ns) if p.recirc_delay_ns is None else p.recirc_delay_ns
+        )
         self._enforced = set(topology.enforced_ips(switch_id))
         self._forwarding = topology.forwarding(switch_id)
         # (orig label bits, tracker, src, dst) -> (rewritten bits, entry)
@@ -265,14 +274,18 @@ class Switch:
 
     # pipeline ------------------------------------------------------------
 
+    def _drop(self, pkt: SimPacket, source: str, line: str, log: Log = ()) -> PipelineResult:
+        """A drop decided by `source`, with `line` after the hop's `log`."""
+        return PipelineResult(
+            "drop", pkt, decision_source=source, log=[*log, f"{self.switch_id} {line}"]
+        )
+
     def _forward(self, pkt: SimPacket, source: str, log: Log = ()) -> PipelineResult:
         port = self._forwarding.get(pkt.dst_ip)
         if port is None:
-            log = [*log, f"{self.switch_id} no-route dst={pkt.dst_ip}"]
-            return PipelineResult("drop", pkt, decision_source="forwarding", log=log)
+            return self._drop(pkt, "forwarding", f"no-route dst={pkt.dst_ip}", log)
         if pkt.ttl <= 1:
-            log = [*log, f"{self.switch_id} ttl-expired {pkt.flow_key}"]
-            return PipelineResult("drop", pkt, decision_source="forwarding", log=log)
+            return self._drop(pkt, "forwarding", f"ttl-expired {pkt.flow_key}", log)
         return PipelineResult(
             "forward", pkt.with_ttl(pkt.ttl - 1), egress_port=port,
             decision_source=source, log=log,
@@ -281,15 +294,13 @@ class Switch:
     def _execute(self, pkt: SimPacket, entry: TableEntry, log: Log) -> PipelineResult:
         action = entry.action
         if isinstance(action, Drop):
-            log = [*log, f"{self.switch_id} drop {pkt.flow_key} rule@{entry.priority}"]
-            return PipelineResult("drop", pkt, decision_source="policy", log=log)
+            return self._drop(pkt, "policy", f"drop {pkt.flow_key} rule@{entry.priority}", log)
         if isinstance(action, Alert):
             log = [*log, f"{self.switch_id} alert {pkt.flow_key} rule@{entry.priority}"]
             return self._forward(pkt, "policy", log)
         if isinstance(action, Reroute):
             if pkt.ttl <= 1:
-                log = [*log, f"{self.switch_id} ttl-expired {pkt.flow_key}"]
-                return PipelineResult("drop", pkt, decision_source="policy", log=log)
+                return self._drop(pkt, "policy", f"ttl-expired {pkt.flow_key}", log)
             out = pkt.with_ttl(pkt.ttl - 1)
             log = [*log, f"{self.switch_id} reroute port={action.port} {pkt.flow_key}"]
             return PipelineResult(
@@ -318,8 +329,7 @@ class Switch:
         held = self.conn_dec.lookup(key, now_ns)
         if held is not None:
             if held is Decision.DROP:
-                log = [f"{self.switch_id} drop {key} conn_dec"]
-                return PipelineResult("drop", pkt, decision_source="conn_dec", log=log)
+                return self._drop(pkt, "conn_dec", f"drop {key} conn_dec")
             return self._forward(pkt, "conn_dec")
 
         if pkt.is_initial:
@@ -328,13 +338,11 @@ class Switch:
         buffered = self.buffer.lookup(key)
         if buffered is not None:
             if buffered is Decision.DROP:
-                log = [f"{self.switch_id} drop {key} buffer"]
-                return PipelineResult("drop", pkt, decision_source="buffer", log=log)
+                return self._drop(pkt, "buffer", f"drop {key} buffer")
             return self._forward(pkt, "buffer")
 
         if pkt.recirc_count >= self.recirc_limit:
-            log = [f"{self.switch_id} drop {key} recirc-limit"]
-            return PipelineResult("drop", pkt, decision_source="recirc_limit", log=log)
+            return self._drop(pkt, "recirc_limit", f"drop {key} recirc-limit")
         out = pkt.recirculated()
         return PipelineResult(
             "recirculate",
@@ -363,8 +371,7 @@ class Switch:
 
     def _evaluate_initial(self, pkt: SimPacket, key: FlowKey, now_ns: int) -> PipelineResult:
         if not self.limiter.allow(pkt.src_ip, now_ns):
-            log = [f"{self.switch_id} drop {key} rate-limited"]
-            return PipelineResult("drop", pkt, decision_source="rate", log=log)
+            return self._drop(pkt, "rate", f"drop {key} rate-limited")
 
         difc = pkt.difc  # no header: the empty label
         orig_bits, tracker = (0, 0) if difc is None else (difc.label.bits, difc.tracker_id)
@@ -379,8 +386,7 @@ class Switch:
 
         if entry is None:
             decision = Decision.DROP
-            log = [*log, f"{self.switch_id} drop {key} default-deny"]
-            result = PipelineResult("drop", pkt, decision_source="policy", log=log)
+            result = self._drop(pkt, "policy", f"drop {key} default-deny", log)
         else:
             result = self._execute(pkt, entry, log)
             decision = (

@@ -16,13 +16,7 @@ from .errors import (
 )
 from .header import DifcHeader, FlowKey
 from .labels import Label
-from .packets import (
-    PROTO_ICMP,
-    PROTO_TCP,
-    PROTO_UDP,
-    ControlKind,
-    SimPacket,
-)
+from .packets import PROTO_UDP, ControlKind, SimPacket
 
 FIRST_AUTO_INODE = 10_001
 DEFAULT_UDP_LABEL_PREFIX = 3
@@ -250,23 +244,18 @@ class HostAgent:
 
     def label_outgoing(self, pid: int, pkt: SimPacket, now_ns: int = 0) -> SimPacket:
         """Attach a label header when the packet opens a flow (or, for UDP,
-        while the switch has not acknowledged the decision). Hosts without
-        any label send bare packets."""
+        to the first `udp_label_prefix` packets of a flow the switch has not
+        acknowledged). Hosts without any label send bare packets."""
         self._require_pid(pid)
         label = self.pid_labels[pid]
         tracker = self.pid_trackers.get(pid, 0)
         key = pkt.flow_key
-        wants_header = False
-        if pkt.protocol == PROTO_TCP:
-            wants_header = pkt.is_syn
-        elif pkt.protocol == PROTO_ICMP:
-            wants_header = True
-        elif pkt.protocol == PROTO_UDP:
-            if key not in self.udp_acked:
-                sent = self.udp_sent.get(key, 0)
-                if sent < self.udp_label_prefix:
-                    wants_header = True
-                    self.udp_sent[key] = sent + 1
+        wants_header = pkt.is_initial
+        if pkt.protocol == PROTO_UDP and key not in self.udp_acked:
+            sent = self.udp_sent.get(key, 0)
+            if sent < self.udp_label_prefix:
+                wants_header = True
+                self.udp_sent[key] = sent + 1
         if wants_header and (label.bits or tracker):
             pkt = pkt.with_header(DifcHeader(label, tracker))
         labeled = pkt.evil_bit

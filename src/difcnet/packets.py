@@ -2,8 +2,8 @@
 
 A SimPacket is the unit moved between hosts and switches. The reserved bit
 of the IP fragment field (the "evil bit") marks the presence of the label
-header; both constructors enforce the invariant evil_bit <=> difc-present
-and the copy helpers preserve it.
+header, so a packet's `evil_bit` is read from its header, `difc`, and no
+packet can hold one without the other.
 
 What is fixed per flow is worked out once per flow. The simulator builds
 one FlowKey for a flow and makes each of its packets with
@@ -46,7 +46,7 @@ class ControlKind(Enum):
 
 _SYN = int(TcpFlags.SYN)
 _new_packet = object.__new__
-_PROTO_TAG = {PROTO_TCP: "tcp", PROTO_UDP: "udp", PROTO_ICMP: "icmp"}
+PROTO_NAMES = {PROTO_TCP: "tcp", PROTO_UDP: "udp", PROTO_ICMP: "icmp"}
 
 
 @dataclass(slots=True)
@@ -69,7 +69,6 @@ class SimPacket:
     protocol: int
     tcp_flags: TcpFlags = TcpFlags.NONE
     icmp_kind: IcmpKind | None = None
-    evil_bit: bool = False
     ttl: int = 64
     difc: DifcHeader | None = None
     payload_len: int = 0
@@ -92,7 +91,6 @@ class SimPacket:
         *,
         tcp_flags: TcpFlags = TcpFlags.NONE,
         icmp_kind: IcmpKind | None = None,
-        evil_bit: bool = False,
         ttl: int = 64,
         difc: DifcHeader | None = None,
         payload_len: int = 0,
@@ -111,7 +109,6 @@ class SimPacket:
         new.protocol = key.protocol
         new.tcp_flags = tcp_flags
         new.icmp_kind = icmp_kind
-        new.evil_bit = evil_bit
         new.ttl = ttl
         new.difc = difc
         new.payload_len = payload_len
@@ -124,10 +121,13 @@ class SimPacket:
         return new
 
     def _check(self) -> None:
-        if self.evil_bit != (self.difc is not None):
-            raise ValueError("evil bit must mirror label-header presence")
         if self.protocol == PROTO_ICMP and self.icmp_kind is None and self.control is None:
             raise ValueError("icmp packet needs a kind")
+
+    @property
+    def evil_bit(self) -> bool:
+        """The reserved IP bit that announces the label header."""
+        return self.difc is not None
 
     @property
     def is_syn(self) -> bool:
@@ -144,7 +144,7 @@ class SimPacket:
             return self.is_syn
         if self.protocol == PROTO_ICMP:
             return True
-        return self.evil_bit
+        return self.difc is not None
 
     # -- copies -----------------------------------------------------------
 
@@ -157,7 +157,6 @@ class SimPacket:
         new.protocol = self.protocol
         new.tcp_flags = self.tcp_flags
         new.icmp_kind = self.icmp_kind
-        new.evil_bit = self.evil_bit
         new.ttl = self.ttl
         new.difc = self.difc
         new.payload_len = self.payload_len
@@ -181,18 +180,17 @@ class SimPacket:
     def with_header(self, header: DifcHeader) -> SimPacket:
         new = self._copy()
         new.difc = header
-        new.evil_bit = True
         new._text = None
         return new
 
     def describe(self) -> str:
         text = self._text
         if text is None:
-            tag = _PROTO_TAG.get(self.protocol) or str(self.protocol)
+            tag = PROTO_NAMES.get(self.protocol) or str(self.protocol)
             marks = []
             if self.is_syn:
                 marks.append("syn")
-            if self.evil_bit:
+            if self.difc is not None:
                 marks.append("labeled")
             if self.control is not None:
                 marks.append(self.control.value)

@@ -102,10 +102,6 @@ class Scenario:
     path: Path  # the scenario file, named by every error about its entries
 
 
-def _flow_where(path: Path, i: int, flow: dict) -> str:
-    return f"{path}: flows[{i}] (id {flow.get('id')!r})"
-
-
 def _check_files(where: str, base: Path, names: list[str]) -> None:
     """Checks that each of `names` is a file, relative to `base`."""
     for name in names:
@@ -123,9 +119,14 @@ def load_scenario(path: str | Path) -> Scenario:
     _check_files(f"{path}: topology", base, [doc["topology"]])
     _check_files(f"{path}: policies", base, doc["policies"])
     flows = doc.get("flows", [])
+    flow_ids: dict[str, int] = {}  # flow id -> the index of its flow
     for i, flow in enumerate(flows):
         check_entry(ScenarioError, file, f"flows[{i}]", flow, FLOW_FIELDS, FLOW_REQUIRED)
-    flow_ids = {flow["id"] for flow in flows}
+        first = flow_ids.setdefault(flow["id"], i)
+        if first != i:
+            raise ScenarioError(
+                f"{path}: flows[{i}].id: {flow['id']!r} is already used by flows[{first}]"
+            )
     events = []
     for section in ("setup", "events"):
         for i, event in enumerate(doc.get(section, [])):
@@ -230,8 +231,8 @@ def _schedule_flows(net: Network, scn: Scenario) -> None:
                 packets=raw.get("packets", 3),
                 payload_len=raw.get("payload_len", 512),
             )
-        except DifcnetError as exc:
-            raise ScenarioError(f"{_flow_where(scn.path, i, raw)}: {exc}") from None
+        except DifcnetError as exc:  # send_flow's error names the flow
+            raise ScenarioError(f"{scn.path}: flows[{i}]: {exc}") from None
 
 
 def _schedule_events(net: Network, topology: Topology, scn: Scenario) -> None:

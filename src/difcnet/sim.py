@@ -30,40 +30,19 @@ import heapq
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import dataplane
-from .controlplane import ControlPlane, PendingInstall, label_init_plan
-from .dataplane import Switch, recirc_delay
+from .controlplane import ControlPlane, label_init_plan
+from .dataplane import InstallRequest, SimParams, Switch
 from .errors import DifcnetError, UnknownName
 from .header import FlowKey
-from .hostagent import DEFAULT_UDP_LABEL_PREFIX, HostAgent, SeqSource
+from .hostagent import HostAgent, SeqSource
 from .labels import Label
 from .netcl.compiler import CompiledPolicy
-from .packets import (
-    PROTO_ICMP,
-    PROTO_TCP,
-    PROTO_UDP,
-    IcmpKind,
-    SimPacket,
-    TcpFlags,
-)
+from .packets import PROTO_ICMP, PROTO_NAMES, PROTO_TCP, IcmpKind, SimPacket, TcpFlags
 from .topology import DEFAULT_LINK_LATENCY_NS, Topology
 
 _heappush = heapq.heappush
-_PROTO_BY_NAME = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP}
+_PROTO_BY_NAME = {name: proto for proto, name in PROTO_NAMES.items()}
 FLOW_PROTOCOLS = tuple(_PROTO_BY_NAME)  # the names send_flow accepts
-
-
-@dataclass
-class SimParams:
-    rtt_ns: int = dataplane.DEFAULT_RTT_NS
-    recirc_delay_ns: int | None = None  # None: recirc_delay(rtt_ns)
-    recirc_limit: int = dataplane.DEFAULT_RECIRC_LIMIT
-    index_bits: int = dataplane.DEFAULT_INDEX_BITS
-    conn_dec_capacity: int = dataplane.CONN_DEC_CAPACITY
-    rate_limit: int = dataplane.DEFAULT_RATE_LIMIT
-    rate_window_ns: int = dataplane.DEFAULT_RATE_WINDOW_NS
-    udp_label_prefix: int = DEFAULT_UDP_LABEL_PREFIX
-    packet_gap_ns: int = 200_000
 
 
 @dataclass
@@ -132,9 +111,7 @@ class Network:
         params: SimParams | None = None,
     ) -> None:
         self.topology = topology
-        self.compiled = compiled
-        self.params = params or SimParams()
-        p = self.params
+        self.params = p = params or SimParams()
         self.seq_source = SeqSource()
         self.agents: dict[str, HostAgent] = {
             h.name: HostAgent(
@@ -146,20 +123,7 @@ class Network:
             for h in topology.hosts
         }
         self.switches: dict[str, Switch] = {
-            s: Switch(
-                s,
-                topology,
-                compiled.configs[s],
-                index_bits=p.index_bits,
-                conn_dec_capacity=p.conn_dec_capacity,
-                recirc_limit=p.recirc_limit,
-                recirc_delay_ns=(
-                    recirc_delay(p.rtt_ns) if p.recirc_delay_ns is None else p.recirc_delay_ns
-                ),
-                rate_limit=p.rate_limit,
-                rate_window_ns=p.rate_window_ns,
-            )
-            for s in topology.switches
+            s: Switch(s, topology, compiled.configs[s], p) for s in topology.switches
         }
         self._next_hops = {s: topology.next_hops(s) for s in self.switches}
         self.control = ControlPlane(topology, compiled, p.rtt_ns)
@@ -177,15 +141,15 @@ class Network:
         self.flows: dict[str, FlowRecord] = {}
         self._flow_by_key: dict = {}
         self.external_deliveries: list[SimPacket] = []
-        self._bootstrap_agents()
+        self._bootstrap_agents(compiled)
 
     # -- wiring -----------------------------------------------------------
 
-    def _bootstrap_agents(self) -> None:
-        for name, label, files in label_init_plan(self.compiled, self.topology):
+    def _bootstrap_agents(self, compiled: CompiledPolicy) -> None:
+        for name, label, files in label_init_plan(compiled, self.topology):
             agent = self.agents[name]
             agent.initialize(label or Label(0), files)
-            shown = self.compiled.registry.format_label(label) if label else "{}"
+            shown = compiled.registry.format_label(label) if label else "{}"
             self.trace.append(f"t=0 label-init host={name} label={shown}")
             for path, tracker in files:
                 self.trace.append(
@@ -308,7 +272,7 @@ class Network:
             self._log(at, line)
         for req in result.install_requests:
             for pending in self.control.serve_conndec(req):
-                self._push(pending.due_ns, "install", pending)
+                self._push(pending.at_ns, "install", pending)
         for gen in result.generated:
             self._push(at, "switch", (sid, gen))
         if result.verdict == "drop":
@@ -345,7 +309,7 @@ class Network:
             rec.delivered += 1
         self.trace.append(f"t={at} deliver host={target} {pkt.describe()}")
 
-    def _on_install(self, at: int, pending: PendingInstall) -> None:
+    def _on_install(self, at: int, pending: InstallRequest) -> None:
         ok = self.control.perform_install(self.switches, pending)
         state = "conn-dec" if ok else "conn-dec-failed"
         self._log(

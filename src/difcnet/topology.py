@@ -82,9 +82,9 @@ class Topology:
         if not self.switches:
             raise DifcnetError("'switches' must list at least one switch")
         for i, (a, b, lat) in enumerate(self.links):
-            for s in (a, b):
+            for j, s in enumerate((a, b)):
                 if s not in self.switches:
-                    raise DifcnetError(f"link {a}-{b} names unknown switch {s!r}")
+                    raise DifcnetError(f"links[{i}][{j}]: {s!r} is not a switch")
             # a negative latency would deliver a packet before it was sent
             if isinstance(lat, bool) or not isinstance(lat, int) or lat < 0:
                 raise DifcnetError(
@@ -101,7 +101,7 @@ class Topology:
                 raise DifcnetError(f"{where}: ip {h.ip} is already used by {by_ip[h.ip]}")
             by_ip[h.ip] = where
             if h.switch not in self.switches:
-                raise DifcnetError(f"host {h.name} attached to unknown switch {h.switch}")
+                raise DifcnetError(f"hosts[{i}].switch: {h.switch!r} is not a switch")
         # every name resolves to one thing, whichever part of the file names it
         named = [(f"hosts[{i}]", h.name) for i, h in enumerate(self.hosts)]
         named += [(f"groups.{g}", g) for g in self.groups]
@@ -118,17 +118,14 @@ class Topology:
         elif self.gateway not in self.switches:
             raise DifcnetError(f"external.gateway: {self.gateway!r} is not a switch")
         for group, members in self.groups.items():
-            for m in members:
+            for j, m in enumerate(members):
                 if m not in self.host_by_name:
-                    raise DifcnetError(f"group {group} member {m} is not a host")
-        self._ports: dict[str, list[str]] = {}
-        self._forwarding: dict[str, dict[str, int]] = {}
+                    raise DifcnetError(f"groups.{group}[{j}]: {m!r} is not a host")
         self._latency: dict[tuple[str, str], int] = {}
         for a, b, lat in self.links:  # the first link between two switches wins
             self._latency.setdefault((a, b), lat)
             self._latency.setdefault((b, a), lat)
-        self._build_ports()
-        self._build_forwarding()
+        self._build_tables()
         switches = set(self.switches)
         self._next_hops = {
             s: tuple((t, self.link_latency(s, t), t in switches) for t in ports)
@@ -178,67 +175,42 @@ class Topology:
 
     # --- ports and forwarding -------------------------------------------
 
-    def _build_ports(self):
-        neighbors: dict[str, list[str]] = {s: [] for s in self.switches}
-        for a, b, _lat in self.links:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-        for s in self.switches:
-            endpoints = list(neighbors[s]) + [h.name for h in self.hosts_on(s)]
-            if s == self.gateway:
-                endpoints.append(self.external_name)
-            self._ports[s] = endpoints
-
-    def ports(self, switch: str) -> list[str]:
-        return self._ports[switch]
-
-    def _build_forwarding(self):
-        # next-hop switch toward every other switch, by BFS
+    def _build_tables(self):
+        """Per switch, its ports (neighbour switches in link order, then its
+        hosts, then the external endpoint at the gateway) and its forwarding
+        table: a destination's port is the first one to the destination's
+        switch's first hop on a BFS shortest path, ties broken by link order."""
         adj: dict[str, list[str]] = {s: [] for s in self.switches}
         for a, b, _lat in self.links:
             adj[a].append(b)
             adj[b].append(a)
-        next_hop: dict[str, dict[str, str]] = {}
-        for src in self.switches:
-            prev: dict[str, str] = {src: src}
-            q = deque([src])
-            while q:
-                cur = q.popleft()
-                for nb in adj[cur]:
-                    if nb not in prev:
-                        prev[nb] = cur
-                        q.append(nb)
-            hops = {}
-            for dst in self.switches:
-                if dst == src or dst not in prev:
-                    continue
-                node = dst
-                while prev[node] != src:
-                    node = prev[node]
-                hops[dst] = node
-            next_hop[src] = hops
-        missing = [
-            (a, b)
-            for a in self.switches
-            for b in self.switches
-            if a != b and b not in next_hop[a]
-        ]
-        if missing:
-            raise DifcnetError(f"switch graph is not connected: {missing[:3]}")
-
+        self._ports: dict[str, list[str]] = {}
+        self._forwarding: dict[str, dict[str, int]] = {}
         for s in self.switches:
-            table: dict[str, int] = {}
-            ports = self._ports[s]
-            for h in self.hosts:
-                if h.switch == s:
-                    table[h.ip] = ports.index(h.name)
-                else:
-                    table[h.ip] = ports.index(next_hop[s][h.switch])
+            ports = adj[s] + [h.name for h in self.hosts_on(s)]
             if s == self.gateway:
-                table[self.external_ip] = ports.index(self.external_name)
-            else:
-                table[self.external_ip] = ports.index(next_hop[s][self.gateway])
+                ports.append(self.external_name)
+            self._ports[s] = ports
+            port_of: dict[str, int] = {}
+            for i, target in enumerate(ports):
+                port_of.setdefault(target, i)
+            first_hop = _first_hops(adj, s)
+            missing = [t for t in self.switches if t not in first_hop]
+            if missing:
+                raise DifcnetError(
+                    f"switch graph is not connected: {s!r} cannot reach {missing[:3]}"
+                )
+            table = {
+                h.ip: port_of[h.name if h.switch == s else first_hop[h.switch]]
+                for h in self.hosts
+            }
+            table[self.external_ip] = port_of[
+                self.external_name if s == self.gateway else first_hop[self.gateway]
+            ]
             self._forwarding[s] = table
+
+    def ports(self, switch: str) -> list[str]:
+        return self._ports[switch]
 
     def forwarding(self, switch: str) -> dict[str, int]:
         return self._forwarding[switch]
@@ -254,6 +226,24 @@ class Topology:
         """Per port of `switch`, built at load: (port_target,
         link_latency to it, whether it is a switch)."""
         return self._next_hops[switch]
+
+
+def _first_hops(adj: dict[str, list[str]], src: str) -> dict[str, str]:
+    """Each switch reachable from `src` -> the first hop from `src` on a BFS
+    shortest path to it, ties broken by link order; `src` maps to itself."""
+    first_hop = {src: src}
+    q = deque()
+    for nb in adj[src]:
+        if nb not in first_hop:
+            first_hop[nb] = nb
+            q.append(nb)
+    while q:
+        cur = q.popleft()
+        for nb in adj[cur]:
+            if nb not in first_hop:
+                first_hop[nb] = first_hop[cur]
+                q.append(nb)
+    return first_hop
 
 
 def _check_address(where: str, ip) -> None:
@@ -307,11 +297,14 @@ def load_topology(path: str) -> Topology:
 
 class Kind(NamedTuple):
     """What an input field may hold: the words an error says it must be,
-    the test a value of it passes and, for a list, the kind of each item."""
+    the test a value of it passes and, for a list, the kind of each item.
+    A `shape` kind is a list of fixed form, so an error shows a list that
+    fails it as it is, not as "a list"."""
 
     words: str
     test: Callable[[object], bool]
     item: Kind | None = None
+    shape: bool = False
 
 
 def one_of(*values: str) -> Kind:
@@ -334,13 +327,16 @@ def _joined(*parts: str) -> str:
 
 def _kind_error(error: type[DifcnetError], where: str, value, kind: Kind) -> DifcnetError:
     """`error` saying that `value`, at `where`, is not of `kind`; in a list,
-    it names the first item that is not of the item kind. A list or a
-    mapping is shown by its kind, any other value by its repr."""
+    it names the first item that is not of the item kind. A list (unless
+    `kind` is a shape) or a mapping is shown by its kind, any other value
+    by its repr."""
     if kind.item is not None and isinstance(value, list):
         for j, item in enumerate(value):
             if not kind.item.test(item):
                 return _kind_error(error, f"{where}[{j}]", item, kind.item)
-    shown = {list: "a list", dict: "a mapping"}.get(type(value)) or repr(value)
+    shown = repr(value) if kind.shape and isinstance(value, list) else (
+        {list: "a list", dict: "a mapping"}.get(type(value)) or repr(value)
+    )
     return error(_joined(where, f"must be {kind.words}, not {shown}"))
 
 
@@ -367,6 +363,11 @@ def check_entry(
 
 
 # Each entry of a topology document: {key: kind}. A link is checked on its own.
+LINK = Kind(
+    "[switch, switch] or [switch, switch, latency_ns]",
+    lambda v: isinstance(v, (list, tuple)) and len(v) in (2, 3),
+    shape=True,
+)
 TOPOLOGY_FIELDS = {
     "name": STRING, "switches": STRINGS, "links": LIST, "hosts": LIST, "external": MAPPING,
     "groups": MAPPING, "firewall": LIST,
@@ -381,11 +382,8 @@ def topology_from_dict(doc: dict) -> Topology:
     check_entry(DifcnetError, "", "", doc, TOPOLOGY_FIELDS, ("switches",))
     links = []
     for i, entry in enumerate(doc.get("links", [])):
-        if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 3):
-            raise DifcnetError(
-                f"links[{i}]: a link is [switch, switch] or [switch, switch, latency_ns], "
-                f"not {entry!r}"
-            )
+        if not LINK.test(entry):
+            raise _kind_error(DifcnetError, f"links[{i}]", entry, LINK)
         for j in (0, 1):
             if not isinstance(entry[j], str):
                 raise _kind_error(DifcnetError, f"links[{i}][{j}]", entry[j], STRING)

@@ -551,7 +551,7 @@ def test_criterion_09_rate_limit_resilience():
     )
     sw = Switch(
         "S2", topo, compiled.configs["S2"],
-        rate_limit=RATE_LIMIT, rate_window_ns=1_000_000_000,
+        SimParams(rate_limit=RATE_LIMIT, rate_window_ns=1_000_000_000),
     )
     dst = topo.host_by_name["C"].ip
     attacker = "10.66.0.9"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from difcnet import dataplane
-from difcnet.dataplane import Switch, apply_privileges, match_policies
+from difcnet.dataplane import SimParams, Switch, apply_privileges, match_policies
 from difcnet.labels import Label, tag_bit
 from difcnet.netcl import compile_program, parse
 from difcnet.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP
@@ -37,7 +37,7 @@ def key_pools(draw):
 
 
 PROTOS =[PROTO_TCP, PROTO_UDP, PROTO_ICMP]
-NO_RATE_LIMIT = 1 << 30
+NO_RATE_LIMIT = SimParams(rate_limit=1 << 30)
 
 
 def initial_packet(key, proto, sport, labelled=True):
@@ -81,7 +81,7 @@ def test_cached_classification_equals_uncached(policy_a, policy_b, pool, steps):
     for sid in TOPO.switches:
         enforced = TOPO.enforced_ips(sid)
         config = compiled[0].configs[sid]
-        sw = Switch(sid, TOPO, config, rate_limit=NO_RATE_LIMIT)
+        sw = Switch(sid, TOPO, config, NO_RATE_LIMIT)
         seen: set = set()
         hits = misses = 0
         for n, step in enumerate(steps):
@@ -104,7 +104,7 @@ def test_cached_classification_equals_uncached(policy_a, policy_b, pool, steps):
             # an unlabelled packet shares the key of a zero label and tracker
             labelled = proto == PROTO_UDP or key[:2] != (0, 0) or n % 2 == 0
             pkt = initial_packet(key, proto, 40000 + n, labelled)
-            fresh = Switch(sid, TOPO, config, rate_limit=NO_RATE_LIMIT)
+            fresh = Switch(sid, TOPO, config, NO_RATE_LIMIT)
             assert_same_result(sw.process_packet(pkt, n), fresh.process_packet(pkt, n))
             if pkt.dst_ip in enforced:
                 hits += 1
@@ -137,7 +137,7 @@ def test_same_key_before_and_after_a_config_swap():
 def test_cache_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(dataplane, "CLASSIFY_CACHE_CAPACITY", 3)
     config = lan_config("if match(pkt_label contains T && dst_ip==C) then allow\n")
-    sw = Switch("S2", make_lan(), config, rate_limit=NO_RATE_LIMIT)
+    sw = Switch("S2", make_lan(), config, NO_RATE_LIMIT)
     pool = [(bits, 0, src, C) for bits in (0, tag_bit(0)) for src in (A, B, "192.0.2.9")]
     for n in range(40):
         key = pool[(n * 5) % len(pool)]
@@ -176,6 +176,6 @@ def test_scanner_burst_is_one_miss():
     probes = [initial_packet((0, 0, "10.250.0.9", C), PROTO_TCP, 1024 + j, False) for j in range(150)]
     results = [sw.process_packet(p, j * 1000) for j, p in enumerate(probes)]
     evaluated = [r for r in results if r.decision_source == "policy"]
-    assert len(evaluated) == dataplane.DEFAULT_RATE_LIMIT
+    assert len(evaluated) == SimParams().rate_limit
     assert all(r.verdict == "forward" for r in evaluated)
     assert (sw.classify_hits, sw.classify_misses) == (len(evaluated) - 1, 1)

@@ -236,7 +236,8 @@ def test_bad_topology_is_a_click_error(runner, broken_topology, args):
     "text, message",
     [
         ("name: t\nswitches: [S1, S2\nhosts: []\n", "{path}:3: invalid YAML: "),
-        ("name: t\nswitches: [S1]\nlinks: [[S1]]\n", "{path}: links[0]: a link is "),
+        ("name: t\nswitches: [S1]\nlinks: [[S1]]\n",
+         "{path}: links[0]: must be [switch, switch] or [switch, switch, latency_ns], not ['S1']\n"),
     ],
     ids=["yaml-syntax", "short-link"],
 )
@@ -320,8 +321,8 @@ def test_run_rejects_a_malformed_scenario_fixture_at_load(runner, name):
 
 MALFORMED_TOPOLOGY_DIR = REPO_ROOT / "tests" / "data" / "malformed_topology"
 # each fixture once loaded (time ran backwards, a string was read as its
-# characters, a misspelt key was ignored or a name was not a string) or ended
-# in a KeyError, AttributeError or TypeError traceback
+# characters, a misspelt key was ignored or a name was not a string), ended
+# in a KeyError, AttributeError or TypeError traceback or named no field
 MALFORMED_TOPOLOGY = {
     "negative_latency": "links[1]: latency must be a number of ns, not -1000000000 "
     "(an integer >= 0)",
@@ -339,6 +340,9 @@ MALFORMED_TOPOLOGY = {
     "external_key_misspelt": "external.nmae: unknown key, expected one of name, ip, gateway",
     "firewall_misspelt": "firewal: unknown key, expected one of name, switches, links, hosts, "
     "external, groups, firewall",
+    "link_unknown_switch": "links[3][1]: 'S9' is not a switch",
+    "host_unknown_switch": "hosts[1].switch: 'S9' is not a switch",
+    "group_unknown_member": "groups.Servers_Floor[1]: 'Ghost' is not a host",
 }
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from difcnet.controlplane import ControlPlane, PendingInstall, label_init_plan
-from difcnet.dataplane import Decision, InstallRequest, Switch
+from difcnet.controlplane import ControlPlane, label_init_plan
+from difcnet.dataplane import Decision, InstallRequest, SimParams, Switch
 from difcnet.header import FlowKey
 from difcnet.netcl import compile_program, parse
 from difcnet.topology import load_topology
@@ -27,13 +27,13 @@ def _env(topo_factory=make_split, policy=None):
 def test_allow_install_fans_out_forward_and_reverse():
     topo, _, _, cp = _env()
     key = FlowKey("10.6.2.11", 41000, "10.6.3.20", 80, 6)  # A -> C
-    req = InstallRequest("S3", key, Decision.ALLOW, created_ns=500)
+    req = InstallRequest("S3", key, Decision.ALLOW, at_ns=500)
     pending = cp.serve_conndec(req)
     assert len(pending) == 2
     fwd, rev = pending
     assert (fwd.switch_id, fwd.key) == ("S3", key)
     assert (rev.switch_id, rev.key) == ("S2", key.reversed())  # next to the source
-    assert {p.due_ns for p in pending} == {500 + RTT}
+    assert {p.at_ns for p in pending} == {500 + RTT}
 
 
 def test_drop_install_stays_at_deciding_switch():
@@ -61,7 +61,7 @@ def test_out_of_inventory_source_gets_only_the_forward_install():
     _, _, _, cp = _env()
     key = FlowKey("198.51.100.7", 9999, "10.6.3.20", 80, 6)
     pending = cp.serve_conndec(InstallRequest("S3", key, Decision.ALLOW, 100))
-    assert pending == [PendingInstall("S3", key, Decision.ALLOW, 100 + RTT)]
+    assert pending == [InstallRequest("S3", key, Decision.ALLOW, 100 + RTT)]
 
 
 def test_source_lookup_errors_other_than_unknown_host_propagate(monkeypatch):
@@ -78,13 +78,13 @@ def test_source_lookup_errors_other_than_unknown_host_propagate(monkeypatch):
 
 def test_perform_install_and_capacity_failure():
     topo, compiled, switches, cp = _env()
-    switches["S3"] = Switch("S3", topo, compiled.configs["S3"], conn_dec_capacity=1)
+    switches["S3"] = Switch("S3", topo, compiled.configs["S3"], SimParams(conn_dec_capacity=1))
     k1 = FlowKey("10.6.2.11", 1, "10.6.3.20", 80, 6)
     k2 = FlowKey("10.6.2.11", 2, "10.6.3.20", 80, 6)
-    assert cp.perform_install(switches, PendingInstall("S3", k1, Decision.ALLOW, 10))
-    assert not cp.perform_install(switches, PendingInstall("S3", k2, Decision.ALLOW, 10))
+    assert cp.perform_install(switches, InstallRequest("S3", k1, Decision.ALLOW, 10))
+    assert not cp.perform_install(switches, InstallRequest("S3", k2, Decision.ALLOW, 10))
     assert cp.install_failures == 1
-    assert cp.perform_install(switches, PendingInstall("S3", k1, Decision.ALLOW, 10))
+    assert cp.perform_install(switches, InstallRequest("S3", k1, Decision.ALLOW, 10))
     assert cp.install_failures == 1  # a refreshed entry needs no room
     assert switches["S3"].conn_dec.lookup(k1, 20) is Decision.ALLOW
 

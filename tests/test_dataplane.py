@@ -14,6 +14,7 @@ from difcnet.dataplane import (
     Decision,
     DecisionBuffer,
     RateLimiter,
+    SimParams,
     Switch,
     apply_privileges,
     match_policies,
@@ -77,7 +78,7 @@ def test_conn_dec_capacity_and_reinstall():
 
 
 def test_conn_dec_gc_respects_lookup_refresh():
-    t = ConnDecTable()
+    t = ConnDecTable(capacity=4)
     t.install(_key(0), Decision.ALLOW, 0)
     t.install(_key(1), Decision.ALLOW, 0)
     t.lookup(_key(0), 900)  # traffic keeps the entry warm
@@ -124,7 +125,7 @@ def test_buffer_full_hash_collision_false_hit():
 
 
 def test_buffer_clear():
-    b = DecisionBuffer()
+    b = DecisionBuffer(index_bits=16)
     b.insert(_key(), Decision.ALLOW)
     b.clear()
     assert b.lookup(_key()) is None
@@ -183,9 +184,9 @@ def test_apply_privileges_reads_original_label():
 # -- switch pipeline -------------------------------------------------------
 
 
-def _switch(index_bits=16, **kw):
+def _switch(**settings):
     lan, compiled = _lan_cfg()
-    return Switch("S2", lan, compiled.configs["S2"], index_bits=index_bits, **kw), compiled
+    return Switch("S2", lan, compiled.configs["S2"], SimParams(**settings)), compiled
 
 
 def _syn(src, dst, label=None, sport=41000, dport=80, tracker=0, proto=PROTO_TCP):
@@ -201,7 +202,6 @@ def _syn(src, dst, label=None, sport=41000, dport=80, tracker=0, proto=PROTO_TCP
         protocol=proto,
         tcp_flags=flags,
         icmp_kind=IcmpKind.REQUEST if proto == PROTO_ICMP else None,
-        evil_bit=difc is not None,
         difc=difc,
     )
 
@@ -223,7 +223,7 @@ def test_labeled_initial_allowed():
     assert res.packet.ttl == 63
     assert res.decision_source == "policy"
     (req,) = res.install_requests
-    assert req.decision is Decision.ALLOW and req.created_ns == 100
+    assert req.decision is Decision.ALLOW and req.at_ns == 100
     assert sw.buffer.lookup(req.key) is Decision.ALLOW
 
 

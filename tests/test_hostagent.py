@@ -214,7 +214,7 @@ def test_label_outgoing_requires_live_pid():
 def _labeled_arrival(a, bits, tracker=0, sport=5000):
     pkt = SimPacket(
         src_ip="10.0.0.9", dst_ip=a.ip, src_port=sport, dst_port=80,
-        protocol=PROTO_TCP, tcp_flags=TcpFlags.SYN, evil_bit=True,
+        protocol=PROTO_TCP, tcp_flags=TcpFlags.SYN,
         difc=DifcHeader(Label(bits), tracker),
     )
     a.deliver(pkt)

@@ -207,10 +207,10 @@ def _scenario(tmp_path, **extra):
          "events[0].host: must be a string, not a list"),
         ({"flows": [{"id": "ok", "src": "Host1", "dst": "PACS"},
                     {"id": "typo", "src": "PACS", "dst": "Hots1"}]},
-         "flows[1] (id 'typo'): flow 'typo': dst: cannot resolve 'Hots1' in topology 'hospital'"),
+         "flows[1]: flow 'typo': dst: cannot resolve 'Hots1' in topology 'hospital'"),
         ({"flows": [{"id": "f", "src": "Host1", "dst": "PACS"},
                     {"id": "f", "src": "Host1", "dst": "Host2"}]},
-         "flows[1] (id 'f'): flow 'f': flow id already in use"),
+         "flows[1].id: 'f' is already used by flows[0]"),
         ({"expect": {"pids": [{"host": "PACX", "pid": 1}]}},
          "expect.pids[0]: host 'PACX' is not a host in topology 'hospital'"),
         ({"expect": {"files": [{"host": "PACX", "path": "/x"}]}},
@@ -226,7 +226,7 @@ def _scenario(tmp_path, **extra):
 )
 def test_scenario_names_fail_before_the_first_event(tmp_path, monkeypatch, sections, problem):
     """Each fails when the scenario loads (a host that is not a string, a
-    missing field) or once the policies compile (a name that does not
+    missing field, a reused flow id) or once the policies compile (a name that does not
     resolve), never in the run."""
     path = _scenario(tmp_path, **sections)
     ran = []
@@ -280,7 +280,7 @@ def test_run_rejects_a_misspelled_flow_destination_without_traceback(tmp_path):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.output == (
-        f"Error: {path}: flows[0] (id 'typo'): flow 'typo': dst: "
+        f"Error: {path}: flows[0]: flow 'typo': dst: "
         "cannot resolve 'Hots1' in topology 'hospital'\n"
     )
     assert "Traceback" not in res.output and "[PASS]" not in res.output

@@ -52,7 +52,6 @@ def non_address_fields(draw, protocol):
     return dict(
         tcp_flags=draw(st.sampled_from(list(TcpFlags) + [TcpFlags.SYN | TcpFlags.ACK])),
         icmp_kind=icmp_kind,
-        evil_bit=difc is not None,
         ttl=draw(st.integers(min_value=0, max_value=255)),
         difc=difc,
         payload_len=draw(st.integers(min_value=0, max_value=1500)),
@@ -102,7 +101,7 @@ def test_recirculated_matches_replace(pkt):
 
 @given(packets(), _headers)
 def test_with_header_matches_replace(pkt, header):
-    _same(pkt.with_header(header), replace(pkt, difc=header, evil_bit=True))
+    _same(pkt.with_header(header), replace(pkt, difc=header))
 
 
 @given(packets())
@@ -124,14 +123,18 @@ def test_is_syn_reads_the_syn_bit_of_tcp_only():
 
 
 def test_constructor_checks_the_evil_bit_and_icmp_kind():
-    with pytest.raises(ValueError, match="evil bit"):
+    # the evil bit is the header's presence: no constructor takes it, and
+    # it cannot be set apart from the header
+    with pytest.raises(TypeError):
         SimPacket("1.1.1.1", "2.2.2.2", 1, 2, PROTO_TCP, evil_bit=True)
+    with pytest.raises(TypeError):
+        SimPacket.of_flow(FlowKey("1.1.1.1", 1, "2.2.2.2", 2, PROTO_TCP), evil_bit=True)
+    labelled = SimPacket.of_flow(FlowKey("1.1.1.1", 1, "2.2.2.2", 2, PROTO_UDP), difc=DifcHeader())
+    assert labelled.evil_bit and labelled.is_initial
+    with pytest.raises(AttributeError):
+        labelled.evil_bit = False
     with pytest.raises(ValueError, match="icmp"):
         SimPacket("1.1.1.1", "2.2.2.2", 1, 2, PROTO_ICMP)
-    with pytest.raises(ValueError, match="evil bit"):
-        SimPacket.of_flow(FlowKey("1.1.1.1", 1, "2.2.2.2", 2, PROTO_TCP), evil_bit=True)
-    with pytest.raises(ValueError, match="evil bit"):
-        SimPacket.of_flow(FlowKey("1.1.1.1", 1, "2.2.2.2", 2, PROTO_UDP), difc=DifcHeader())
     with pytest.raises(ValueError, match="icmp"):
         SimPacket.of_flow(FlowKey("1.1.1.1", 1, "2.2.2.2", 2, PROTO_ICMP))
     # a control packet needs no ICMP kind, either way it is made
@@ -185,7 +188,7 @@ def describe_reference(pkt: SimPacket) -> str:
     marks = []
     if pkt.protocol == PROTO_TCP and pkt.tcp_flags & TcpFlags.SYN:
         marks.append("syn")
-    if pkt.evil_bit:
+    if pkt.difc is not None:
         marks.append("labeled")
     if pkt.control is not None:
         marks.append(pkt.control.value)

@@ -2,8 +2,6 @@
 bidirectional installs, recirculation under eviction, UDP acks, and
 trace determinism."""
 
-import inspect
-
 import pytest
 
 from difcnet.dataplane import Decision, Switch
@@ -302,14 +300,23 @@ def test_packets_of_a_flow_share_one_key(monkeypatch):
 
 
 
-def test_default_params_are_the_switch_and_agent_defaults():
-    switch = inspect.signature(Switch).parameters
-    p = SimParams()
-    for name in ("index_bits", "conn_dec_capacity", "recirc_limit", "rate_limit", "rate_window_ns"):
-        assert getattr(p, name) == switch[name].default
-    agent = inspect.signature(HostAgent).parameters
-    assert p.udp_label_prefix == agent["udp_label_prefix"].default
+def test_every_switch_and_agent_runs_the_network_params():
+    p = SimParams(
+        rtt_ns=2 * MS, recirc_delay_ns=5 * MS, recirc_limit=7, index_bits=9,
+        conn_dec_capacity=11, rate_limit=13, rate_window_ns=17 * MS, udp_label_prefix=5,
+    )
+    net = split_network("if match(dst_ip==C) then allow\n", p)
+    assert len(net.switches) == 3 and len(net.agents) == 3
+    for sw in net.switches.values():
+        assert (sw.buffer.index_bits, sw.conn_dec.capacity) == (9, 11)
+        assert (sw.recirc_limit, sw.recirc_delay_ns) == (7, 5 * MS)
+        assert (sw.limiter.limit, sw.limiter.window_ns) == (13, 17 * MS)
+    assert [a.udp_label_prefix for a in net.agents.values()] == [5, 5, 5]
+    assert net.control.rtt_ns == 2 * MS
     # a buffer miss waits 1.5 round trips, so the install it waits for has landed
-    assert lan_network().switches["S2"].recirc_delay_ns == switch["recirc_delay_ns"].default
-    assert switch["recirc_delay_ns"].default == 15 * MS
+    default = lan_network().switches["S2"]
+    assert default.recirc_delay_ns == 15 * MS
     assert lan_network(SimParams(rtt_ns=4 * MS)).switches["S2"].recirc_delay_ns == 6 * MS
+    # a switch made without params runs the defaults
+    alone = Switch("S2", make_lan(), default.config)
+    assert (alone.recirc_delay_ns, alone.buffer.index_bits) == (15 * MS, SimParams().index_bits)

@@ -146,8 +146,8 @@ def test_validation_errors():
     with pytest.raises(DifcnetError):
         topology_from_dict(base)  # duplicate ip
     base["hosts"][1] = {"name": "B", "ip": "10.0.0.2", "switch": "S9"}
-    with pytest.raises(DifcnetError):
-        topology_from_dict(base)  # unknown switch
+    with pytest.raises(DifcnetError, match=r"^hosts\[1\]\.switch: 'S9' is not a switch$"):
+        topology_from_dict(base)
 
 
 def _small_doc():
@@ -172,16 +172,18 @@ def _broken(tmp_path, doc) -> str:
 def test_link_to_unknown_switch_is_named(tmp_path):
     doc = _small_doc()
     doc["links"].append(["S2", "S9"])
-    assert "link S2-S9 names unknown switch 'S9'" in _broken(tmp_path, doc)
+    assert _broken(tmp_path, doc).endswith(": links[1][1]: 'S9' is not a switch")
 
 
 @pytest.mark.parametrize(
     "link, problem",
     [
-        (["S1"], "a link is [switch, switch] or [switch, switch, latency_ns], not ['S1']"),
-        (["S1", "S2", 5, 6], "a link is [switch, switch] or"),
-        ("S1", "a link is [switch, switch] or"),
+        (["S1"], "must be [switch, switch] or [switch, switch, latency_ns], not ['S1']"),
+        (["S1", "S2", 5, 6], "must be [switch, switch] or [switch, switch, latency_ns], "
+         "not ['S1', 'S2', 5, 6]"),
+        ("S1", "must be [switch, switch] or [switch, switch, latency_ns], not 'S1'"),
         (["S1", "S2", "slow"], "latency must be a number of ns, not 'slow'"),
+        ({"a": "S1"}, "must be [switch, switch] or [switch, switch, latency_ns], not a mapping"),
     ],
 )
 def test_malformed_link_is_named(tmp_path, link, problem):
@@ -263,7 +265,7 @@ def test_disconnected_switch_graph_rejected():
 
 
 def test_unknown_group_member_rejected():
-    with pytest.raises(DifcnetError, match="not a host"):
+    with pytest.raises(DifcnetError, match=r"^groups\.G\[0\]: 'Ghost' is not a host$"):
         topology_from_dict(
             {
                 "name": "t",
