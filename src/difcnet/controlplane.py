@@ -111,20 +111,3 @@ class ControlPlane:
             reductions=reductions,
             average_reduction=avg,
         )
-
-
-def label_init_plan(compiled: CompiledPolicy, topology: Topology):
-    """Start-of-day agent initialization: (host name, label, file bindings).
-    Deterministic order by host name."""
-    by_host: dict[str, dict] = {}
-    for ip, label in compiled.host_labels.items():
-        host = topology.host_by_ip[ip]
-        by_host.setdefault(host.name, {"label": None, "files": []})
-        by_host[host.name]["label"] = label
-    for (host, path), tracker in sorted(compiled.file_trackers.items()):
-        by_host.setdefault(host, {"label": None, "files": []})
-        by_host[host]["files"].append((path, tracker))
-    return [
-        (name, entry["label"], tuple(entry["files"]))
-        for name, entry in sorted(by_host.items())
-    ]

@@ -12,14 +12,10 @@ from .errors import DifcnetError, ScenarioError
 from .netcl import compile_program, parse_files
 from .scenario_checks import check_expectation_names, evaluate_expectations
 from .sim import FLOW_PROTOCOLS, Network, SimParams
-from .topology import LIST, MAPPING, STRING, STRINGS, Kind, Topology, check_entry, one_of
-from .topology import load_topology, read_yaml
+from .topology import LIST, MAPPING, STRING, STRINGS, Kind, Topology, check_entry, is_count
+from .topology import load_topology, one_of, read_yaml
 
 MS = 1_000_000
-
-
-def _count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 # The numbers a scenario holds, by kind: a time or a duration in ms, a
@@ -31,11 +27,11 @@ MILLISECONDS = Kind(
     lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     and math.isfinite(v) and v >= 0,
 )
-COUNT = Kind("an integer >= 0", _count)
-PORT = Kind("an integer from 0 to 65535", lambda v: _count(v) and v <= 65_535)
-PID = Kind("an integer >= 0 or null", lambda v: v is None or _count(v))
+COUNT = Kind("an integer >= 0", is_count)
+PORT = Kind("an integer from 0 to 65535", lambda v: is_count(v) and v <= 65_535)
+PID = Kind("an integer >= 0 or null", lambda v: v is None or is_count(v))
 TRACKER = Kind(
-    "a string, 0 or null", lambda v: v is None or isinstance(v, str) or (v == 0 and _count(v))
+    "a string, 0 or null", lambda v: v is None or isinstance(v, str) or (v == 0 and is_count(v))
 )
 
 # Each entry of a scenario file, checked when it loads: {key: kind}, and
@@ -218,18 +214,12 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 def _schedule_flows(net: Network, scn: Scenario) -> None:
     for i, raw in enumerate(scn.flows):
         try:
+            # load_scenario allows only send_flow's keywords, so a key the
+            # entry leaves out takes send_flow's default
             net.send_flow(
                 flow_id=raw["id"],
-                src=raw["src"],
-                dst=raw["dst"],
                 at_ns=int(raw.get("at_ms", 0) * MS),
-                protocol=raw.get("protocol", "tcp"),
-                src_port=raw.get("src_port", 41000),
-                dst_port=raw.get("dst_port", 80),
-                pid=raw.get("pid"),
-                accept_pid=raw.get("accept_pid"),
-                packets=raw.get("packets", 3),
-                payload_len=raw.get("payload_len", 512),
+                **{k: v for k, v in raw.items() if k not in ("id", "at_ms")},
             )
         except DifcnetError as exc:  # send_flow's error names the flow
             raise ScenarioError(f"{scn.path}: flows[{i}]: {exc}") from None

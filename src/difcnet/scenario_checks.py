@@ -37,16 +37,30 @@ def check_expectation_names(where: str, expect: dict, topology, compiled) -> Non
                         raise ScenarioError(f"{entry}: {key}: unknown tag {name!r}")
 
 
-def _label_check(compiled, bits: int, spec: dict) -> tuple[bool, str]:
+def _state_check(compiled, name: str, state, missing: str, spec: dict):
+    """The check of one expect.pids or expect.files entry against the
+    agent's (label bits, tracker) `state`, or None with `missing` as the
+    detail when the pid or file is not there."""
+    if state is None:
+        return name, False, missing
+    bits, tracker = state
     problems = []
-    for name in spec.get("includes", []):
-        if not bits & tag_bit(compiled.registry.lookup(name)):
-            problems.append(f"missing {name}")
-    for name in spec.get("excludes", []):
-        if bits & tag_bit(compiled.registry.lookup(name)):
-            problems.append(f"unexpected {name}")
-    shown = compiled.registry.format_label(Label(bits))
-    return (not problems, f"label={shown}" + (f" ({'; '.join(problems)})" if problems else ""))
+    for tag in spec.get("includes", []):
+        if not bits & tag_bit(compiled.registry.lookup(tag)):
+            problems.append(f"missing {tag}")
+    for tag in spec.get("excludes", []):
+        if bits & tag_bit(compiled.registry.lookup(tag)):
+            problems.append(f"unexpected {tag}")
+    detail = f"label={compiled.registry.format_label(Label(bits))}"
+    if problems:
+        detail += f" ({'; '.join(problems)})"
+    ok = not problems
+    if "tracker" in spec:
+        want = _tracker_ref(compiled, spec["tracker"])
+        if tracker != want:
+            ok = False
+            detail += f" tracker={tracker}(want {want})"
+    return name, ok, detail
 
 
 def evaluate_expectations(net, compiled, topology, expect: dict):
@@ -77,36 +91,16 @@ def evaluate_expectations(net, compiled, topology, expect: dict):
 
     for spec in expect.get("pids", []):
         host, pid = spec["host"], spec["pid"]  # a count, checked before the run
-        agent = net.agents[host]
-        name = f"pid:{host}/{pid}"
-        if pid not in agent.pid_labels:
-            checks.append((name, False, "pid not live"))
-            continue
-        ok, detail = _label_check(compiled, agent.pid_labels[pid].bits, spec)
-        if "tracker" in spec:
-            want_tracker = _tracker_ref(compiled, spec["tracker"])
-            have_tracker = agent.pid_trackers.get(pid, 0)
-            if have_tracker != want_tracker:
-                ok = False
-                detail += f" tracker={have_tracker}(want {want_tracker})"
-        checks.append((name, ok, detail))
+        state = net.agents[host].pids.get(pid)
+        checks.append(_state_check(compiled, f"pid:{host}/{pid}", state, "pid not live", spec))
 
     for spec in expect.get("files", []):
         host, path = spec["host"], spec["path"]
         agent = net.agents[host]
-        name = f"file:{host}:{path}"
-        if path not in agent.file_paths:
-            checks.append((name, False, "file does not exist"))
-            continue
-        inode = agent.file_paths[path]
-        ok, detail = _label_check(compiled, agent.file_labels[inode].bits, spec)
-        if "tracker" in spec:
-            want_tracker = _tracker_ref(compiled, spec["tracker"])
-            have_tracker = agent.file_trackers.get(inode, 0)
-            if have_tracker != want_tracker:
-                ok = False
-                detail += f" tracker={have_tracker}(want {want_tracker})"
-        checks.append((name, ok, detail))
+        state = agent.files.get(agent.file_paths.get(path))
+        checks.append(
+            _state_check(compiled, f"file:{host}:{path}", state, "file does not exist", spec)
+        )
 
     for needle in expect.get("trace_contains", []):
         found = any(needle in line for line in net.trace)

@@ -28,17 +28,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
-from .controlplane import ControlPlane, label_init_plan
+from .controlplane import ControlPlane
 from .dataplane import InstallRequest, SimParams, Switch
 from .errors import DifcnetError, UnknownName
 from .header import FlowKey
 from .hostagent import HostAgent, SeqSource
-from .labels import Label
 from .netcl.compiler import CompiledPolicy
 from .packets import PROTO_ICMP, PROTO_NAMES, PROTO_TCP, IcmpKind, SimPacket, TcpFlags
-from .topology import DEFAULT_LINK_LATENCY_NS, Topology
+from .topology import DEFAULT_LINK_LATENCY_NS, Topology, is_count
 
 _heappush = heapq.heappush
 _PROTO_BY_NAME = {name: proto for proto, name in PROTO_NAMES.items()}
@@ -76,10 +76,6 @@ def flow_address(topology: Topology, flow_id: str, field: str, name: str) -> str
             "a flow endpoint names one"
         )
     return ips[0]
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 class _FlowPlan(NamedTuple):
@@ -146,14 +142,23 @@ class Network:
     # -- wiring -----------------------------------------------------------
 
     def _bootstrap_agents(self, compiled: CompiledPolicy) -> None:
-        for name, label, files in label_init_plan(compiled, self.topology):
-            agent = self.agents[name]
-            agent.initialize(label or Label(0), files)
-            shown = compiled.registry.format_label(label) if label else "{}"
-            self.trace.append(f"t=0 label-init host={name} label={shown}")
-            for path, tracker in files:
+        """Start of day, in host-name order: each host that the policy
+        labels or whose files it tracks gets its label and file bindings."""
+        files: dict[str, list[tuple[str, int]]] = {}
+        for (name, path), tracker in sorted(compiled.file_trackers.items()):
+            files.setdefault(name, []).append((path, tracker))
+        for host in sorted(self.topology.hosts, key=attrgetter("name")):
+            bound = files.get(host.name, ())
+            if host.ip not in compiled.host_labels and not bound:
+                continue
+            label = compiled.label_of_ip(host.ip)
+            self.agents[host.name].initialize(label, tuple(bound))
+            self.trace.append(
+                f"t=0 label-init host={host.name} label={compiled.registry.format_label(label)}"
+            )
+            for path, tracker in bound:
                 self.trace.append(
-                    f"t=0 label-file host={name} path={path} tracker={tracker}"
+                    f"t=0 label-file host={host.name} path={path} tracker={tracker}"
                 )
 
     def _push(self, at_ns: int, kind: str, payload) -> None:
@@ -190,12 +195,12 @@ class Network:
                 f"flow {flow_id!r}: unknown protocol {protocol!r}, "
                 f"expected one of {', '.join(FLOW_PROTOCOLS)}"
             )
-        if not _is_count(packets):
+        if not is_count(packets):
             raise DifcnetError(
                 f"flow {flow_id!r}: packets must be an integer >= 0, not {packets!r}"
             )
         gap = self.params.packet_gap_ns if gap_ns is None else gap_ns
-        if not _is_count(gap):
+        if not is_count(gap):
             raise DifcnetError(
                 f"flow {flow_id!r}: packet gap must be an integer >= 0 ns, not {gap!r}"
             )

@@ -28,8 +28,8 @@ external endpoint), or an address. One resolver, `Topology.resolve`,
 serves all of them. A flow endpoint must name one address, so a group of
 several hosts is not one. Addresses are canonical dotted quads: a host's
 address and the external address are checked when the topology loads, a
-raw address where it is named, and no two hosts, groups, the external
-name and `external_network` share a name.
+raw address where it is named, and no two switches, hosts, groups, the
+external name and `external_network` share a name.
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ class Topology:
             if h.switch not in self.switches:
                 raise DifcnetError(f"hosts[{i}].switch: {h.switch!r} is not a switch")
         # every name resolves to one thing, whichever part of the file names it
-        named = [(f"hosts[{i}]", h.name) for i, h in enumerate(self.hosts)]
+        named = [(f"switches[{i}]", s) for i, s in enumerate(self.switches)]
+        named += [(f"hosts[{i}]", h.name) for i, h in enumerate(self.hosts)]
         named += [(f"groups.{g}", g) for g in self.groups]
         named.append(("external.name", self.external_name))
         owner = {EXTERNAL_BINDING: f"the binding {EXTERNAL_BINDING}"}
@@ -305,6 +306,11 @@ class Kind(NamedTuple):
     test: Callable[[object], bool]
     item: Kind | None = None
     shape: bool = False
+
+
+def is_count(value) -> bool:
+    """An int >= 0 that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def one_of(*values: str) -> Kind:

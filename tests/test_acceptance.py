@@ -440,12 +440,10 @@ def _drive_trace(seed):
              "transfer", "exit", "reboot")
         )
         if op == "reboot" and rng.random() < 0.25:  # keep reboots rare
-            before_labels = dict(ag.file_labels)
-            before_trackers = dict(ag.file_trackers)
+            before = dict(ag.files)
             ag.reboot(now_ns=t[0])
-            assert ag.file_labels == before_labels
-            assert ag.file_trackers == before_trackers
-            assert ag.pid_labels == {}
+            assert ag.files == before
+            assert ag.pids == {}
             mirror.reboot(host)
             live[host] = []
             return
@@ -504,7 +502,7 @@ def test_criterion_08_host_agent_soundness():
     for seed in range(TRACE_COUNT):
         agents, mirror, live, files = _drive_trace(seed)
         for name, _, tag, _ in TRACE_HOSTS:
-            host_bits[name] = agents[name].host_label.bits
+            host_bits[name] = agents[name].host_label
         events = merged_events(*(a.events for a in agents.values()))
 
         def oracle_bits(entity):
@@ -518,16 +516,12 @@ def test_criterion_08_host_agent_soundness():
             for pid in live[host]:
                 entities += 1
                 expected = oracle_bits(pid_entity(host, pid))
-                if ag.pid_labels[pid].bits != expected:
-                    mismatches += 1
-                if ag.pid_trackers[pid] != mirror.pid_tr[(host, pid)]:
+                if ag.pids[pid] != (expected, mirror.pid_tr[(host, pid)]):
                     mismatches += 1
             for inode in files[host]:
                 entities += 1
                 expected = oracle_bits(file_entity(host, inode))
-                if ag.file_labels[inode].bits != expected:
-                    mismatches += 1
-                if ag.file_trackers[inode] != mirror.file_tr[(host, inode)]:
+                if ag.files[inode] != (expected, mirror.file_tr[(host, inode)]):
                     mismatches += 1
     assert mismatches == 0
     print(

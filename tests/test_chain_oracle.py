@@ -194,7 +194,7 @@ def test_delivered_tags_come_from_hosts_in_the_backward_slice(world):
         sliced = backward_slice(log, pid_entity(last, pid))
         hosts = {e[1] for e in sliced if e[0] == "host"}
         assert hosts <= set(chain), chain
-        bits = net.agents[last].pid_labels[pid].bits
+        bits = net.agents[last].pids[pid][0]
         for h in hosts:
             bits &= ~held[h]
         assert bits & ~endorsed == 0, chain

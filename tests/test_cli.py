@@ -343,6 +343,9 @@ MALFORMED_TOPOLOGY = {
     "link_unknown_switch": "links[3][1]: 'S9' is not a switch",
     "host_unknown_switch": "hosts[1].switch: 'S9' is not a switch",
     "group_unknown_member": "groups.Servers_Floor[1]: 'Ghost' is not a host",
+    "switch_name_reused": "switches[4]: name 'S3' is already used by switches[2]",
+    "host_named_like_switch": "hosts[1]: name 'S3' is already used by switches[2]",
+    "external_named_like_switch": "external.name: name 'S2' is already used by switches[1]",
 }
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from difcnet.controlplane import ControlPlane, label_init_plan
+from difcnet.controlplane import ControlPlane
 from difcnet.dataplane import Decision, InstallRequest, SimParams, Switch
 from difcnet.header import FlowKey
 from difcnet.netcl import compile_program, parse
@@ -205,19 +205,3 @@ def test_placement_report_math():
     text_out = report.format()
     assert "single switch deployment: 3 entries" in text_out
     assert "average reduction" in text_out
-
-
-def test_label_init_plan_orders_hosts():
-    topo = make_lan()
-    text = (
-        "label_host(ip=B, label={TB})\n"
-        "label_host(ip=A, label={TA})\n"
-        "label_file(ip=A, file=/f)\n"
-    )
-    compiled = compile_program(parse(text), topo)
-    plan = label_init_plan(compiled, topo)
-    names = [name for name, _, _ in plan]
-    assert names == ["A", "B"]
-    a_entry = plan[0]
-    assert a_entry[1] == compiled.registry.label_of(["TA"])
-    assert a_entry[2] == (("/f", 1),)

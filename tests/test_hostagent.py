@@ -58,8 +58,7 @@ def udp_pkt(sport=41000, dst="10.0.0.2", dport=53):
 def test_spawn_inherits_host_label_and_caps():
     a = agent()
     a.spawn(100)
-    assert a.pid_labels[100].bits == S
-    assert a.pid_trackers[100] == 0
+    assert a.pids[100] == (S, 0)
 
 
 def test_pid_reuse_rejected_until_exit():
@@ -83,16 +82,14 @@ def test_initialize_binds_files_with_host_label_and_tracker():
     a = agent(files=(("/srv/f", 7),))
     inode = a.inode_of("/srv/f")
     assert inode == FIRST_AUTO_INODE
-    assert a.file_labels[inode].bits == S
-    assert a.file_trackers[inode] == 7
+    assert a.files[inode] == (S, 7)
 
 
 def test_read_merges_file_label_and_adopts_tracker():
     a = agent(files=(("/srv/f", 7),))
     a.spawn(100)
     a.read(100, a.inode_of("/srv/f"))
-    assert a.pid_labels[100].bits == S
-    assert a.pid_trackers[100] == 7
+    assert a.pids[100] == (S, 7)
 
 
 def test_read_of_untracked_file_keeps_tracker():
@@ -101,7 +98,7 @@ def test_read_of_untracked_file_keeps_tracker():
     a.read(100, a.inode_of("/srv/f"))
     # reading a tracker-less file must not zero an adopted tracker
     a.read(100, a.inode_of("/srv/plain"))
-    assert a.pid_trackers[100] == 7
+    assert a.pids[100] == (S, 7)
 
 
 def test_write_merges_pid_label_and_overwrites_tracker():
@@ -110,8 +107,7 @@ def test_write_merges_pid_label_and_overwrites_tracker():
     a.read(100, a.inode_of("/srv/f"))
     out = a.inode_of("/srv/out")
     a.write(100, out)
-    assert a.file_labels[out].bits == S
-    assert a.file_trackers[out] == 7
+    assert a.files[out] == (S, 7)
 
 
 def test_create_carries_label_and_tracker():
@@ -120,8 +116,7 @@ def test_create_carries_label_and_tracker():
     a.read(100, a.inode_of("/srv/f"))
     inode = a.create(100, "/tmp/copy")
     assert inode == FIRST_AUTO_INODE + 1
-    assert a.file_labels[inode].bits == S
-    assert a.file_trackers[inode] == 3
+    assert a.files[inode] == (S, 3)
 
 
 def test_unknown_paths_and_inodes():
@@ -185,7 +180,7 @@ def test_udp_labels_prefix_until_acked():
         protocol=PROTO_UDP, control=ControlKind.LABEL_ACK,
     )
     a.deliver(ack)
-    assert udp_pkt().flow_key in a.udp_acked
+    assert a.udp_sent[udp_pkt().flow_key] == 3  # the ack fills the count
     a2 = a.label_outgoing(100, udp_pkt(sport=41001))  # different flow: fresh budget
     assert a2.evil_bit
 
@@ -226,10 +221,9 @@ def test_deliver_accumulates_then_accept_merges():
     a.spawn(100)
     key = _labeled_arrival(a, S)
     _labeled_arrival(a, T, tracker=4)
-    assert a.in_labels[key] == (Label(S | T), 4)
+    assert a.in_labels[key] == (S | T, 4)
     a.accept(100, key)
-    assert a.pid_labels[100].bits == S | T
-    assert a.pid_trackers[100] == 4
+    assert a.pids[100] == (S | T, 4)
     assert key not in a.in_labels
     with pytest.raises(UnknownEntry):
         a.accept(100, key)  # bucket is consumed
@@ -271,25 +265,22 @@ def _populated_agent():
 
 def test_reboot_preserves_files_clears_processes():
     a = _populated_agent()
-    files = dict(a.file_labels)
-    trackers = dict(a.file_trackers)
+    files = dict(a.files)
     paths = dict(a.file_paths)
-    assert a.pid_labels and a.in_labels and a.udp_sent and a.udp_acked
-    assert a.pid_trackers == {100: 7}
+    assert a.pids == {100: (S, 7)} and a.in_labels
+    assert len(a.udp_sent) == 2  # one flow sent on, one acknowledged
     a.reboot(now_ns=5)
     # file labels, trackers and paths and the host label persist on disk
-    assert a.file_labels == files
-    assert a.file_trackers == trackers
+    assert a.files == files
     assert a.file_paths == paths
-    assert a.host_label.bits == S
+    assert a.host_label == S
     # process, flow and UDP state never survives
-    assert not a.pid_labels and not a.pid_trackers
-    assert not a.in_labels and not a.udp_sent and not a.udp_acked
+    assert not a.pids and not a.in_labels and not a.udp_sent
     assert [(e.kind, e.time_ns) for e in a.events[-2:]] == [("restore", 5), ("reboot", 5)]
     a.spawn(100)  # the old incarnation is gone
     inode = a.create(100, "/tmp/new")
     assert inode not in files  # no collision with the kept inodes
-    assert a.file_labels[inode].bits == S
+    assert a.files[inode] == (S, 0)
 
 
 # -- event stream ----------------------------------------------------------

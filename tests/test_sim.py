@@ -27,6 +27,27 @@ def split_network(policy, params=None):
     return Network(topo, compiled, params or SimParams())
 
 
+def test_bootstrap_initializes_agents_in_host_order():
+    # hosts in name order; one with tracked files and no label gets the
+    # empty label, and one with neither gets no lines
+    net = lan_network(policy=(
+        "label_host(ip=B, label={TB})\n"
+        "label_host(ip=A, label={TA})\n"
+        "label_file(ip=C, file=/g)\n"
+        "label_file(ip=A, file=/f)\n"
+    ))
+    assert net.trace == [
+        "t=0 label-init host=A label={TA}",
+        "t=0 label-file host=A path=/f tracker=2",
+        "t=0 label-init host=B label={TB}",
+        "t=0 label-init host=C label={}",
+        "t=0 label-file host=C path=/g tracker=1",
+    ]
+    a, c = net.agents["A"], net.agents["C"]
+    assert a.files[a.inode_of("/f")] == (a.host_label, 2) and a.host_label
+    assert c.files[c.inode_of("/g")] == (0, 1) and c.host_label == 0
+
+
 def test_labeled_flow_admitted_end_to_end():
     net = lan_network()
     net.agents["A"].spawn(100)
@@ -156,7 +177,7 @@ def test_udp_label_ack_round_trip():
     net.run()
     assert rec.delivered == 5
     agent = net.agents["A"]
-    assert rec.key in agent.udp_acked
+    assert agent.udp_sent[rec.key] == net.params.udp_label_prefix  # the ack fills the count
     acked_line = [l for l in net.trace if "label-ack" in l]
     assert acked_line  # switch generated at least one ack
     # after the ack the sender stops stamping: the last packets ride the
