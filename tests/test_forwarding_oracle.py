@@ -92,7 +92,9 @@ def switch_graphs(draw, connected=True):
 @st.composite
 def networks(draw, connected=True):
     switches, links = draw(switch_graphs(connected))
-    names = draw(st.lists(st.sampled_from(HOST_NAMES + switches), unique=True, max_size=6))
+    names = draw(st.lists(st.sampled_from(HOST_NAMES), unique=True, max_size=6))
+    if names and draw(st.integers(0, 3)) == 0:  # about one draw in four: refused at load
+        names[draw(st.integers(0, len(names) - 1))] = draw(st.sampled_from(switches))
     hosts = [
         Host(name, f"10.0.0.{i + 1}", draw(st.sampled_from(switches)))
         for i, name in enumerate(names)
