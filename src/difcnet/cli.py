@@ -11,7 +11,7 @@ import click
 
 from .controlplane import ControlPlane
 from .errors import DifcnetError
-from .labels import Label, TagRegistry
+from .labels import TagRegistry
 from .netcl import compile_program, diff_configs, parse_files
 from .netcl.ast import format_action
 from .netcl.compiler import PrivilegeEntry, TableEntry
@@ -164,14 +164,14 @@ def _format_plan_item(item, registry: TagRegistry) -> str:
     if isinstance(item, TableEntry):
         action = format_action(item.action)
     elif isinstance(item, PrivilegeEntry):
-        action = f"{item.direction}({registry.format_label(Label(item.mask))})"
+        action = f"{item.direction}({registry.format_label(item.mask)})"
     else:
-        ip, label = item
-        return f"{ip} label {registry.format_label(label)}"
+        ip, bits = item
+        return f"{ip} label {registry.format_label(bits)}"
     match = item.match
     parts = []
     if match.label_mask:
-        parts.append(f"label has {registry.format_label(Label(match.label_mask))}")
+        parts.append(f"label has {registry.format_label(match.label_mask)}")
     if match.tracker_match:
         parts.append(f"tracker {match.tracker_match}")
     for name, side in (("src", match.src), ("dst", match.dst)):

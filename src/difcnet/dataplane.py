@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from .errors import CapacityExceeded
 from .header import DifcHeader, FlowKey
 from .hostagent import DEFAULT_UDP_LABEL_PREFIX
-from .labels import Label
 from .netcl.ast import Alert, Allow, Drop, Modify, Reroute
 from .netcl.compiler import PrivilegeEntry, SwitchConfig, TableEntry
 from .packets import PROTO_UDP, ControlKind, SimPacket
@@ -229,12 +228,11 @@ class PipelineResult:
     evaluation generates packets or install requests; every other hop
     leaves both as the shared empty tuple."""
 
-    verdict: str  # forward | drop | recirculate
+    verdict: str  # forward | drop | recirculate, after the switch's recirc_delay_ns
     packet: SimPacket
     egress_port: int | None = None
     generated: list[SimPacket] | tuple[()] = ()
     install_requests: list[InstallRequest] | tuple[()] = ()
-    recirculate_delay_ns: int = 0
     decision_source: str = ""
     log: Log = ()
 
@@ -345,10 +343,7 @@ class Switch:
             return self._drop(pkt, "recirc_limit", f"drop {key} recirc-limit")
         out = pkt.recirculated()
         return PipelineResult(
-            "recirculate",
-            out,
-            recirculate_delay_ns=self.recirc_delay_ns,
-            decision_source="recirc",
+            "recirculate", out, decision_source="recirc",
             log=[f"{self.switch_id} recirculate {key} n={out.recirc_count}"],
         )
 
@@ -374,11 +369,11 @@ class Switch:
             return self._drop(pkt, "rate", f"drop {key} rate-limited")
 
         difc = pkt.difc  # no header: the empty label
-        orig_bits, tracker = (0, 0) if difc is None else (difc.label.bits, difc.tracker_id)
+        orig_bits, tracker = (0, 0) if difc is None else (difc.bits, difc.tracker_id)
         new_bits, entry = self.classify(orig_bits, tracker, pkt.src_ip, pkt.dst_ip)
         log: Log = ()
         if new_bits != orig_bits:
-            pkt = pkt.with_header(DifcHeader(Label(new_bits), tracker))
+            pkt = pkt.with_header(DifcHeader(new_bits, tracker))
             log = [
                 f"{self.switch_id} rewrite-label {key} "
                 f"{orig_bits:064x}->{new_bits:064x}"
@@ -404,7 +399,6 @@ class Switch:
                     dst_port=pkt.src_port,
                     protocol=PROTO_UDP,
                     control=ControlKind.LABEL_ACK,
-                    payload_len=0,
                 )
             ]
             result.log = [*result.log, f"{self.switch_id} label-ack {key}"]

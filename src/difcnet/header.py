@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from socket import AF_INET, inet_pton
 
 from .errors import MalformedHeader
-from .labels import LABEL_MASK, Label
+from .labels import LABEL_MASK
 
 FLAG_TRACKER = 0x01
 _KNOWN_FLAGS = FLAG_TRACKER
@@ -32,12 +32,15 @@ HEADER_LEN_TRACKED = 37
 
 @dataclass(frozen=True)
 class DifcHeader:
-    """The label carrier attached to a flow's initial packets."""
+    """The label carrier attached to a flow's initial packets: the tag
+    bitmap as an int, laid out as in `labels`, and the tracker id."""
 
-    label: Label = Label(0)
+    bits: int = 0
     tracker_id: int = 0  # 0 means absent
 
     def __post_init__(self):
+        if not 0 <= self.bits <= LABEL_MASK:
+            raise ValueError("label bitmap out of range")
         if not 0 <= self.tracker_id <= 0xFFFFFFFF:
             raise ValueError("tracker id out of u32 range")
 
@@ -48,7 +51,7 @@ class DifcHeader:
 
 def encode_header(h: DifcHeader) -> bytes:
     flags = FLAG_TRACKER if h.has_tracker else 0
-    out = bytes([flags]) + h.label.bits.to_bytes(32, "big")
+    out = bytes([flags]) + h.bits.to_bytes(32, "big")
     if h.has_tracker:
         out += struct.pack(">I", h.tracker_id)
     return out
@@ -61,8 +64,6 @@ def decode_header(data: bytes) -> DifcHeader:
     if flags & ~_KNOWN_FLAGS:
         raise MalformedHeader(f"unknown flag bits 0x{flags:02x}")
     bits = int.from_bytes(data[1:33], "big")
-    if bits > LABEL_MASK:
-        raise MalformedHeader("bitmap out of range")  # unreachable for 32 bytes
     tracker = 0
     if flags & FLAG_TRACKER:
         if len(data) < HEADER_LEN_TRACKED:
@@ -74,7 +75,7 @@ def decode_header(data: bytes) -> DifcHeader:
             raise MalformedHeader("tracker flag set but tracker id is 0")
     elif len(data) != HEADER_LEN_BARE:
         raise MalformedHeader(f"bad header length {len(data)}")
-    return DifcHeader(Label(bits), tracker)
+    return DifcHeader(bits, tracker)
 
 
 def ipv4_bytes(ip: str) -> bytes:

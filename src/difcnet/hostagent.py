@@ -228,7 +228,7 @@ class HostAgent:
                 wants_header = True
                 self.udp_sent[key] = sent + 1
         if wants_header and (bits or tracker):
-            pkt = pkt.with_header(DifcHeader(Label(bits), tracker))
+            pkt = pkt.with_header(DifcHeader(bits, tracker))
         labeled = pkt.evil_bit
         # per packet, so the event is built here rather than through _emit
         self.events.append(AgentEvent(
@@ -246,7 +246,7 @@ class HostAgent:
         key = pkt.flow_key
         difc = pkt.difc
         if difc is not None:
-            got = (difc.label.bits, difc.tracker_id)
+            got = (difc.bits, difc.tracker_id)
             self.in_labels[key] = _join(self.in_labels.get(key, (0, 0)), got)
         else:
             got = (0, 0)

@@ -4,6 +4,11 @@ A label is a set of up to 256 tags, stored as a bitmap. Tag index 0 maps to
 the most significant bit of the first byte of the wire encoding, so the
 bitmap is kept as a plain int with bit i of the *tag space* at integer bit
 (255 - i). All operations are pure; labels are immutable values.
+
+Inside difcnet a label is that int, from the registry and the compiler to
+the header on the wire. `Label` wraps it at two edges only:
+`CompiledPolicy.label_of_ip` returns one and `HostAgent.initialize` takes
+one.
 """
 
 from __future__ import annotations
@@ -91,17 +96,18 @@ class TagRegistry:
         except KeyError:
             raise UnknownTag(f"no tag registered at index {index}") from None
 
-    def label_of(self, names) -> Label:
+    def label_of(self, names) -> int:
+        """The label bitmap of the tags `names`."""
         bits = 0
         for name in names:
             bits |= tag_bit(self.lookup(name))
-        return Label(bits)
+        return bits
 
-    def format_label(self, label: Label) -> str:
-        """Tag names sorted by name. The set bits are walked from tag index
-        0 up, so an unregistered bit raises for the lowest such index."""
+    def format_label(self, bits: int) -> str:
+        """The tag names of the label bitmap `bits`, sorted by name. The set
+        bits are walked from tag index 0 up, so an unregistered bit raises
+        for the lowest such index."""
         names = []
-        bits = label.bits
         while bits:
             top = bits.bit_length() - 1
             names.append(self.name_of(TAG_SPACE - 1 - top))

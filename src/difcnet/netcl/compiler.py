@@ -132,7 +132,7 @@ class SwitchConfig:
     switch_id: str
     entries: tuple[TableEntry, ...] = ()
     privilege_entries: tuple[PrivilegeEntry, ...] = ()
-    init_packets: tuple[tuple[str, Label], ...] = ()  # (host ip, label)
+    init_packets: tuple[tuple[str, int], ...] = ()  # (host ip, label bits)
 
     def __post_init__(self):
         for prev, entry in zip(self.entries, self.entries[1:]):
@@ -150,12 +150,13 @@ class SwitchConfig:
 class CompiledPolicy:
     registry: TagRegistry
     configs: dict[str, SwitchConfig]
-    host_labels: dict[str, Label]  # ip -> assigned label
+    host_labels: dict[str, int]  # ip -> assigned label bits
     file_trackers: dict[tuple[str, str], int]  # (host name, path) -> tracker id
     rule_count: int = 0
 
     def label_of_ip(self, ip: str) -> Label:
-        return self.host_labels.get(ip, Label(0))
+        """The label assigned to the host at `ip`, empty if none is."""
+        return Label(self.host_labels.get(ip, 0))
 
 
 def _register_tags(program: Program, registry: TagRegistry) -> None:
@@ -222,7 +223,7 @@ def _conjunct_effect(
     line: int,
     registry: TagRegistry,
     topology: Topology,
-    directive_labels: dict[str, Label],
+    directive_labels: dict[str, int],
     file_trackers: dict[tuple[str, str], int],
     all_placements: tuple[str, ...],
 ) -> _Effect:
@@ -230,7 +231,7 @@ def _conjunct_effect(
     depends on the conjunct alone, never on the rule or its action, so a
     compile shares it among every rule holding an equal conjunct."""
     if isinstance(c, Contains):
-        return registry.label_of(c.tags).bits, 0, None, None, None
+        return registry.label_of(c.tags), 0, None, None, None
     if c.lhs == "tracker_id":
         if c.op != "==":
             raise CompileError(f"line {line}: tracker predicates support == only")
@@ -243,7 +244,7 @@ def _conjunct_effect(
             return 0, 0, None, None, None
         if c.op == "==" and c.rhs in directive_labels:
             # labeled source: match provenance via the label bits
-            return directive_labels[c.rhs].bits, 0, None, None, None
+            return directive_labels[c.rhs], 0, None, None, None
         if c.op == "!=" and c.rhs in directive_labels:
             raise CompileError(
                 f"line {line}: != is not supported on labeled source {c.rhs!r}"
@@ -279,14 +280,14 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
     # Host label assignments. Directive names may be hosts or groups; in the
     # group case every member receives the label. Multiple directives for
     # the same host union.
-    host_labels: dict[str, Label] = {}
-    directive_labels: dict[str, Label] = {}  # directive name -> tag set
+    host_labels: dict[str, int] = {}
+    directive_labels: dict[str, int] = {}  # directive name -> label bits
     file_trackers: dict[tuple[str, str], int] = {}
     next_tracker = 1
     for stmt in program.labelings:
         if isinstance(stmt, LabelHost):
-            label = registry.label_of(stmt.tags)
-            directive_labels[stmt.host] = directive_labels.get(stmt.host, Label(0)) | label
+            bits = registry.label_of(stmt.tags)
+            directive_labels[stmt.host] = directive_labels.get(stmt.host, 0) | bits
             try:
                 ips = topology.resolve(stmt.host)
             except UnknownName as exc:
@@ -297,7 +298,7 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
                     f"or a group of hosts"
                 )
             for ip in ips:
-                host_labels[ip] = host_labels.get(ip, Label(0)) | label
+                host_labels[ip] = host_labels.get(ip, 0) | bits
         elif isinstance(stmt, LabelFile):
             if stmt.host not in topology.host_by_name:
                 raise CompileError(
@@ -363,7 +364,7 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
         )
 
         if isinstance(rule.action, (Declassify, Endorse)):
-            mask = registry.label_of(rule.action.tags).bits
+            mask = registry.label_of(rule.action.tags)
             direction = "declassify" if isinstance(rule.action, Declassify) else "endorse"
             entry = PrivilegeEntry(spec, mask, direction, rule.priority, rule.line)
             for s in placements:
@@ -374,7 +375,7 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
         for s in placements:
             entries[s].append(entry)
 
-    init: dict[str, list[tuple[str, Label]]] = {s: [] for s in topology.switches}
+    init: dict[str, list[tuple[str, int]]] = {s: [] for s in topology.switches}
     for ip in sorted(host_labels):
         init[topology.switch_of_ip(ip)].append((ip, host_labels[ip]))
 

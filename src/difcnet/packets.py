@@ -1,17 +1,20 @@
 """Simulation packet model.
 
-A SimPacket is the unit moved between hosts and switches. The reserved bit
-of the IP fragment field (the "evil bit") marks the presence of the label
-header, so a packet's `evil_bit` is read from its header, `difc`, and no
-packet can hold one without the other.
+A SimPacket is the unit moved between hosts and switches. It holds only
+what a switch pipeline, a host agent or a trace line reads: the 5-tuple,
+the TCP flags, the TTL, the label header, the per-flow ordinal, the control
+kind and the recirculation count. The reserved bit of the IP fragment
+field (the "evil bit") marks the presence of the label header, so a
+packet's `evil_bit` is read from its header, `difc`, and no packet can hold
+one without the other.
 
-What is fixed per flow is worked out once per flow. The simulator builds
-one FlowKey for a flow and makes each of its packets with
-`SimPacket.of_flow`, which takes the five address fields from that key, so
-every packet and every copy of the flow shares one key object, its hash,
-CRC and text. A packet's `describe()` text is cached on the packet and
-shared by its copies; only `with_header` clears it, because a new header
-sets the evil bit the text shows.
+What is fixed per flow is worked out once per flow. The simulator builds a
+flow's first packet with the constructor and makes every later packet as a
+copy of it (`with_seq`), so every packet and every copy of the flow shares
+one FlowKey object, its hash, CRC and text. A packet's `describe()` text is
+cached on the packet and shared by its copies; `with_seq` and
+`with_header` clear it, because the ordinal, the flags and the evil bit
+are in the text.
 """
 
 from __future__ import annotations
@@ -30,12 +33,6 @@ class TcpFlags(IntFlag):
     NONE = 0
     SYN = 1
     ACK = 2
-    FIN = 4
-
-
-class IcmpKind(Enum):
-    REQUEST = "request"
-    REPLY = "reply"
 
 
 class ControlKind(Enum):
@@ -51,16 +48,15 @@ PROTO_NAMES = {PROTO_TCP: "tcp", PROTO_UDP: "udp", PROTO_ICMP: "icmp"}
 
 @dataclass(slots=True)
 class SimPacket:
-    """A value: the pipeline never mutates a packet, it copies it. The flow
-    key is made by the constructor from the address fields, or handed in by
-    `of_flow`, which takes the address fields from it; the copy helpers
-    below share it and skip the constructor's checks, which a copy cannot
-    break. `dataclasses.replace` goes through the constructor, so a copy
-    with a changed address or port gets a key of its own.
+    """A value: the pipeline never mutates a packet, it copies it. The
+    constructor makes the flow key from the address fields; the copy
+    helpers below share it. `dataclasses.replace` goes through the
+    constructor, so a copy with a changed address or port gets a key of
+    its own.
 
     `describe()` renders its text once and caches it. `with_ttl` and
     `recirculated` carry the cache over, since neither field is in the
-    text; `with_header` clears it, because the header sets the evil bit."""
+    text; `with_seq` and `with_header` clear it."""
 
     src_ip: str
     dst_ip: str
@@ -68,10 +64,8 @@ class SimPacket:
     dst_port: int
     protocol: int
     tcp_flags: TcpFlags = TcpFlags.NONE
-    icmp_kind: IcmpKind | None = None
     ttl: int = 64
     difc: DifcHeader | None = None
-    payload_len: int = 0
     seq: int = 0  # per-flow packet ordinal
     control: ControlKind | None = None
     recirc_count: int = 0
@@ -79,50 +73,9 @@ class SimPacket:
     _text: str | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        self._check()
         self.flow_key = FlowKey(
             self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.protocol
         )
-
-    @classmethod
-    def of_flow(
-        cls,
-        key: FlowKey,
-        *,
-        tcp_flags: TcpFlags = TcpFlags.NONE,
-        icmp_kind: IcmpKind | None = None,
-        ttl: int = 64,
-        difc: DifcHeader | None = None,
-        payload_len: int = 0,
-        seq: int = 0,
-        control: ControlKind | None = None,
-        recirc_count: int = 0,
-    ) -> SimPacket:
-        """A packet of the flow `key`, sharing that key object: the same
-        packet as the constructor makes from the key's five fields, checked
-        the same way, without building a key of its own."""
-        new = _new_packet(cls)
-        new.src_ip = key.src_ip
-        new.dst_ip = key.dst_ip
-        new.src_port = key.src_port
-        new.dst_port = key.dst_port
-        new.protocol = key.protocol
-        new.tcp_flags = tcp_flags
-        new.icmp_kind = icmp_kind
-        new.ttl = ttl
-        new.difc = difc
-        new.payload_len = payload_len
-        new.seq = seq
-        new.control = control
-        new.recirc_count = recirc_count
-        new._check()
-        new.flow_key = key
-        new._text = None
-        return new
-
-    def _check(self) -> None:
-        if self.protocol == PROTO_ICMP and self.icmp_kind is None and self.control is None:
-            raise ValueError("icmp packet needs a kind")
 
     @property
     def evil_bit(self) -> bool:
@@ -156,10 +109,8 @@ class SimPacket:
         new.dst_port = self.dst_port
         new.protocol = self.protocol
         new.tcp_flags = self.tcp_flags
-        new.icmp_kind = self.icmp_kind
         new.ttl = self.ttl
         new.difc = self.difc
-        new.payload_len = self.payload_len
         new.seq = self.seq
         new.control = self.control
         new.recirc_count = self.recirc_count
@@ -170,6 +121,14 @@ class SimPacket:
     def with_ttl(self, ttl: int) -> SimPacket:
         new = self._copy()
         new.ttl = ttl
+        return new
+
+    def with_seq(self, seq: int, tcp_flags: TcpFlags) -> SimPacket:
+        """Packet `seq` of this packet's flow, with `tcp_flags`."""
+        new = self._copy()
+        new.seq = seq
+        new.tcp_flags = tcp_flags
+        new._text = None
         return new
 
     def recirculated(self) -> SimPacket:

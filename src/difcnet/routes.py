@@ -271,9 +271,7 @@ def coverage_report(
 
     compiled = compile_program(parse(build_coverage_policy(topology, target)), topology)
     policy_admit = make_policy_admit(compiled, topology)
-    policy_label = {
-        h.name: compiled.label_of_ip(h.ip).bits for h in topology.hosts
-    }
+    policy_label = {h.name: compiled.host_labels.get(h.ip, 0) for h in topology.hosts}
     candidates = [h.name for h in topology.hosts if h.name != target]
     n = len(candidates)
     out = []

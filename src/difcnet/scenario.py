@@ -12,23 +12,23 @@ from .errors import DifcnetError, ScenarioError
 from .netcl import compile_program, parse_files
 from .scenario_checks import check_expectation_names, evaluate_expectations
 from .sim import FLOW_PROTOCOLS, Network, SimParams
-from .topology import LIST, MAPPING, STRING, STRINGS, Kind, Topology, check_entry, is_count
+from .topology import LIST, MAPPING, PORT, STRING, STRINGS, Kind, Topology, check_entry, is_count
 from .topology import load_topology, one_of, read_yaml
 
 MS = 1_000_000
 
 
 # The numbers a scenario holds, by kind: a time or a duration in ms, a
-# count, a port and a pid, which may be null (a flow with no pid); and a
-# tracker expectation, a <path>@<host> name or 0 or null (no tracker).
-# Strings and booleans are never numbers.
+# count, a port (`topology.PORT`, which send_flow checks too) and a pid,
+# which may be null (a flow with no pid); and a tracker expectation, a
+# <path>@<host> name or 0 or null (no tracker). Strings and booleans are
+# never numbers.
 MILLISECONDS = Kind(
     "a number >= 0",
     lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     and math.isfinite(v) and v >= 0,
 )
 COUNT = Kind("an integer >= 0", is_count)
-PORT = Kind("an integer from 0 to 65535", lambda v: is_count(v) and v <= 65_535)
 PID = Kind("an integer >= 0 or null", lambda v: v is None or is_count(v))
 TRACKER = Kind(
     "a string, 0 or null", lambda v: v is None or isinstance(v, str) or (v == 0 and is_count(v))
@@ -42,7 +42,7 @@ SCENARIO_FIELDS = {
 }
 FLOW_FIELDS = {
     "id": STRING, "src": STRING, "dst": STRING, "at_ms": MILLISECONDS, "packets": COUNT,
-    "src_port": PORT, "dst_port": PORT, "payload_len": COUNT, "pid": PID, "accept_pid": PID,
+    "src_port": PORT, "dst_port": PORT, "pid": PID, "accept_pid": PID,
     "protocol": one_of(*FLOW_PROTOCOLS),
 }
 FLOW_REQUIRED = ("id", "src", "dst")

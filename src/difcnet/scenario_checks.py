@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 from .errors import DifcnetError, ScenarioError
-from .labels import Label, tag_bit
+from .labels import tag_bit
 from .netcl.compiler import tracker_of
 
 
@@ -51,7 +51,7 @@ def _state_check(compiled, name: str, state, missing: str, spec: dict):
     for tag in spec.get("excludes", []):
         if bits & tag_bit(compiled.registry.lookup(tag)):
             problems.append(f"unexpected {tag}")
-    detail = f"label={compiled.registry.format_label(Label(bits))}"
+    detail = f"label={compiled.registry.format_label(bits)}"
     if problems:
         detail += f" ({'; '.join(problems)})"
     ok = not problems
@@ -83,7 +83,7 @@ def evaluate_expectations(net, compiled, topology, expect: dict):
         checks.append((f"flow:{flow_id}", bool(ok), " ".join(bits)))
 
     if "external_delivered" in expect:
-        have = sum(1 for p in net.external_deliveries if p.control is None)
+        have = net.external_delivered
         want = expect["external_delivered"]
         checks.append(
             ("external_delivered", have == want, f"have={have} want={want}")

@@ -34,11 +34,10 @@ from typing import NamedTuple
 from .controlplane import ControlPlane
 from .dataplane import InstallRequest, SimParams, Switch
 from .errors import DifcnetError, UnknownName
-from .header import FlowKey
 from .hostagent import HostAgent, SeqSource
 from .netcl.compiler import CompiledPolicy
-from .packets import PROTO_ICMP, PROTO_NAMES, PROTO_TCP, IcmpKind, SimPacket, TcpFlags
-from .topology import DEFAULT_LINK_LATENCY_NS, Topology, is_count
+from .packets import PROTO_NAMES, PROTO_TCP, SimPacket, TcpFlags
+from .topology import DEFAULT_LINK_LATENCY_NS, PORT, Topology, is_count
 
 _heappush = heapq.heappush
 _PROTO_BY_NAME = {name: proto for proto, name in PROTO_NAMES.items()}
@@ -81,18 +80,16 @@ def flow_address(topology: Topology, flow_id: str, field: str, name: str) -> str
 class _FlowPlan(NamedTuple):
     """What is fixed for every packet of one flow, worked out by
     `send_flow`. Packet i (from 0) is sent at at_ns + i*gap with the event
-    number base + i + 1. `first` is the first packet's (tcp_flags,
-    payload_len) and `later` that of every later packet."""
+    number base + i + 1. Packet 0 is `first`, and every later packet is a
+    copy of it with its own seq and the TCP flags `later`."""
 
     src: str
     entry: str  # the switch the flow's packets enter at
     agent: HostAgent | None  # labels the packets, when the flow has a pid
     pid: int | None
     rec: FlowRecord
-    key: FlowKey
-    first: tuple[TcpFlags, int]
-    later: tuple[TcpFlags, int]
-    icmp_kind: IcmpKind | None
+    first: SimPacket
+    later: TcpFlags
     at_ns: int
     gap: int
     packets: int
@@ -136,7 +133,7 @@ class Network:
         self.trace: list[str] = []
         self.flows: dict[str, FlowRecord] = {}
         self._flow_by_key: dict = {}
-        self.external_deliveries: list[SimPacket] = []
+        self.external_delivered = 0  # non-control packets that left the network
         self._bootstrap_agents(compiled)
 
     # -- wiring -----------------------------------------------------------
@@ -154,7 +151,8 @@ class Network:
             label = compiled.label_of_ip(host.ip)
             self.agents[host.name].initialize(label, tuple(bound))
             self.trace.append(
-                f"t=0 label-init host={host.name} label={compiled.registry.format_label(label)}"
+                f"t=0 label-init host={host.name} "
+                f"label={compiled.registry.format_label(label.bits)}"
             )
             for path, tracker in bound:
                 self.trace.append(
@@ -168,7 +166,15 @@ class Network:
     def _log(self, at_ns: int, text: str) -> None:
         self.trace.append(f"t={at_ns} {text}")
 
+    def _check_time(self, what: str, at_ns) -> None:
+        if not (is_count(at_ns) and at_ns >= self.now):
+            raise DifcnetError(
+                f"{what}: at_ns must be an integer no earlier than now ({self.now} ns), "
+                f"not {at_ns!r}"
+            )
+
     def schedule_call(self, at_ns: int, label: str, fn) -> None:
+        self._check_time(f"call {label!r}", at_ns)
         self._push(at_ns, "call", (label, fn))
 
     # -- traffic entry ----------------------------------------------------
@@ -186,7 +192,6 @@ class Network:
         pid: int | None = None,
         accept_pid: int | None = None,
         packets: int = 3,
-        payload_len: int = 512,
         gap_ns: int | None = None,
     ) -> FlowRecord:
         proto = _PROTO_BY_NAME.get(protocol)
@@ -204,33 +209,32 @@ class Network:
             raise DifcnetError(
                 f"flow {flow_id!r}: packet gap must be an integer >= 0 ns, not {gap!r}"
             )
+        for name, port in (("src_port", src_port), ("dst_port", dst_port)):
+            if not PORT.test(port):
+                raise DifcnetError(f"flow {flow_id!r}: {name} must be {PORT.words}, not {port!r}")
+        self._check_time(f"flow {flow_id!r}", at_ns)
         if flow_id in self.flows:
             raise DifcnetError(f"flow {flow_id!r}: flow id already in use")
         src_ip = flow_address(self.topology, flow_id, "src", src)
         dst_ip = flow_address(self.topology, flow_id, "dst", dst)
-        key = FlowKey(src_ip, src_port, dst_ip, dst_port, proto)
-        rec = FlowRecord(flow_id, src, dst, key, accept_pid=accept_pid)
+        flags, later = (
+            (TcpFlags.SYN, TcpFlags.ACK) if proto == PROTO_TCP else (TcpFlags.NONE, TcpFlags.NONE)
+        )
+        # every later packet is a copy of this one, so the flow has one key
+        first = SimPacket(src_ip, dst_ip, src_port, dst_port, proto, flags)
+        rec = FlowRecord(flow_id, src, dst, first.flow_key, accept_pid=accept_pid)
         self.flows[flow_id] = rec
-        self._flow_by_key[key] = rec
+        self._flow_by_key[first.flow_key] = rec
         if packets == 0:
             return rec
-        # every packet of the flow is made from this one key and enters at
-        # this one switch, labelled by this one agent (see _on_send); a
+        # all enter at one switch, labelled by one agent (see _on_send); a
         # source that is not a host name enters at the gateway, from outside
         host = self.topology.host_by_name.get(src)
         entry = host.switch if host is not None else self.topology.gateway
         agent = self.agents.get(src) if pid is not None else None
-        if proto == PROTO_TCP:
-            first, later = (TcpFlags.SYN, 0), (TcpFlags.ACK, payload_len)
-        else:
-            first = later = (TcpFlags.NONE, payload_len)
-        icmp_kind = IcmpKind.REQUEST if proto == PROTO_ICMP else None
         base = self._evseq
         self._evseq += packets  # one number per packet, see the module docstring
-        flow = _FlowPlan(
-            src, entry, agent, pid, rec, key, first, later, icmp_kind,
-            at_ns, gap, packets, base,
-        )
+        flow = _FlowPlan(src, entry, agent, pid, rec, first, later, at_ns, gap, packets, base)
         _heappush(self._heap, (at_ns, base + 1, "send", (flow, 0)))
         return rec
 
@@ -253,11 +257,8 @@ class Network:
 
     def _on_send(self, at: int, payload) -> None:
         flow, i = payload
-        src, entry, agent, pid, rec, key, first, later, icmp_kind, at_ns, gap, packets, base = flow
-        flags, size = later if i else first
-        pkt = SimPacket.of_flow(
-            key, tcp_flags=flags, icmp_kind=icmp_kind, payload_len=size, seq=i
-        )
+        src, entry, agent, pid, rec, first, later, at_ns, gap, packets, base = flow
+        pkt = first.with_seq(i, later) if i else first
         if agent is not None:
             pkt = agent.label_outgoing(pid, pkt, now_ns=at)
         rec.sent += 1
@@ -287,9 +288,7 @@ class Network:
                 rec.outcomes.append((pkt.seq, "dropped", f"{sid}:{result.decision_source}"))
                 rec.dropped += 1
         elif result.verdict == "recirculate":
-            self._push(
-                at + result.recirculate_delay_ns, "switch", (sid, result.packet)
-            )
+            self._push(at + sw.recirc_delay_ns, "switch", (sid, result.packet))
         else:
             target, latency, is_switch = self._next_hops[sid][result.egress_port]
             self._evseq = seq = self._evseq + 1
@@ -307,8 +306,8 @@ class Network:
             agent.deliver(pkt, now_ns=at)
             if rec is not None and rec.accept_pid is not None and key in agent.in_labels:
                 agent.accept(rec.accept_pid, key, now_ns=at)
-        else:
-            self.external_deliveries.append(pkt)
+        elif pkt.control is None:
+            self.external_delivered += 1
         if pkt.control is None and rec is not None:
             rec.outcomes.append((pkt.seq, "delivered", target))
             rec.delivered += 1

@@ -313,6 +313,9 @@ def is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+PORT = Kind("an integer from 0 to 65535", lambda v: is_count(v) and v <= 65_535)
+
+
 def one_of(*values: str) -> Kind:
     return Kind(f"one of {', '.join(values)}", values.__contains__)
 
@@ -380,6 +383,8 @@ TOPOLOGY_FIELDS = {
 }
 HOST_FIELDS = {"name": STRING, "ip": STRING, "switch": STRING}  # all required
 EXTERNAL_FIELDS = {"name": STRING, "ip": STRING, "gateway": STRING}
+# the Topology field that each key of the external section sets
+EXTERNAL_AS = {"name": "external_name", "ip": "external_ip", "gateway": "gateway"}
 _SIDE = Kind("a string or a list of strings", lambda v: isinstance(v, str) or _strings(v), STRING)
 FIREWALL_FIELDS = {"action": one_of("allow", "deny"), "src": _SIDE, "dst": _SIDE}
 
@@ -412,10 +417,8 @@ def topology_from_dict(doc: dict) -> Topology:
         switches=list(doc["switches"]),
         hosts=hosts,
         links=links,
-        external_name=ext.get("name", "external"),
-        external_ip=ext.get("ip", "203.0.113.10"),
-        gateway=ext.get("gateway", ""),
         groups=groups,
+        **{EXTERNAL_AS[key]: value for key, value in ext.items()},  # the defaults are Topology's
     )
 
     fw = []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from difcnet import dataplane
 from difcnet.dataplane import SimParams, Switch, apply_privileges, match_policies
-from difcnet.labels import Label, tag_bit
+from difcnet.labels import tag_bit
 from difcnet.netcl import compile_program, parse
 from difcnet.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from tests.conftest import make_lan
@@ -44,7 +44,7 @@ def initial_packet(key, proto, sport, labelled=True):
     bits, tracker, src, dst = key
     if not labelled:
         return _syn(src, dst, sport=sport, proto=proto)
-    return _syn(src, dst, Label(bits), sport=sport, tracker=tracker, proto=proto)
+    return _syn(src, dst, bits, sport=sport, tracker=tracker, proto=proto)
 
 
 def uncached(config, key):

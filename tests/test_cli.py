@@ -285,7 +285,7 @@ MALFORMED = {
     "not 'alow'",
     "expect_flow_unknown_id": "expect.flows.entyr: 'entyr' is not a flow id in this file",
     "flow_unknown_key": "flows[1].acept_pid: unknown key, expected one of id, src, dst, at_ms, "
-    "packets, src_port, dst_port, payload_len, pid, accept_pid, protocol",
+    "packets, src_port, dst_port, pid, accept_pid, protocol",
     "event_unknown_key": "setup[0].at: unknown key, expected one of op, host, at_ms, idle_ms, "
     "pid",
     "expect_pids_unknown_key": "expect.pids[0].include: unknown key, expected one of host, pid, "

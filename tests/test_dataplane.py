@@ -21,17 +21,9 @@ from difcnet.dataplane import (
 )
 from difcnet.errors import CapacityExceeded
 from difcnet.header import DifcHeader, FlowKey, buffer_slot
-from difcnet.labels import Label, tag_bit
+from difcnet.labels import tag_bit
 from difcnet.netcl import compile_program, parse
-from difcnet.packets import (
-    PROTO_ICMP,
-    PROTO_TCP,
-    PROTO_UDP,
-    ControlKind,
-    IcmpKind,
-    SimPacket,
-    TcpFlags,
-)
+from difcnet.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP, ControlKind, SimPacket, TcpFlags
 from tests.conftest import LAN_POLICY, make_lan
 
 # Distinct 5-tuples sharing one full CRC-32 (0x09001203), found by birthday
@@ -189,10 +181,10 @@ def _switch(**settings):
     return Switch("S2", lan, compiled.configs["S2"], SimParams(**settings)), compiled
 
 
-def _syn(src, dst, label=None, sport=41000, dport=80, tracker=0, proto=PROTO_TCP):
+def _syn(src, dst, bits=None, sport=41000, dport=80, tracker=0, proto=PROTO_TCP):
     difc = None
-    if label is not None or tracker:
-        difc = DifcHeader(label or Label(0), tracker)
+    if bits is not None or tracker:
+        difc = DifcHeader(bits or 0, tracker)
     flags = TcpFlags.SYN if proto == PROTO_TCP else TcpFlags.NONE
     return SimPacket(
         src_ip=src,
@@ -201,7 +193,6 @@ def _syn(src, dst, label=None, sport=41000, dport=80, tracker=0, proto=PROTO_TCP
         dst_port=dport,
         protocol=proto,
         tcp_flags=flags,
-        icmp_kind=IcmpKind.REQUEST if proto == PROTO_ICMP else None,
         difc=difc,
     )
 
@@ -209,7 +200,7 @@ def _syn(src, dst, label=None, sport=41000, dport=80, tracker=0, proto=PROTO_TCP
 def _data(src, dst, sport=41000, dport=80):
     return SimPacket(
         src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport,
-        protocol=PROTO_TCP, tcp_flags=TcpFlags.ACK, payload_len=512, seq=1,
+        protocol=PROTO_TCP, tcp_flags=TcpFlags.ACK, seq=1,
     )
 
 
@@ -218,7 +209,7 @@ A, B, C = "10.5.2.11", "10.5.2.12", "10.5.2.20"
 
 def test_labeled_initial_allowed():
     sw, _ = _switch()
-    res = sw.process_packet(_syn(A, C, Label(tag_bit(0))), 100)
+    res = sw.process_packet(_syn(A, C, tag_bit(0)), 100)
     assert res.verdict == "forward"
     assert res.packet.ttl == 63
     assert res.decision_source == "policy"
@@ -245,9 +236,9 @@ def test_exact_drop_rule():
 
 def test_conn_dec_overrides_policy():
     sw, _ = _switch()
-    key = _syn(A, C, Label(tag_bit(0))).flow_key
+    key = _syn(A, C, tag_bit(0)).flow_key
     sw.conn_dec.install(key, Decision.DROP, 50)
-    res = sw.process_packet(_syn(A, C, Label(tag_bit(0))), 100)
+    res = sw.process_packet(_syn(A, C, tag_bit(0)), 100)
     assert res.verdict == "drop"
     assert res.decision_source == "conn_dec"
     assert not res.install_requests  # no re-decision
@@ -287,7 +278,7 @@ def test_non_initial_miss_recirculates_then_drops():
     pkt = _data(A, C)
     res = sw.process_packet(pkt, 100)
     assert res.verdict == "recirculate"
-    assert res.recirculate_delay_ns == 15_000_000
+    assert sw.recirc_delay_ns == 15_000_000  # the network waits this long
     assert res.packet.recirc_count == 1
     res = sw.process_packet(res.packet, 200)
     assert res.packet.recirc_count == 2
@@ -298,7 +289,7 @@ def test_non_initial_miss_recirculates_then_drops():
 
 def test_non_initial_buffer_hit():
     sw, _ = _switch()
-    syn = _syn(A, C, Label(tag_bit(0)))
+    syn = _syn(A, C, tag_bit(0))
     sw.process_packet(syn, 100)
     res = sw.process_packet(_data(A, C), 200)
     assert res.verdict == "forward"
@@ -308,7 +299,7 @@ def test_non_initial_buffer_hit():
 def test_eviction_forces_recirculation_not_wrong_verdict():
     k1, k2 = same_slot_pair(index_bits=6)
     sw, _ = _switch(index_bits=6)
-    syn1 = _syn(k1.src_ip, k1.dst_ip, Label(tag_bit(0)), sport=k1.src_port)
+    syn1 = _syn(k1.src_ip, k1.dst_ip, tag_bit(0), sport=k1.src_port)
     sw.process_packet(syn1, 100)
     # second flow lands in the same slot with a drop verdict
     syn2 = _syn(k2.src_ip, k2.dst_ip, sport=k2.src_port)
@@ -320,8 +311,8 @@ def test_eviction_forces_recirculation_not_wrong_verdict():
 
 def test_rate_limited_initial_leaves_no_state():
     sw, _ = _switch(rate_limit=1, rate_window_ns=1_000_000_000)
-    first = _syn(A, C, Label(tag_bit(0)), sport=41000)
-    second = _syn(A, C, Label(tag_bit(0)), sport=41001)
+    first = _syn(A, C, tag_bit(0), sport=41000)
+    second = _syn(A, C, tag_bit(0), sport=41001)
     assert sw.process_packet(first, 100).verdict == "forward"
     res = sw.process_packet(second, 200)
     assert res.verdict == "drop"
@@ -339,9 +330,9 @@ def test_privilege_rewrites_header_in_place():
     )
     compiled = compile_program(prog, lan)
     sw = Switch("S2", lan, compiled.configs["S2"])
-    res = sw.process_packet(_syn(A, C, Label(tag_bit(0))), 100)
+    res = sw.process_packet(_syn(A, C, tag_bit(0)), 100)
     assert res.verdict == "forward"
-    assert res.packet.difc.label.bits == 0  # tag stripped on the wire
+    assert res.packet.difc.bits == 0  # tag stripped on the wire
     assert res.packet.evil_bit
     assert any("rewrite-label" in l for l in res.log)
 
@@ -356,9 +347,9 @@ def test_privilege_preserves_tracker():
     )
     compiled = compile_program(prog, lan)
     sw = Switch("S2", lan, compiled.configs["S2"])
-    res = sw.process_packet(_syn(A, C, Label(tag_bit(0)), tracker=1), 100)
+    res = sw.process_packet(_syn(A, C, tag_bit(0), tracker=1), 100)
     assert res.packet.difc.tracker_id == 1
-    assert res.packet.difc.label.bits == 0
+    assert res.packet.difc.bits == 0
 
 
 def test_tracker_rule_matches():
@@ -377,7 +368,7 @@ def test_tracker_rule_matches():
 
 def test_udp_labeled_initial_generates_ack():
     sw, _ = _switch()
-    pkt = _syn(A, C, Label(tag_bit(0)), proto=PROTO_UDP, sport=41000, dport=53)
+    pkt = _syn(A, C, tag_bit(0), proto=PROTO_UDP, sport=41000, dport=53)
     res = sw.process_packet(pkt, 100)
     assert res.verdict == "forward"
     (ack,) = res.generated
@@ -390,7 +381,7 @@ def test_udp_bare_packet_is_not_initial():
     sw, _ = _switch()
     pkt = SimPacket(
         src_ip=A, dst_ip=C, src_port=41000, dst_port=53,
-        protocol=PROTO_UDP, payload_len=100,
+        protocol=PROTO_UDP,
     )
     res = sw.process_packet(pkt, 100)
     assert res.verdict == "recirculate"
@@ -399,7 +390,7 @@ def test_udp_bare_packet_is_not_initial():
 
 def test_icmp_is_always_initial():
     sw, _ = _switch()
-    ping = _syn(A, C, Label(tag_bit(0)), proto=PROTO_ICMP)
+    ping = _syn(A, C, tag_bit(0), proto=PROTO_ICMP)
     res = sw.process_packet(ping, 100)
     assert res.verdict == "forward"
     assert res.install_requests
@@ -409,7 +400,7 @@ def test_ttl_expiry():
     from dataclasses import replace
 
     sw, _ = _switch()
-    pkt = replace(_syn(A, C, Label(tag_bit(0))), ttl=1)
+    pkt = replace(_syn(A, C, tag_bit(0)), ttl=1)
     res = sw.process_packet(pkt, 100)
     assert res.verdict == "drop"
     assert any("ttl-expired" in l for l in res.log)
@@ -453,7 +444,7 @@ def test_hops_that_write_no_line_share_the_empty_log():
         (ack, "control"),
         (_data(A, "203.0.113.10"), "transit"),
         (held, "conn_dec"),
-        (_syn(A, C, Label(tag_bit(0))), "policy"),
+        (_syn(A, C, tag_bit(0)), "policy"),
         (_data(A, C), "buffer"),
     ]
     for pkt, source in hops:

@@ -24,7 +24,7 @@ from difcnet.header import (
     encode_header,
     ipv4_bytes,
 )
-from difcnet.labels import LABEL_MASK, Label, tag_bit
+from difcnet.labels import LABEL_MASK, tag_bit
 
 
 def _crc32_bitwise(data: bytes) -> int:
@@ -212,7 +212,7 @@ def test_buffer_slot_uses_low_bits():
 
 
 def test_bare_header_layout():
-    h = DifcHeader(Label(tag_bit(0) | tag_bit(255)))
+    h = DifcHeader(tag_bit(0) | tag_bit(255))
     wire = encode_header(h)
     assert len(wire) == HEADER_LEN_BARE == 33
     assert wire[0] == 0x00
@@ -222,7 +222,7 @@ def test_bare_header_layout():
 
 
 def test_tracked_header_layout():
-    h = DifcHeader(Label(0), tracker_id=0xDEADBEEF)
+    h = DifcHeader(0, tracker_id=0xDEADBEEF)
     wire = encode_header(h)
     assert len(wire) == HEADER_LEN_TRACKED == 37
     assert wire[0] == 0x01
@@ -232,19 +232,19 @@ def test_tracked_header_layout():
 
 def test_tracker_id_range_check():
     with pytest.raises(ValueError):
-        DifcHeader(Label(0), tracker_id=1 << 32)
+        DifcHeader(0, tracker_id=1 << 32)
     with pytest.raises(ValueError):
-        DifcHeader(Label(0), tracker_id=-1)
+        DifcHeader(0, tracker_id=-1)
 
 
 @pytest.mark.parametrize(
     "header",
     [
-        DifcHeader(Label(0)),
-        DifcHeader(Label(LABEL_MASK)),
-        DifcHeader(Label(0), tracker_id=1),
-        DifcHeader(Label(LABEL_MASK), tracker_id=0xFFFFFFFF),
-        DifcHeader(Label(tag_bit(7))),
+        DifcHeader(0),
+        DifcHeader(LABEL_MASK),
+        DifcHeader(0, tracker_id=1),
+        DifcHeader(LABEL_MASK, tracker_id=0xFFFFFFFF),
+        DifcHeader(tag_bit(7)),
     ],
 )
 def test_boundary_round_trips(header):
@@ -256,7 +256,7 @@ def test_boundary_round_trips(header):
     st.integers(min_value=0, max_value=0xFFFFFFFF),
 )
 def test_codec_round_trip(bits, tracker):
-    h = DifcHeader(Label(bits), tracker)
+    h = DifcHeader(bits, tracker)
     wire = encode_header(h)
     assert len(wire) == (HEADER_LEN_TRACKED if tracker else HEADER_LEN_BARE)
     back = decode_header(wire)
@@ -279,10 +279,10 @@ def test_decode_rejects_unknown_flags():
 
 
 def test_decode_rejects_bad_lengths():
-    bare = encode_header(DifcHeader(Label(1)))
+    bare = encode_header(DifcHeader(1))
     with pytest.raises(MalformedHeader):
         decode_header(bare + b"\x00")  # 34 bytes, no tracker flag
-    tracked = encode_header(DifcHeader(Label(1), tracker_id=9))
+    tracked = encode_header(DifcHeader(1, tracker_id=9))
     with pytest.raises(MalformedHeader):
         decode_header(tracked[:35])  # tracker flag set, id truncated
     with pytest.raises(MalformedHeader):
@@ -296,5 +296,5 @@ def test_decode_rejects_zero_tracker_with_flag():
 
 
 def test_has_tracker():
-    assert not DifcHeader(Label(1)).has_tracker
-    assert DifcHeader(Label(1), tracker_id=3).has_tracker
+    assert not DifcHeader(1).has_tracker
+    assert DifcHeader(1, tracker_id=3).has_tracker

@@ -11,15 +11,7 @@ from difcnet.errors import (
 from difcnet.header import DifcHeader, FlowKey
 from difcnet.hostagent import FIRST_AUTO_INODE, HostAgent, SeqSource
 from difcnet.labels import Label, tag_bit
-from difcnet.packets import (
-    PROTO_ICMP,
-    PROTO_TCP,
-    PROTO_UDP,
-    ControlKind,
-    IcmpKind,
-    SimPacket,
-    TcpFlags,
-)
+from difcnet.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP, ControlKind, SimPacket, TcpFlags
 
 S = tag_bit(0)
 T = tag_bit(1)
@@ -41,14 +33,14 @@ def tcp_syn(sport=41000, dst="10.0.0.2", dport=80):
 def tcp_data(sport=41000, dst="10.0.0.2", dport=80):
     return SimPacket(
         src_ip="10.0.0.1", dst_ip=dst, src_port=sport, dst_port=dport,
-        protocol=PROTO_TCP, tcp_flags=TcpFlags.ACK, payload_len=64, seq=1,
+        protocol=PROTO_TCP, tcp_flags=TcpFlags.ACK, seq=1,
     )
 
 
 def udp_pkt(sport=41000, dst="10.0.0.2", dport=53):
     return SimPacket(
         src_ip="10.0.0.1", dst_ip=dst, src_port=sport, dst_port=dport,
-        protocol=PROTO_UDP, payload_len=64,
+        protocol=PROTO_UDP,
     )
 
 
@@ -135,7 +127,7 @@ def test_tcp_syn_carries_header_data_does_not():
     a = agent()
     a.spawn(100)
     syn = a.label_outgoing(100, tcp_syn())
-    assert syn.evil_bit and syn.difc.label.bits == S
+    assert syn.evil_bit and syn.difc.bits == S
     data = a.label_outgoing(100, tcp_data())
     assert not data.evil_bit and data.difc is None
 
@@ -154,7 +146,7 @@ def test_tracker_alone_forces_header():
     syn = a.label_outgoing(100, tcp_syn())
     assert syn.evil_bit
     assert syn.difc.tracker_id == 9
-    assert syn.difc.label.bits == 0
+    assert syn.difc.bits == 0
 
 
 def test_icmp_always_labeled():
@@ -162,7 +154,7 @@ def test_icmp_always_labeled():
     a.spawn(100)
     ping = SimPacket(
         src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=0, dst_port=0,
-        protocol=PROTO_ICMP, icmp_kind=IcmpKind.REQUEST,
+        protocol=PROTO_ICMP,
     )
     out = a.label_outgoing(100, ping)
     assert out.evil_bit
@@ -210,7 +202,7 @@ def _labeled_arrival(a, bits, tracker=0, sport=5000):
     pkt = SimPacket(
         src_ip="10.0.0.9", dst_ip=a.ip, src_port=sport, dst_port=80,
         protocol=PROTO_TCP, tcp_flags=TcpFlags.SYN,
-        difc=DifcHeader(Label(bits), tracker),
+        difc=DifcHeader(bits, tracker),
     )
     a.deliver(pkt)
     return pkt.flow_key

@@ -23,15 +23,7 @@ from difcnet.hostagent import (
     pid_entity,
 )
 from difcnet.labels import Label, tag_bit
-from difcnet.packets import (
-    PROTO_ICMP,
-    PROTO_TCP,
-    PROTO_UDP,
-    ControlKind,
-    IcmpKind,
-    SimPacket,
-    TcpFlags,
-)
+from difcnet.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP, ControlKind, SimPacket, TcpFlags
 
 # -- the reference agent -----------------------------------------------------
 
@@ -198,7 +190,7 @@ class RefHostAgent:
                 wants_header = True
                 self.udp_sent[key] = sent + 1
         if wants_header and (label.bits or tracker):
-            pkt = pkt.with_header(DifcHeader(label, tracker))
+            pkt = pkt.with_header(DifcHeader(label.bits, tracker))
         labeled = pkt.evil_bit
         self.events.append(RefAgentEvent(
             self._seq.next(), now_ns, self.host, "send", pid, 0, "", str(key),
@@ -216,11 +208,11 @@ class RefHostAgent:
         difc = pkt.difc
         if difc is not None:
             label, tracker = self.in_labels.get(key, (Label(0), 0))
-            label = label | difc.label
+            label = label | Label(difc.bits)
             if difc.tracker_id:
                 tracker = difc.tracker_id
             self.in_labels[key] = (label, tracker)
-            got_bits, got_tracker = difc.label.bits, difc.tracker_id
+            got_bits, got_tracker = difc.bits, difc.tracker_id
         else:
             got_bits = got_tracker = 0
         self.events.append(RefAgentEvent(
@@ -272,8 +264,7 @@ def _packet(shape, src_ip, sport, dst_ip, difc=None):
     return SimPacket(
         src_ip=src_ip, dst_ip=dst_ip, src_port=sport, dst_port=80, protocol=proto,
         tcp_flags={"syn": TcpFlags.SYN, "ack": TcpFlags.ACK}.get(shape, TcpFlags.NONE),
-        icmp_kind=IcmpKind.REQUEST if shape == "icmp" else None,
-        payload_len=64, difc=difc,
+        difc=difc,
     )
 
 
@@ -356,7 +347,7 @@ def _apply(agents, h, step, now):
             return pkt
         if kind == "deliver":
             _, src, shape, sport, header = step
-            difc = None if header is None else DifcHeader(Label(header[0]), header[1])
+            difc = None if header is None else DifcHeader(*header)
             return agent.deliver(_packet(shape, IPS[src], sport, agent.ip, difc), now_ns=now)
         if kind == "ack":  # the switch acknowledges the UDP flow agent -> src
             return agent.deliver(SimPacket(

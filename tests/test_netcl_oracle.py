@@ -24,7 +24,7 @@ from difcnet.errors import (
     UnknownName,
     UnknownTag,
 )
-from difcnet.labels import TAG_SPACE, Label, TagRegistry
+from difcnet.labels import TAG_SPACE, TagRegistry
 from difcnet.netcl import compile_program, parse
 from difcnet.netcl.ast import (
     Alert,
@@ -223,7 +223,7 @@ def ref_compile(program, topology):
     for stmt in program.labelings:
         if isinstance(stmt, LabelHost):
             label = registry.label_of(stmt.tags)
-            directive_labels[stmt.host] = directive_labels.get(stmt.host, Label(0)) | label
+            directive_labels[stmt.host] = directive_labels.get(stmt.host, 0) | label
             try:
                 ips = topology.resolve(stmt.host)
             except UnknownName as exc:
@@ -234,7 +234,7 @@ def ref_compile(program, topology):
                     f"or a group of hosts"
                 )
             for ip in ips:
-                host_labels[ip] = host_labels.get(ip, Label(0)) | label
+                host_labels[ip] = host_labels.get(ip, 0) | label
         elif isinstance(stmt, LabelFile):
             if stmt.host not in topology.host_by_name:
                 raise CompileError(
@@ -262,7 +262,7 @@ def ref_compile(program, topology):
 
         for c in rule.conjuncts:
             if isinstance(c, Contains):
-                label_mask |= registry.label_of(c.tags).bits
+                label_mask |= registry.label_of(c.tags)
                 continue
             if c.lhs == "tracker_id":
                 if c.op != "==":
@@ -279,7 +279,7 @@ def ref_compile(program, topology):
                 if c.rhs == "any":
                     continue
                 if c.op == "==" and c.rhs in directive_labels:
-                    label_mask |= directive_labels[c.rhs].bits
+                    label_mask |= directive_labels[c.rhs]
                     continue
                 if c.op == "!=" and c.rhs in directive_labels:
                     raise CompileError(
@@ -329,7 +329,7 @@ def ref_compile(program, topology):
         )
 
         if isinstance(rule.action, (Declassify, Endorse)):
-            mask = registry.label_of(rule.action.tags).bits
+            mask = registry.label_of(rule.action.tags)
             direction = "declassify" if isinstance(rule.action, Declassify) else "endorse"
             entry = PrivilegeEntry(spec, mask, direction, rule.priority, rule.line)
             for s in placements:

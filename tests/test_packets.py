@@ -1,8 +1,8 @@
 """Packet model: construction checks, flags, the copy helpers the pipeline
-uses per hop, checked against dataclasses.replace as the reference on
-random packets, and the per-flow sharing: packets made from a flow's key
-against packets built fresh, and the cached describe() text against a
-fresh rendering."""
+uses per hop and the simulator uses per packet, checked against
+dataclasses.replace as the reference on random packets, and the per-flow
+sharing: a flow's later packets, copied from its first, against packets
+built fresh, and the cached describe() text against a fresh rendering."""
 
 import ipaddress
 from dataclasses import fields, replace
@@ -12,16 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from difcnet.header import DifcHeader, FlowKey
-from difcnet.labels import LABEL_MASK, Label
-from difcnet.packets import (
-    PROTO_ICMP,
-    PROTO_TCP,
-    PROTO_UDP,
-    ControlKind,
-    IcmpKind,
-    SimPacket,
-    TcpFlags,
-)
+from difcnet.labels import LABEL_MASK
+from difcnet.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP, ControlKind, SimPacket, TcpFlags
 
 _ips = st.integers(min_value=0, max_value=0xFFFFFFFF).map(
     lambda n: str(ipaddress.IPv4Address(n))
@@ -29,9 +21,11 @@ _ips = st.integers(min_value=0, max_value=0xFFFFFFFF).map(
 _ports = st.integers(min_value=0, max_value=65535)
 _headers = st.builds(
     DifcHeader,
-    st.integers(min_value=0, max_value=LABEL_MASK).map(Label),
+    st.integers(min_value=0, max_value=LABEL_MASK),
     st.integers(min_value=0, max_value=0xFFFFFFFF),
 )
+_flags = st.sampled_from(list(TcpFlags) + [TcpFlags.SYN | TcpFlags.ACK])
+_seqs = st.integers(min_value=0, max_value=1000)
 
 
 @st.composite
@@ -42,23 +36,15 @@ def keys(draw):
     )
 
 
-@st.composite
-def non_address_fields(draw, protocol):
-    """Every constructor argument but the five address fields, valid for
-    `protocol`."""
-    control = draw(st.none() | st.sampled_from(list(ControlKind)))
-    icmp_kind = draw(st.sampled_from(list(IcmpKind))) if protocol == PROTO_ICMP else None
-    difc = draw(st.none() | _headers)
-    return dict(
-        tcp_flags=draw(st.sampled_from(list(TcpFlags) + [TcpFlags.SYN | TcpFlags.ACK])),
-        icmp_kind=icmp_kind,
-        ttl=draw(st.integers(min_value=0, max_value=255)),
-        difc=difc,
-        payload_len=draw(st.integers(min_value=0, max_value=1500)),
-        seq=draw(st.integers(min_value=0, max_value=1000)),
-        control=control,
-        recirc_count=draw(st.integers(min_value=0, max_value=8)),
-    )
+non_address_fields = st.fixed_dictionaries({
+    # every constructor argument but the five address fields
+    "tcp_flags": _flags,
+    "ttl": st.integers(min_value=0, max_value=255),
+    "difc": st.none() | _headers,
+    "seq": _seqs,
+    "control": st.none() | st.sampled_from(list(ControlKind)),
+    "recirc_count": st.integers(min_value=0, max_value=8),
+})
 
 
 def _fresh(key: FlowKey, **kw) -> SimPacket:
@@ -68,13 +54,14 @@ def _fresh(key: FlowKey, **kw) -> SimPacket:
 
 @st.composite
 def packets(draw):
-    """Random packets, half built by the constructor and half made from a
-    flow key the way the simulator makes them."""
-    key = draw(keys())
-    kw = draw(non_address_fields(key.protocol))
+    """Random packets, half built by the constructor and half copied from
+    one with `with_seq`, as the simulator makes a flow's later packets from
+    its first, whose text is rendered when it is sent."""
+    pkt = _fresh(draw(keys()), **draw(non_address_fields))
     if draw(st.booleans()):
-        return SimPacket.of_flow(key, **kw)
-    return _fresh(key, **kw)
+        pkt.describe()
+        pkt = pkt.with_seq(draw(_seqs), draw(_flags))
+    return pkt
 
 
 def _same(copy: SimPacket, reference: SimPacket) -> None:
@@ -92,6 +79,12 @@ def test_with_ttl_matches_replace(pkt, ttl):
     out = pkt.with_ttl(ttl)
     _same(out, replace(pkt, ttl=ttl))
     assert out is not pkt and pkt == replace(pkt)  # the original is untouched
+
+
+@given(packets(), _seqs, _flags)
+def test_with_seq_matches_replace(pkt, seq, flags):
+    pkt.describe()  # the copy must not keep the original's text
+    _same(pkt.with_seq(seq, flags), replace(pkt, seq=seq, tcp_flags=flags))
 
 
 @given(packets())
@@ -112,8 +105,7 @@ def test_flow_key_built_once_and_shared_by_copies(pkt):
 
 def test_is_syn_reads_the_syn_bit_of_tcp_only():
     def pkt(proto, flags):
-        kind = IcmpKind.REQUEST if proto == PROTO_ICMP else None
-        return SimPacket("1.1.1.1", "2.2.2.2", 1, 2, proto, tcp_flags=flags, icmp_kind=kind)
+        return SimPacket("1.1.1.1", "2.2.2.2", 1, 2, proto, tcp_flags=flags)
 
     assert pkt(PROTO_TCP, TcpFlags.SYN).is_syn
     assert pkt(PROTO_TCP, TcpFlags.SYN | TcpFlags.ACK).is_syn
@@ -122,26 +114,27 @@ def test_is_syn_reads_the_syn_bit_of_tcp_only():
     assert not pkt(PROTO_UDP, TcpFlags.SYN).is_syn
 
 
-def test_constructor_checks_the_evil_bit_and_icmp_kind():
-    # the evil bit is the header's presence: no constructor takes it, and
-    # it cannot be set apart from the header
+def test_the_evil_bit_is_the_headers_presence():
+    # no constructor takes the evil bit, and it cannot be set apart from the header
     with pytest.raises(TypeError):
         SimPacket("1.1.1.1", "2.2.2.2", 1, 2, PROTO_TCP, evil_bit=True)
-    with pytest.raises(TypeError):
-        SimPacket.of_flow(FlowKey("1.1.1.1", 1, "2.2.2.2", 2, PROTO_TCP), evil_bit=True)
-    labelled = SimPacket.of_flow(FlowKey("1.1.1.1", 1, "2.2.2.2", 2, PROTO_UDP), difc=DifcHeader())
+    bare = SimPacket("1.1.1.1", "2.2.2.2", 1, 2, PROTO_UDP)
+    assert not bare.evil_bit and not bare.is_initial
+    labelled = bare.with_header(DifcHeader())
     assert labelled.evil_bit and labelled.is_initial
     with pytest.raises(AttributeError):
         labelled.evil_bit = False
-    with pytest.raises(ValueError, match="icmp"):
-        SimPacket("1.1.1.1", "2.2.2.2", 1, 2, PROTO_ICMP)
-    with pytest.raises(ValueError, match="icmp"):
-        SimPacket.of_flow(FlowKey("1.1.1.1", 1, "2.2.2.2", 2, PROTO_ICMP))
-    # a control packet needs no ICMP kind, either way it is made
-    ack = SimPacket.of_flow(
-        FlowKey("1.1.1.1", 1, "2.2.2.2", 2, PROTO_ICMP), control=ControlKind.LABEL_ACK
-    )
-    assert ack == SimPacket("1.1.1.1", "2.2.2.2", 1, 2, PROTO_ICMP, control=ControlKind.LABEL_ACK)
+    # an ICMP packet needs nothing besides its protocol number
+    ping = SimPacket("1.1.1.1", "2.2.2.2", 1, 2, PROTO_ICMP)
+    assert ping.is_initial and ping.describe() == "1.1.1.1:1>2.2.2.2:2/1[icmp#0]"
+
+
+@pytest.mark.parametrize("bits", [-1, LABEL_MASK + 1])
+def test_header_rejects_a_bitmap_out_of_range(bits):
+    with pytest.raises(ValueError, match="label bitmap out of range"):
+        DifcHeader(bits)
+    with pytest.raises(ValueError, match="label bitmap out of range"):
+        DifcHeader(bits, tracker_id=1)
 
 
 def _same_key(got: FlowKey, want: FlowKey) -> None:
@@ -152,15 +145,18 @@ def _same_key(got: FlowKey, want: FlowKey) -> None:
     assert str(got) == str(want) and hash(got) == hash(want) and got.crc32() == want.crc32()
 
 
-@given(keys().flatmap(lambda k: st.tuples(st.just(k), non_address_fields(k.protocol))))
-def test_packet_made_from_a_flow_key_equals_a_fresh_packet(key_and_fields):
-    key, kw = key_and_fields
-    str(key)  # a flow key renders its text before most of its packets are made
-    got = SimPacket.of_flow(key, **kw)
-    want = _fresh(key, **kw)
-    _same(got, want)
-    assert got.flow_key is key
-    _same_key(got.flow_key, want.flow_key)
+@given(keys(), non_address_fields, st.lists(st.tuples(_seqs, _flags), max_size=4))
+def test_later_packets_of_a_flow_equal_fresh_packets_and_share_its_key(key, kw, later):
+    first = _fresh(key, **kw)
+    first.describe()  # packet 0 renders its text before the later packets are made
+    for seq, flags in later:
+        got = first.with_seq(seq, flags)
+        want = _fresh(key, **{**kw, "seq": seq, "tcp_flags": flags})
+        _same(got, want)
+        _same_key(got.flow_key, want.flow_key)
+        # the key object is the first packet's, through every per-hop copy
+        for copy in (got, got.with_ttl(1), got.recirculated(), got.with_header(DifcHeader(1))):
+            assert copy.flow_key is first.flow_key
 
 
 _address_changes = st.one_of(
@@ -201,6 +197,7 @@ _steps = st.one_of(
     st.tuples(st.just("ttl"), st.integers(min_value=0, max_value=255)),
     st.tuples(st.just("recirc"), st.none()),
     st.tuples(st.just("header"), _headers),
+    st.tuples(st.just("seq"), st.tuples(_seqs, _flags)),
     st.tuples(st.just("describe"), st.none()),
 )
 
@@ -215,6 +212,8 @@ def test_cached_describe_equals_a_fresh_rendering_after_any_copies(pkt, steps):
             pkt = pkt.recirculated()
         elif op == "header":
             pkt = pkt.with_header(arg)
+        elif op == "seq":
+            pkt = pkt.with_seq(*arg)
         else:
             assert pkt.describe() == describe_reference(pkt)
     assert pkt.describe() == describe_reference(pkt)

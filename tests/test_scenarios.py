@@ -181,7 +181,7 @@ def test_setup_event_missing_field_names_the_setup_list(tmp_path):
     [
         ({"flows": [{"id": "f", "src": "Host1", "dst": "Host2", "acept_pid": 1}]},
          "flows[0].acept_pid: unknown key, expected one of id, src, dst, at_ms, packets, "
-         "src_port, dst_port, payload_len, pid, accept_pid, protocol"),
+         "src_port, dst_port, pid, accept_pid, protocol"),
         ({"setup": [{"host": "Host1", "op": "spawn", "pid": 1, "at": 5}]},
          "setup[0].at: unknown key, expected one of op, host, at_ms, idle_ms, pid"),
         # a field of another op is not a field of this one
@@ -225,7 +225,6 @@ def test_event_pid_that_is_not_an_integer_fails_at_load(tmp_path):
         ("packets", True, "packets must be an integer >= 0, not True"),
         ("src_port", 70000, "src_port must be an integer from 0 to 65535, not 70000"),
         ("dst_port", -80, "dst_port must be an integer from 0 to 65535, not -80"),
-        ("payload_len", None, "payload_len must be an integer >= 0, not None"),
         ("pid", "101", "pid must be an integer >= 0 or null, not '101'"),
         ("accept_pid", -2, "accept_pid must be an integer >= 0 or null, not -2"),
     ],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from difcnet.errors import DifcnetError
 from difcnet.header import FlowKey
 from difcnet.netcl import compile_program, parse
-from difcnet.packets import PROTO_ICMP, PROTO_TCP, IcmpKind, SimPacket, TcpFlags
+from difcnet.packets import PROTO_TCP, SimPacket, TcpFlags
 from difcnet.sim import (
     _PROTO_BY_NAME, FLOW_PROTOCOLS, FlowRecord, Network, SimParams, flow_address,
 )
@@ -21,10 +21,10 @@ MS = 1_000_000
 
 class PerPacketNetwork(Network):
     """The reference schedule: `send_flow` pushes one event per packet of
-    the flow before the run, and `_on_send` looks the flow's record up by
-    id. Endpoints resolve as in `Network.send_flow`, because this is the
-    oracle for the schedule, not for resolution. Everything else is the
-    simulator under test."""
+    the flow before the run, and `_on_send` builds each packet with the
+    constructor and looks the flow's record up by id. Endpoints resolve as
+    in `Network.send_flow`, because this is the oracle for the schedule,
+    not for resolution. Everything else is the simulator under test."""
 
     def send_flow(
         self,
@@ -39,7 +39,6 @@ class PerPacketNetwork(Network):
         pid: int | None = None,
         accept_pid: int | None = None,
         packets: int = 3,
-        payload_len: int = 512,
         gap_ns: int | None = None,
     ) -> FlowRecord:
         proto = _PROTO_BY_NAME.get(protocol)
@@ -58,23 +57,22 @@ class PerPacketNetwork(Network):
         host = self.topology.host_by_name.get(src)
         entry = host.switch if host is not None else self.topology.gateway
         agent = self.agents.get(src) if pid is not None else None
-        icmp_kind = IcmpKind.REQUEST if proto == PROTO_ICMP else None
         for i in range(packets):
             flags = TcpFlags.NONE
             if proto == PROTO_TCP:
                 flags = TcpFlags.SYN if i == 0 else TcpFlags.ACK
-            size = 0 if (proto == PROTO_TCP and i == 0) else payload_len
             self._push(
                 at_ns + i * gap,
                 "send",
-                (src, entry, agent, pid, flow_id, key, flags, icmp_kind, size, i),
+                (src, entry, agent, pid, flow_id, key, flags, i),
             )
         return rec
 
     def _on_send(self, at: int, payload) -> None:
-        src, entry, agent, pid, flow_id, key, flags, icmp_kind, payload_len, seq = payload
-        pkt = SimPacket.of_flow(
-            key, tcp_flags=flags, icmp_kind=icmp_kind, payload_len=payload_len, seq=seq
+        src, entry, agent, pid, flow_id, key, flags, seq = payload
+        pkt = SimPacket(
+            src_ip=key.src_ip, dst_ip=key.dst_ip, src_port=key.src_port,
+            dst_port=key.dst_port, protocol=key.protocol, tcp_flags=flags, seq=seq,
         )
         if agent is not None:
             pkt = agent.label_outgoing(pid, pkt, now_ns=at)
@@ -138,7 +136,9 @@ def flows(draw, prefix):
 @st.composite
 def plans(draw):
     """Flows before the run, calls (some sending a flow mid-run), then
-    slices of `run(until_ns=...)`, each followed by more flows."""
+    slices of `run(until_ns=...)`, each followed by more flows. A flow sent
+    mid-run starts its drawn time after the clock, since `send_flow`
+    refuses a start in the past."""
     before = draw(st.lists(flows("f"), max_size=6))
     calls = draw(st.lists(
         st.tuples(TIMES, st.one_of(st.none(), flows("c"))), max_size=4
@@ -163,17 +163,19 @@ def execute(cls, plan):
     before, calls, slices = plan
     net = lan(cls)
     seen: set = set()
+
+    def send_from_now(spec):
+        net.send_flow(**(spec | {"at_ns": net.now + spec["at_ns"]}))
+
     for spec in unique(before, seen):
         net.send_flow(**spec)
     for k, (at, spec) in enumerate(calls):
         send = unique([spec], seen)
-        net.schedule_call(
-            at, f"call {k}", lambda s=send: [net.send_flow(**x) for x in s]
-        )
+        net.schedule_call(at, f"call {k}", lambda s=send: [send_from_now(x) for x in s])
     for until, more in slices:
         net.run(until_ns=until)
         for spec in unique(more, seen):
-            net.send_flow(**spec)
+            send_from_now(spec)
     net.run()
     return state(net)
 
@@ -184,9 +186,9 @@ def test_schedule_equals_pushing_every_packet_up_front(plan):
     assert execute(Network, plan) == execute(PerPacketNetwork, plan)
 
 
-def test_a_mid_run_flow_in_the_past_keeps_its_order():
-    # a call at 0.4 ms sends flows that start at 0 and 0.1 ms: their sends
-    # are due before the clock and pop ahead of everything already queued
+def test_a_mid_run_flow_at_the_clock_keeps_its_order():
+    # two calls at 0.4 ms send flows that start then and 0.1 ms later: their
+    # sends tie on time with the events flow a already has queued there
     plan = (
         [dict(flow_id="a", src="A", dst="C", at_ns=0, pid=100, packets=4, gap_ns=100_000)],
         [(400_000, dict(flow_id="b", src="B", dst="A", at_ns=0, pid=200, packets=3,
@@ -238,9 +240,16 @@ def test_a_flow_of_no_packets_registers_and_schedules_nothing():
         ({}, SimParams(packet_gap_ns=-200_000),
          "packet gap must be an integer >= 0 ns, not -200000"),
         ({"flow_id": "used"}, None, "flow id already in use"),
+        ({"src_port": 70000}, None, "src_port must be an integer from 0 to 65535, not 70000"),
+        ({"dst_port": -1}, None, "dst_port must be an integer from 0 to 65535, not -1"),
+        ({"src_port": "80"}, None, "src_port must be an integer from 0 to 65535, not '80'"),
+        ({"dst_port": True}, None, "dst_port must be an integer from 0 to 65535, not True"),
+        ({"at_ns": -5}, None, "at_ns must be an integer no earlier than now (0 ns), not -5"),
+        ({"at_ns": 1.5}, None, "at_ns must be an integer no earlier than now (0 ns), not 1.5"),
     ],
     ids=["negative", "float", "bool", "text", "negative-gap", "float-gap",
-         "negative-default-gap", "reused-id"],
+         "negative-default-gap", "reused-id", "src-port-too-big", "negative-dst-port",
+         "text-port", "bool-port", "negative-start", "float-start"],
 )
 def test_send_flow_rejects_bad_input_before_touching_state(kwargs, params, problem):
     net = lan(Network, params)
@@ -255,3 +264,26 @@ def test_send_flow_rejects_bad_input_before_touching_state(kwargs, params, probl
     net.run()
     assert net.flows["used"] is used and used.sent == 2
 
+
+
+def test_a_start_before_the_clock_is_refused_before_touching_state():
+    net = lan(Network)
+    net.send_flow(flow_id="a", src="A", dst="C", at_ns=0, pid=100, packets=4, gap_ns=100_000)
+    net.run(until_ns=250_000)
+    assert net.now == 200_000  # the last event run
+    before = (dict(net.flows), dict(net._flow_by_key), list(net._heap), net._evseq)
+    with pytest.raises(DifcnetError) as exc:
+        net.send_flow(flow_id="b", src="B", dst="C", at_ns=199_999, pid=200)
+    assert str(exc.value) == (
+        "flow 'b': at_ns must be an integer no earlier than now (200000 ns), not 199999"
+    )
+    with pytest.raises(DifcnetError) as exc:
+        net.schedule_call(100_000, "late", lambda: None)
+    assert str(exc.value) == (
+        "call 'late': at_ns must be an integer no earlier than now (200000 ns), not 100000"
+    )
+    assert (dict(net.flows), dict(net._flow_by_key), list(net._heap), net._evseq) == before
+    net.send_flow(flow_id="b", src="B", dst="C", at_ns=200_000, pid=200)  # now is not past
+    net.schedule_call(200_000, "on time", lambda: None)
+    net.run()
+    assert net.flows["b"].sent == 3 and "t=200000 on time" in net.trace

@@ -10,7 +10,8 @@ from difcnet.header import FlowKey, buffer_slot
 from difcnet.hostagent import HostAgent
 from difcnet.netcl import compile_program, parse
 from difcnet.sim import Network, SimParams
-from tests.conftest import LAN_POLICY, make_lan, make_split
+from difcnet.topology import load_topology
+from tests.conftest import LAN_POLICY, POLICY_DIR, TOPOLOGY_DIR, make_lan, make_split
 
 MS = 1_000_000
 
@@ -221,7 +222,7 @@ def test_external_delivery_and_spoofed_source():
     )
     net.run()
     assert out.verdict == "allow"
-    assert len([p for p in net.external_deliveries if p.control is None]) == 2
+    assert net.external_delivered == 2
     assert spoof.verdict == "drop"  # default deny, and no reverse install crash
 
 
@@ -341,3 +342,50 @@ def test_every_switch_and_agent_runs_the_network_params():
     # a switch made without params runs the defaults
     alone = Switch("S2", make_lan(), default.config)
     assert (alone.recirc_delay_ns, alone.buffer.index_bits) == (15 * MS, SimParams().index_bits)
+
+
+# -- open verdict bugs ---------------------------------------------------------
+# Each test states the verdict the simulator should give; each fails today.
+# The change that fixes a bug turns its test into a plain one.
+
+HOSPITAL_TEXT = "\n".join(
+    (POLICY_DIR / name).read_text() for name in ("listing1.ncl", "listing1_benign.ncl")
+)
+
+
+def hospital_network(text):
+    topo = load_topology(TOPOLOGY_DIR / "hospital.yaml")
+    return Network(topo, compile_program(parse(text), topo)), topo
+
+
+@pytest.mark.xfail(strict=True, reason="an update renumbers tags the agents keep stamping")
+def test_a_live_pid_keeps_its_verdict_across_an_update_that_renumbers_tags():
+    relabelled = "label_host(ip=Host1, label={Host1, Audit})\n" + HOSPITAL_TEXT
+    fresh, topo = hospital_network(relabelled)
+    fresh.agents["Host2"].spawn(200)
+    want = fresh.send_flow(flow_id="f", src="Host2", dst="PACS", at_ns=1 * MS, pid=200)
+    fresh.run()
+    assert (want.delivered, want.sent) == (3, 3)
+
+    net, _ = hospital_network(HOSPITAL_TEXT)
+    net.agents["Host2"].spawn(200)  # before the update
+    new = compile_program(parse(relabelled), topo)
+    net.schedule_call(1, "policy-update", lambda: net.control.apply_update(net.switches, new))
+    rec = net.send_flow(flow_id="f", src="Host2", dst="PACS", at_ns=1 * MS, pid=200)
+    net.run()
+    assert (rec.delivered, rec.sent) == (want.delivered, want.sent)
+
+
+@pytest.mark.xfail(strict=True, reason="a bare UDP packet is never initial")
+def test_an_unlabelled_udp_flow_is_admitted_like_tcp_and_icmp():
+    net, _ = hospital_network("if match(dst_ip==any) then allow\n")
+    net.agents["Host1"].spawn(100)
+    flows = [
+        net.send_flow(flow_id=protocol, src="Host1", dst="PACS", at_ns=(k + 1) * MS, pid=100,
+                      protocol=protocol, src_port=41000 + k)
+        for k, protocol in enumerate(("tcp", "icmp", "udp"))
+    ]
+    net.run()
+    assert [(rec.flow_id, rec.delivered) for rec in flows] == [
+        ("tcp", 3), ("icmp", 3), ("udp", 3)
+    ]

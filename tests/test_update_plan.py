@@ -10,7 +10,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from difcnet.labels import Label
 from difcnet.netcl import Allow, Drop, diff_configs
 from difcnet.netcl.compiler import (
     FieldMatch,
@@ -102,7 +101,7 @@ PRIVILEGES = [
     for mask, direction in ((1, "declassify"), (2, "endorse"))
     for line in (30 + priority, 40 + priority)
 ]
-INITS = [(ip, Label(bits)) for ip in IPS for bits in (0, 3)]
+INITS = [(ip, bits) for ip in IPS for bits in (0, 3)]
 
 
 @st.composite
