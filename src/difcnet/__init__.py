@@ -6,19 +6,12 @@ host agents keep process and file labels honest across the kernel
 boundary. A deterministic simulator ties the pieces together.
 """
 
-from .labels import (
-    EMPTY_LABEL,
-    TAG_SPACE,
-    Label,
-    TagRegistry,
-    tag_bit,
-)
+from .labels import TAG_SPACE, Label, TagRegistry, tag_bit
 from .header import DifcHeader, FlowKey, buffer_slot, decode_header, encode_header
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EMPTY_LABEL",
     "TAG_SPACE",
     "Label",
     "TagRegistry",

@@ -45,21 +45,6 @@ class Label:
             bits |= tag_bit(i)
         return cls(bits)
 
-    def has(self, index: int) -> bool:
-        return bool(self.bits & tag_bit(index))
-
-    def indexes(self) -> list[int]:
-        return [i for i in range(TAG_SPACE) if self.has(i)]
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __or__(self, other: Label) -> Label:
-        return Label(self.bits | other.bits)
-
-
-EMPTY_LABEL = Label(0)
-
 
 @dataclass
 class TagRegistry:

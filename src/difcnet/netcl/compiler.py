@@ -212,6 +212,14 @@ def tracker_of(file_trackers: dict[tuple[str, str], int], ref: str) -> int:
     return tracker
 
 
+def _resolve(topology: Topology, name: str, line: int) -> tuple[str, ...]:
+    """`Topology.resolve`; an unknown name is a CompileError at source line `line`."""
+    try:
+        return topology.resolve(name)
+    except UnknownName as exc:
+        raise CompileError(f"line {line}: {exc}") from None
+
+
 # (label bits, tracker id or 0, source match, destination match, placements):
 # what one conjunct adds to a rule. Bits are or-ed in; any other part that is
 # not 0 or None replaces the rule's value, so a later conjunct wins.
@@ -249,18 +257,12 @@ def _conjunct_effect(
             raise CompileError(
                 f"line {line}: != is not supported on labeled source {c.rhs!r}"
             )
-        try:
-            ips = topology.resolve(c.rhs)
-        except UnknownName as exc:
-            raise CompileError(f"line {line}: {exc}") from None
+        ips = _resolve(topology, c.rhs, line)
         return 0, 0, FieldMatch(frozenset(ips), negate=(c.op == "!=")), None, None
     # dst_ip
     if c.rhs == "any":
         return 0, 0, None, None, all_placements
-    try:
-        ips = topology.resolve(c.rhs)
-    except UnknownName as exc:
-        raise CompileError(f"line {line}: {exc}") from None
+    ips = _resolve(topology, c.rhs, line)
     if c.op != "==":
         # negated destination can match traffic to any switch
         return 0, 0, None, FieldMatch(frozenset(ips), negate=True), all_placements
@@ -288,10 +290,7 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
         if isinstance(stmt, LabelHost):
             bits = registry.label_of(stmt.tags)
             directive_labels[stmt.host] = directive_labels.get(stmt.host, 0) | bits
-            try:
-                ips = topology.resolve(stmt.host)
-            except UnknownName as exc:
-                raise CompileError(f"line {stmt.line}: {exc}") from None
+            ips = _resolve(topology, stmt.host, stmt.line)
             if any(ip not in topology.host_by_ip for ip in ips):
                 raise CompileError(
                     f"line {stmt.line}: label_host {stmt.host!r} is not a host "

@@ -78,10 +78,9 @@ def allowlist_firewall(topology: Topology, target: str, allowed: int) -> tuple[F
     """Filter that guards only the target: the first `allowed` non-target
     hosts (topology order) may talk to it, nobody else, everything
     unrelated to the target passes."""
-    target_ip = topology.host_by_name[target].ip
-    candidates = [h.ip for h in topology.hosts if h.name != target]
+    _, ips, target_ip = _pivots(topology, target)
     return (
-        FirewallRule("allow", frozenset(candidates[:allowed]), frozenset({target_ip})),
+        FirewallRule("allow", frozenset(ips[:allowed]), frozenset({target_ip})),
         FirewallRule("deny", None, frozenset({target_ip})),
     )
 
@@ -111,14 +110,25 @@ def _advance(layer: dict, ips: list[str], labels: list[int], admit) -> tuple[dic
     return nxt, refused
 
 
-def _pivots(topology: Topology, target: str, label_of) -> tuple[list[str], list[int], str]:
-    """The non-target hosts' addresses and labels, and the target's address."""
+def _pivots(topology: Topology, target: str) -> tuple[list[str], list[str], str]:
+    """The non-target hosts' names and addresses, and the target's address."""
     pivots = [h for h in topology.hosts if h.name != target]
     return (
+        [h.name for h in pivots],
         [h.ip for h in pivots],
-        [label_of(h.name) for h in pivots],
         topology.host_by_name[target].ip,
     )
+
+
+def _reaches(i: int, ips: list[str], labels: list[int], target_ip: str, steps: int, admit) -> bool:
+    """Whether a chain of at most `steps` hops leads from pivot `i` into the target."""
+    layer = {(i, 1 << i, labels[i]): 1}
+    for used in range(steps):
+        if any(admit(ips[x], target_ip, bits)[0] for x, _, bits in layer):
+            return True
+        if used + 1 < steps:
+            layer = _advance(layer, ips, labels, admit)[0]
+    return False
 
 
 def chain_exists(
@@ -131,25 +141,20 @@ def chain_exists(
 ) -> bool:
     """Whether a chain of at most `max_steps` hops leads from `start` into
     `target`."""
-    ips, labels, target_ip = _pivots(topology, target, label_of)
-    i = [h.name for h in topology.hosts if h.name != target].index(start)
-    layer = {(i, 1 << i, labels[i]): 1}
-    for used in range(max_steps):
-        if any(admit(ips[x], target_ip, bits)[0] for x, _, bits in layer):
-            return True
-        if used + 1 < max_steps:
-            layer = _advance(layer, ips, labels, admit)[0]
-    return False
+    names, ips, target_ip = _pivots(topology, target)
+    labels = [label_of(name) for name in names]
+    return _reaches(names.index(start), ips, labels, target_ip, max_steps, admit)
 
 
 def hosts_reaching(
     topology: Topology, target: str, max_steps: int, admit, label_of
 ) -> set[str]:
+    names, ips, target_ip = _pivots(topology, target)
+    labels = [label_of(name) for name in names]
     return {
-        h.name
-        for h in topology.hosts
-        if h.name != target
-        and chain_exists(topology, h.name, target, max_steps, admit, label_of)
+        name
+        for i, name in enumerate(names)
+        if _reaches(i, ips, labels, target_ip, max_steps, admit)
     }
 
 
@@ -231,7 +236,8 @@ def blocked_routes(topology: Topology, target: str, k: int, admit, label_of) -> 
     decides."""
     if k < 1:
         raise ValueError(f"a route has at least one pivot, not {k}")
-    ips, labels, target_ip = _pivots(topology, target, label_of)
+    names, ips, target_ip = _pivots(topology, target)
+    labels = [label_of(name) for name in names]
     n = len(ips)
     if k > n:
         return 0
@@ -272,43 +278,29 @@ def coverage_report(
     compiled = compile_program(parse(build_coverage_policy(topology, target)), topology)
     policy_admit = make_policy_admit(compiled, topology)
     policy_label = {h.name: compiled.host_labels.get(h.ip, 0) for h in topology.hosts}
-    candidates = [h.name for h in topology.hosts if h.name != target]
+    candidates, _, _ = _pivots(topology, target)
     n = len(candidates)
     out = []
     for k, allowed in rows:
         total = route_count(n, k)
-        fw_admit = make_firewall_admit(allowlist_firewall(topology, target, allowed))
-        if total == 0:
-            # no routes of this length exist, so all of them are covered
-            out.append(
-                CoverageRow(
-                    topology=topology.name, steps=k, allowed=allowed,
-                    routes=0, evaluated=0, sampled=False,
-                    firewall_coverage=100.0, policy_coverage=100.0,
-                )
-            )
-            continue
-        if total <= sample_threshold:
-            fw_blocked = blocked_routes(topology, target, k, fw_admit, lambda h: 0)
-            pol_blocked = blocked_routes(
-                topology, target, k, policy_admit, policy_label.__getitem__
-            )
-            evaluated = total
-            sampled = False
-        else:
+        models = (  # (admit, label_of): the packet filter, then the policy
+            (make_firewall_admit(allowlist_firewall(topology, target, allowed)), lambda h: 0),
+            (policy_admit, policy_label.__getitem__),
+        )
+        sampled = total > sample_threshold
+        if sampled:
             rng = random.Random(seed)
             routes = [tuple(rng.sample(candidates, k)) for _ in range(sample_size)]
-            fw_blocked = 0
-            pol_blocked = 0
-            for route in routes:
-                if route_blocked(route, target, topology, fw_admit, lambda h: 0):
-                    fw_blocked += 1
-                if route_blocked(
-                    route, target, topology, policy_admit, policy_label.__getitem__
-                ):
-                    pol_blocked += 1
             evaluated = len(routes)
-            sampled = True
+            blocked = [
+                sum(route_blocked(route, target, topology, *model) for route in routes)
+                for model in models
+            ]
+        else:
+            evaluated = total
+            blocked = [blocked_routes(topology, target, k, *model) for model in models]
+        # where no route of length k exists (k > n), none is open
+        fw, policy = (100.0 * b / evaluated if evaluated else 100.0 for b in blocked)
         out.append(
             CoverageRow(
                 topology=topology.name,
@@ -317,8 +309,8 @@ def coverage_report(
                 routes=total,
                 evaluated=evaluated,
                 sampled=sampled,
-                firewall_coverage=100.0 * fw_blocked / evaluated,
-                policy_coverage=100.0 * pol_blocked / evaluated,
+                firewall_coverage=fw,
+                policy_coverage=policy,
             )
         )
     return out

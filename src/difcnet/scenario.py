@@ -12,15 +12,15 @@ from .errors import DifcnetError, ScenarioError
 from .netcl import compile_program, parse_files
 from .scenario_checks import check_expectation_names, evaluate_expectations
 from .sim import FLOW_PROTOCOLS, Network, SimParams
-from .topology import LIST, MAPPING, PORT, STRING, STRINGS, Kind, Topology, check_entry, is_count
-from .topology import load_topology, one_of, read_yaml
+from .topology import LIST, MAPPING, PID, PORT, STRING, STRINGS, Kind, Topology, check_entry
+from .topology import is_count, load_topology, one_of, read_yaml
 
 MS = 1_000_000
 
 
 # The numbers a scenario holds, by kind: a time or a duration in ms, a
-# count, a port (`topology.PORT`, which send_flow checks too) and a pid,
-# which may be null (a flow with no pid); and a tracker expectation, a
+# count, a port and a pid, which may be null (a flow with no pid), both
+# `topology` kinds that send_flow checks too; and a tracker expectation, a
 # <path>@<host> name or 0 or null (no tracker). Strings and booleans are
 # never numbers.
 MILLISECONDS = Kind(
@@ -29,7 +29,6 @@ MILLISECONDS = Kind(
     and math.isfinite(v) and v >= 0,
 )
 COUNT = Kind("an integer >= 0", is_count)
-PID = Kind("an integer >= 0 or null", lambda v: v is None or is_count(v))
 TRACKER = Kind(
     "a string, 0 or null", lambda v: v is None or isinstance(v, str) or (v == 0 and is_count(v))
 )

@@ -37,7 +37,7 @@ from .errors import DifcnetError, UnknownName
 from .hostagent import HostAgent, SeqSource
 from .netcl.compiler import CompiledPolicy
 from .packets import PROTO_NAMES, PROTO_TCP, SimPacket, TcpFlags
-from .topology import DEFAULT_LINK_LATENCY_NS, PORT, Topology, is_count
+from .topology import DEFAULT_LINK_LATENCY_NS, PID, PORT, Topology, is_count
 
 _heappush = heapq.heappush
 _PROTO_BY_NAME = {name: proto for proto, name in PROTO_NAMES.items()}
@@ -209,14 +209,22 @@ class Network:
             raise DifcnetError(
                 f"flow {flow_id!r}: packet gap must be an integer >= 0 ns, not {gap!r}"
             )
-        for name, port in (("src_port", src_port), ("dst_port", dst_port)):
-            if not PORT.test(port):
-                raise DifcnetError(f"flow {flow_id!r}: {name} must be {PORT.words}, not {port!r}")
+        for name, value, kind in (
+            ("src_port", src_port, PORT), ("dst_port", dst_port, PORT),
+            ("pid", pid, PID), ("accept_pid", accept_pid, PID),
+        ):
+            if not kind.test(value):
+                raise DifcnetError(f"flow {flow_id!r}: {name} must be {kind.words}, not {value!r}")
         self._check_time(f"flow {flow_id!r}", at_ns)
         if flow_id in self.flows:
             raise DifcnetError(f"flow {flow_id!r}: flow id already in use")
         src_ip = flow_address(self.topology, flow_id, "src", src)
         dst_ip = flow_address(self.topology, flow_id, "dst", dst)
+        # a flow from a host's address, however named, enters at its switch and is
+        # labelled by its agent (see _on_send); any other enters at the gateway
+        host = self.topology.host_by_ip.get(src_ip)
+        if host is None and pid is not None:
+            raise DifcnetError(f"flow {flow_id!r}: pid {pid} needs a host as src, not {src!r}")
         flags, later = (
             (TcpFlags.SYN, TcpFlags.ACK) if proto == PROTO_TCP else (TcpFlags.NONE, TcpFlags.NONE)
         )
@@ -227,11 +235,8 @@ class Network:
         self._flow_by_key[first.flow_key] = rec
         if packets == 0:
             return rec
-        # all enter at one switch, labelled by one agent (see _on_send); a
-        # source that is not a host name enters at the gateway, from outside
-        host = self.topology.host_by_name.get(src)
         entry = host.switch if host is not None else self.topology.gateway
-        agent = self.agents.get(src) if pid is not None else None
+        agent = self.agents[host.name] if pid is not None else None
         base = self._evseq
         self._evseq += packets  # one number per packet, see the module docstring
         flow = _FlowPlan(src, entry, agent, pid, rec, first, later, at_ns, gap, packets, base)

@@ -18,15 +18,18 @@ Loaded from a YAML document:
       - {action: allow, src: [Host2], dst: Server1}
       - {action: deny, dst: Server1}
 
-Every host attaches to exactly one switch. Forwarding tables are
-shortest-path over the switch graph, computed at load time.
+The endpoints are the hosts, each on one switch, then the external
+endpoint, on the gateway. Forwarding tables are shortest-path over the
+switch graph, computed at load time.
 
-Names. Policies, firewall rules, flows, and scenario events and
-expectations may name an endpoint by a host name, a group name, the
-external endpoint's name, the binding `external_network` (always the
-external endpoint), or an address. One resolver, `Topology.resolve`,
-serves all of them. A flow endpoint must name one address, so a group of
-several hosts is not one. Addresses are canonical dotted quads: a host's
+Names. Policies, firewall rules and flows may name an endpoint by a host
+name, a group name, the external endpoint's name, the binding
+`external_network` (always the external endpoint), or an address. One
+resolver, `Topology.resolve`, serves all of them from one name map built
+at load. A flow endpoint must name one address, so a group of several
+hosts is not one; a flow from a host's address, however named, is sent
+from that host. Scenario events and expectations take a host name, as
+each picks a host's agent. Addresses are canonical dotted quads: a host's
 address and the external address are checked when the topology loads, a
 raw address where it is named, and no two switches, hosts, groups, the
 external name and `external_network` share a name.
@@ -118,10 +121,16 @@ class Topology:
             self.gateway = self.switches[0]
         elif self.gateway not in self.switches:
             raise DifcnetError(f"external.gateway: {self.gateway!r} is not a switch")
+        # the external endpoint attaches to the gateway like a host
+        self.endpoints = [*self.hosts, Host(self.external_name, self.external_ip, self.gateway)]
+        self._switch_of_ip = {e.ip: e.switch for e in self.endpoints}
+        self._addresses = {e.name: (e.ip,) for e in self.endpoints}  # name -> addresses
+        self._addresses[EXTERNAL_BINDING] = (self.external_ip,)
         for group, members in self.groups.items():
             for j, m in enumerate(members):
                 if m not in self.host_by_name:
                     raise DifcnetError(f"groups.{group}[{j}]: {m!r} is not a host")
+            self._addresses[group] = tuple(self.host_by_name[m].ip for m in members)
         self._latency: dict[tuple[str, str], int] = {}
         for a, b, lat in self.links:  # the first link between two switches wins
             self._latency.setdefault((a, b), lat)
@@ -136,18 +145,13 @@ class Topology:
     # --- name resolution -------------------------------------------------
 
     def resolve(self, name: str) -> tuple[str, ...]:
-        """The addresses `name` stands for: a host's address, the external
-        address (under the external name or `external_network`), a group's
-        member addresses in group order, or a canonical dotted quad itself.
-        This is the only place a name becomes addresses."""
-        host = self.host_by_name.get(name)
-        if host is not None:
-            return (host.ip,)
-        if name == self.external_name or name == EXTERNAL_BINDING:
-            return (self.external_ip,)
-        members = self.groups.get(name)
-        if members is not None:
-            return tuple(self.host_by_name[m].ip for m in members)
+        """The addresses `name` stands for: an endpoint's address (a host
+        or the external endpoint, also under `external_network`), a
+        group's member addresses in group order, or a canonical dotted quad
+        itself. This is the only place a name becomes addresses."""
+        ips = self._addresses.get(name)
+        if ips is not None:
+            return ips
         try:
             ipv4_bytes(name)
         except ValueError:
@@ -155,32 +159,25 @@ class Topology:
         return (name,)
 
     def switch_of_ip(self, ip: str) -> str:
-        if ip in self.host_by_ip:
-            return self.host_by_ip[ip].switch
-        if ip == self.external_ip:
-            return self.gateway
-        raise UnknownHost(f"no switch attached to {ip}")
-
-    def hosts_on(self, switch: str) -> list[Host]:
-        return [h for h in self.hosts if h.switch == switch]
+        try:
+            return self._switch_of_ip[ip]
+        except KeyError:
+            raise UnknownHost(f"no switch attached to {ip}") from None
 
     def host_switches(self) -> list[str]:
         """Switches with at least one attached host, in topology order."""
         return [s for s in self.switches if any(h.switch == s for h in self.hosts)]
 
     def enforced_ips(self, switch: str) -> set[str]:
-        ips = {h.ip for h in self.hosts_on(switch)}
-        if switch == self.gateway:
-            ips.add(self.external_ip)
-        return ips
+        return {e.ip for e in self.endpoints if e.switch == switch}
 
     # --- ports and forwarding -------------------------------------------
 
     def _build_tables(self):
         """Per switch, its ports (neighbour switches in link order, then its
-        hosts, then the external endpoint at the gateway) and its forwarding
-        table: a destination's port is the first one to the destination's
-        switch's first hop on a BFS shortest path, ties broken by link order."""
+        endpoints in table order) and its forwarding table: a destination's
+        port is the first one to the destination's switch's first hop on a
+        BFS shortest path, ties broken by link order."""
         adj: dict[str, list[str]] = {s: [] for s in self.switches}
         for a, b, _lat in self.links:
             adj[a].append(b)
@@ -188,9 +185,7 @@ class Topology:
         self._ports: dict[str, list[str]] = {}
         self._forwarding: dict[str, dict[str, int]] = {}
         for s in self.switches:
-            ports = adj[s] + [h.name for h in self.hosts_on(s)]
-            if s == self.gateway:
-                ports.append(self.external_name)
+            ports = adj[s] + [e.name for e in self.endpoints if e.switch == s]
             self._ports[s] = ports
             port_of: dict[str, int] = {}
             for i, target in enumerate(ports):
@@ -201,14 +196,10 @@ class Topology:
                 raise DifcnetError(
                     f"switch graph is not connected: {s!r} cannot reach {missing[:3]}"
                 )
-            table = {
-                h.ip: port_of[h.name if h.switch == s else first_hop[h.switch]]
-                for h in self.hosts
+            self._forwarding[s] = {
+                e.ip: port_of[e.name if e.switch == s else first_hop[e.switch]]
+                for e in self.endpoints
             }
-            table[self.external_ip] = port_of[
-                self.external_name if s == self.gateway else first_hop[self.gateway]
-            ]
-            self._forwarding[s] = table
 
     def ports(self, switch: str) -> list[str]:
         return self._ports[switch]
@@ -314,6 +305,7 @@ def is_count(value) -> bool:
 
 
 PORT = Kind("an integer from 0 to 65535", lambda v: is_count(v) and v <= 65_535)
+PID = Kind("an integer >= 0 or null", lambda v: v is None or is_count(v))  # null: no pid
 
 
 def one_of(*values: str) -> Kind:

@@ -1,8 +1,8 @@
-"""Topology's ports and forwarding tables against a slow reference on
-random switch graphs: duplicate links, self-links, cycles and equal-length
-alternative paths, hosts on any switch and any gateway, including a switch
-named "" and the default gateway. Some drawn hosts are named like a
-switch, which the topology refuses at load."""
+"""Topology's ports, forwarding tables and endpoint attachment against a
+slow reference on random switch graphs: duplicate links, self-links,
+cycles and equal-length alternative paths, hosts on any switch and any
+gateway, including a switch named "" and the default gateway. Some drawn
+hosts are named like a switch, which the topology refuses at load."""
 
 from collections import deque
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from difcnet.errors import DifcnetError
+from difcnet.errors import DifcnetError, UnknownHost
 from difcnet.topology import Host, Topology
 
 SWITCH_NAMES = ["", "S1", "S2", "S3", "core", "edge", "S7", "S8"]
@@ -67,6 +67,16 @@ def reference_tables(switches, hosts, links, gateway, external_name, external_ip
             table[external_ip] = ports[s].index(next_hop[s][gateway])
         forwarding[s] = table
     return ports, forwarding
+
+
+def reference_attachment(switches, hosts, gateway, external_ip):
+    """(addresses enforced per switch, switch per address): each host's
+    address at its own switch, and the external address at the gateway."""
+    enforced = {s: {h.ip for h in hosts if h.switch == s} for s in switches}
+    enforced[gateway].add(external_ip)
+    switch_of = {h.ip: h.switch for h in hosts}
+    switch_of[external_ip] = gateway
+    return enforced, switch_of
 
 
 @st.composite
@@ -140,6 +150,26 @@ def test_ports_forwarding_and_next_hops_equal_the_reference(net):
         assert topo.next_hops(s) == tuple(
             (t, topo.link_latency(s, t), t in switches) for t in ports[s]
         ), s
+
+
+@given(networks())
+def test_enforced_addresses_and_attachment_equal_the_reference(net):
+    switches, hosts, links, gateway = net
+    if _refused_for_a_name(*net):
+        return
+    topo = _build(*net)
+    enforced, switch_of = reference_attachment(
+        switches, hosts, gateway or switches[0], EXTERNAL_IP
+    )
+    for s in switches:
+        assert topo.enforced_ips(s) == enforced[s], s
+    for ip, s in switch_of.items():
+        assert topo.switch_of_ip(ip) == s, ip
+    with pytest.raises(UnknownHost):
+        topo.switch_of_ip("192.0.2.1")
+    for h in hosts:
+        assert topo.resolve(h.name) == (h.ip,)
+    assert topo.resolve(EXTERNAL_NAME) == topo.resolve("external_network") == (EXTERNAL_IP,)
 
 
 @given(networks(connected=False))

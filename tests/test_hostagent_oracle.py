@@ -28,6 +28,10 @@ from difcnet.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP, ControlKind, SimPa
 # -- the reference agent -----------------------------------------------------
 
 
+def union(a: Label, b: Label) -> Label:
+    return Label(a.bits | b.bits)
+
+
 class RefAgentEvent:
     __slots__ = (
         "seq", "time_ns", "host", "kind", "pid", "inode", "path", "flow",
@@ -96,7 +100,7 @@ class RefHostAgent:
         self.host_label = label
         for path, tracker in files:
             inode = self._bind(path)
-            self.file_labels[inode] = self.file_labels.get(inode, Label(0)) | label
+            self.file_labels[inode] = union(self.file_labels.get(inode, Label(0)), label)
             self.file_trackers[inode] = tracker
             self._emit(
                 now_ns, "label-file", inode=inode, path=path,
@@ -144,7 +148,7 @@ class RefHostAgent:
     def read(self, pid, inode, now_ns=0):
         self._require_pid(pid)
         self._require_inode(inode)
-        self.pid_labels[pid] = self.pid_labels[pid] | self.file_labels[inode]
+        self.pid_labels[pid] = union(self.pid_labels[pid], self.file_labels[inode])
         if self.file_trackers.get(inode, 0):
             self.pid_trackers[pid] = self.file_trackers[inode]
         self._emit(
@@ -156,7 +160,7 @@ class RefHostAgent:
     def write(self, pid, inode, now_ns=0):
         self._require_pid(pid)
         self._require_inode(inode)
-        self.file_labels[inode] = self.file_labels[inode] | self.pid_labels[pid]
+        self.file_labels[inode] = union(self.file_labels[inode], self.pid_labels[pid])
         if self.pid_trackers.get(pid, 0):
             self.file_trackers[inode] = self.pid_trackers[pid]
         self._emit(
@@ -168,7 +172,7 @@ class RefHostAgent:
     def create(self, pid, path, now_ns=0):
         self._require_pid(pid)
         inode = self._bind(path)
-        self.file_labels[inode] = self.file_labels[inode] | self.pid_labels[pid]
+        self.file_labels[inode] = union(self.file_labels[inode], self.pid_labels[pid])
         if self.pid_trackers.get(pid, 0):
             self.file_trackers[inode] = self.pid_trackers[pid]
         self._emit(
@@ -208,7 +212,7 @@ class RefHostAgent:
         difc = pkt.difc
         if difc is not None:
             label, tracker = self.in_labels.get(key, (Label(0), 0))
-            label = label | Label(difc.bits)
+            label = union(label, Label(difc.bits))
             if difc.tracker_id:
                 tracker = difc.tracker_id
             self.in_labels[key] = (label, tracker)
@@ -225,7 +229,7 @@ class RefHostAgent:
         if key not in self.in_labels:
             raise UnknownEntry(f"{self.host}: nothing pending on {key}")
         label, tracker = self.in_labels.pop(key)
-        self.pid_labels[pid] = self.pid_labels[pid] | label
+        self.pid_labels[pid] = union(self.pid_labels[pid], label)
         if tracker:
             self.pid_trackers[pid] = tracker
         self._emit(

@@ -15,7 +15,7 @@ from difcnet.scenario import load_scenario, run_scenario
 from difcnet.sim import Network
 from difcnet.topology import load_topology, read_yaml, topology_from_dict
 
-from tests.conftest import SCENARIO_DIR, TOPOLOGY_DIR
+from tests.conftest import POLICY_DIR, SCENARIO_DIR, TOPOLOGY_DIR
 
 FOREIGN = "192.0.2.77"  # in no topology's inventory
 SHIPPED = ["hospital", "enterprise", "cisco", "stanford"]
@@ -99,6 +99,34 @@ def test_a_flow_from_external_network_enters_at_the_gateway():
     assert rec.key.src_ip == "198.51.100.1" and rec.src == "external_network"
     assert net.trace[0] == "t=0 send host=external_network 198.51.100.1:41000>10.9.0.1:80/6[tcp/syn#0]"
     assert rec.delivered == 1
+
+
+def _hospital_flow(src):
+    """A Host2 -> PACS TCP flow from pid 7 on hospital under listing1, its
+    source named `src`: the run's flow record, trace and agent events."""
+    doc = _doc("hospital") | {"groups": {"Imaging": ["Host2"]}}
+    topo = topology_from_dict(doc)
+    compiled = compile_program(parse((POLICY_DIR / "listing1.ncl").read_text()), topo)
+    net = Network(topo, compiled)
+    net.agents["Host2"].spawn(7)
+    rec = net.send_flow(flow_id="f", src=src, dst="PACS", at_ns=1_000_000, pid=7)
+    net.run()
+    events = {name: [repr(e) for e in agent.events] for name, agent in net.agents.items()}
+    return rec, net.trace, events
+
+
+@pytest.mark.parametrize("src", ["10.1.2.12", "Imaging"], ids=["address", "one-member-group"])
+def test_a_flow_from_a_hosts_address_is_labelled_by_its_agent_however_named(src):
+    # named by the host's address or a group of that host alone, the flow
+    # once entered at the gateway unlabelled and was dropped at S2:policy
+    want, want_trace, want_events = _hospital_flow("Host2")
+    assert (want.sent, want.delivered) == (3, 3)
+    rec, trace, events = _hospital_flow(src)
+    assert (rec.src, rec.key, rec.sent, rec.delivered) == (src, want.key, 3, 3)
+    # the trace names the source as the caller wrote it
+    assert trace == [line.replace(" send host=Host2 ", f" send host={src} ") for line in want_trace]
+    assert f"t=1000000 send host={src} 10.1.2.12:41000>10.1.2.20:80/6[tcp/syn+labeled#0]" in trace
+    assert events == want_events
 
 
 # -- one case per disagreement the three resolvers had ----------------------

@@ -54,9 +54,9 @@ class PerPacketNetwork(Network):
         rec = FlowRecord(flow_id, src, dst, key, accept_pid=accept_pid)
         self.flows[flow_id] = rec
         self._flow_by_key[key] = rec
-        host = self.topology.host_by_name.get(src)
+        host = self.topology.host_by_ip.get(src_ip)
         entry = host.switch if host is not None else self.topology.gateway
-        agent = self.agents.get(src) if pid is not None else None
+        agent = self.agents[host.name] if pid is not None else None
         for i in range(packets):
             flags = TcpFlags.NONE
             if proto == PROTO_TCP:
@@ -109,12 +109,12 @@ def state(net):
 # start times and gaps on the link latency's grid, so sends, hops and
 # deliveries of different flows tie on time and break on event number
 TIMES = st.sampled_from([k * DEFAULT_LINK_LATENCY_NS for k in range(6)])
-SENDERS = {"A": 100, "B": 200, "C": 300}
+SENDERS = {"A": 100, "B": 200, "C": 300, "10.5.2.12": 200}  # the last is B, by address
 
 
 @st.composite
 def flows(draw, prefix):
-    src = draw(st.sampled_from(["A", "B", "C", "external", "192.0.2.66"]))
+    src = draw(st.sampled_from(["A", "B", "C", "external", "192.0.2.66", "10.5.2.12"]))
     dst = draw(st.sampled_from([h for h in ("A", "B", "C", "external") if h != src]))
     protocol = draw(st.sampled_from(FLOW_PROTOCOLS))
     pid = SENDERS.get(src) if draw(st.booleans()) else None
@@ -246,10 +246,19 @@ def test_a_flow_of_no_packets_registers_and_schedules_nothing():
         ({"dst_port": True}, None, "dst_port must be an integer from 0 to 65535, not True"),
         ({"at_ns": -5}, None, "at_ns must be an integer no earlier than now (0 ns), not -5"),
         ({"at_ns": 1.5}, None, "at_ns must be an integer no earlier than now (0 ns), not 1.5"),
+        ({"pid": -1}, None, "pid must be an integer >= 0 or null, not -1"),
+        ({"pid": "100"}, None, "pid must be an integer >= 0 or null, not '100'"),
+        ({"pid": True}, None, "pid must be an integer >= 0 or null, not True"),
+        ({"accept_pid": -1}, None, "accept_pid must be an integer >= 0 or null, not -1"),
+        ({"accept_pid": 300.0}, None, "accept_pid must be an integer >= 0 or null, not 300.0"),
+        ({"src": "external"}, None, "pid 100 needs a host as src, not 'external'"),
+        ({"src": "192.0.2.66"}, None, "pid 100 needs a host as src, not '192.0.2.66'"),
     ],
     ids=["negative", "float", "bool", "text", "negative-gap", "float-gap",
          "negative-default-gap", "reused-id", "src-port-too-big", "negative-dst-port",
-         "text-port", "bool-port", "negative-start", "float-start"],
+         "text-port", "bool-port", "negative-start", "float-start", "negative-pid", "text-pid",
+         "bool-pid", "negative-accept-pid", "float-accept-pid", "pid-from-external",
+         "pid-from-outside"],
 )
 def test_send_flow_rejects_bad_input_before_touching_state(kwargs, params, problem):
     net = lan(Network, params)
