@@ -26,6 +26,13 @@ decision. Inserting into an occupied slot evicts the previous occupant. Two
 different connections that share the full 32-bit hash are indistinguishable
 to the buffer; the exact conn_dec table in front of it bounds the lifetime
 of such a false hit to one install delay.
+
+The pipeline rewrites the packet it is given in place (the TTL, the
+recirculation count, the label header) and returns a result that does not
+hold it. A hop that only forwards, decided by the transit, conn_dec,
+buffer or control path, returns the switch's shared result for its
+(source, egress port), built on first use; shared results are never
+mutated, by the switch or by whoever reads them.
 """
 
 from __future__ import annotations
@@ -78,7 +85,7 @@ class ConnDecTable:
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._entries: dict[FlowKey, tuple[Decision, int]] = {}
+        self._entries: dict[FlowKey, list] = {}  # key -> [decision, last hit ns]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -91,13 +98,13 @@ class ConnDecTable:
             raise CapacityExceeded(
                 f"conn_dec full ({self.capacity} entries), cannot install {key}"
             )
-        self._entries[key] = (decision, now_ns)
+        self._entries[key] = [decision, now_ns]
 
     def lookup(self, key: FlowKey, now_ns: int) -> Decision | None:
         hit = self._entries.get(key)
         if hit is None:
             return None
-        self._entries[key] = (hit[0], now_ns)
+        hit[1] = now_ns
         return hit[0]
 
     def gc(self, now_ns: int, idle_ns: int) -> int:
@@ -224,12 +231,13 @@ Log = list[str] | tuple[()]
 
 @dataclass(slots=True)
 class PipelineResult:
-    """One packet's outcome at one switch. Only an initial packet's
-    evaluation generates packets or install requests; every other hop
-    leaves both as the shared empty tuple."""
+    """One packet's outcome at one switch; the packet is the one passed in,
+    rewritten in place. Only an initial packet's evaluation generates
+    packets or install requests; every other hop leaves both as the shared
+    empty tuple. A forward with no log may be a result the switch shares
+    between hops, so no reader mutates a result."""
 
     verdict: str  # forward | drop | recirculate, after the switch's recirc_delay_ns
-    packet: SimPacket
     egress_port: int | None = None
     generated: list[SimPacket] | tuple[()] = ()
     install_requests: list[InstallRequest] | tuple[()] = ()
@@ -257,6 +265,8 @@ class Switch:
         )
         self._enforced = set(topology.enforced_ips(switch_id))
         self._forwarding = topology.forwarding(switch_id)
+        # (source, egress port) -> the shared result of a forward with no log
+        self._passes: dict[tuple[str, int], PipelineResult] = {}
         # (orig label bits, tracker, src, dst) -> (rewritten bits, entry)
         self._classified: dict[
             tuple[int, int, str, str], tuple[int, TableEntry | None]
@@ -272,41 +282,44 @@ class Switch:
 
     # pipeline ------------------------------------------------------------
 
-    def _drop(self, pkt: SimPacket, source: str, line: str, log: Log = ()) -> PipelineResult:
+    def _drop(self, source: str, line: str, log: Log = ()) -> PipelineResult:
         """A drop decided by `source`, with `line` after the hop's `log`."""
-        return PipelineResult(
-            "drop", pkt, decision_source=source, log=[*log, f"{self.switch_id} {line}"]
-        )
+        return PipelineResult("drop", None, (), (), source, [*log, f"{self.switch_id} {line}"])
 
-    def _forward(self, pkt: SimPacket, source: str, log: Log = ()) -> PipelineResult:
+    def _forward(self, pkt: SimPacket, source: str, log: Log | None = None) -> PipelineResult:
+        """Forward `pkt` one hop, lowering its TTL. The policy paths pass
+        their log, empty or not, and get a result of their own, which
+        `_evaluate_initial` fills in; with no log the result is the shared
+        one for (source, port)."""
         port = self._forwarding.get(pkt.dst_ip)
         if port is None:
-            return self._drop(pkt, "forwarding", f"no-route dst={pkt.dst_ip}", log)
+            return self._drop("forwarding", f"no-route dst={pkt.dst_ip}", log or ())
         if pkt.ttl <= 1:
-            return self._drop(pkt, "forwarding", f"ttl-expired {pkt.flow_key}", log)
-        return PipelineResult(
-            "forward", pkt.with_ttl(pkt.ttl - 1), egress_port=port,
-            decision_source=source, log=log,
-        )
+            return self._drop("forwarding", f"ttl-expired {pkt.flow_key}", log or ())
+        pkt.ttl -= 1
+        if log is not None:
+            return PipelineResult("forward", port, (), (), source, log)
+        shared = self._passes.get((source, port))
+        if shared is None:
+            shared = self._passes[source, port] = PipelineResult("forward", port, (), (), source, ())
+        return shared
 
     def _execute(self, pkt: SimPacket, entry: TableEntry, log: Log) -> PipelineResult:
         action = entry.action
         if isinstance(action, Drop):
-            return self._drop(pkt, "policy", f"drop {pkt.flow_key} rule@{entry.priority}", log)
+            return self._drop("policy", f"drop {pkt.flow_key} rule@{entry.priority}", log)
         if isinstance(action, Alert):
             log = [*log, f"{self.switch_id} alert {pkt.flow_key} rule@{entry.priority}"]
             return self._forward(pkt, "policy", log)
         if isinstance(action, Reroute):
             if pkt.ttl <= 1:
-                return self._drop(pkt, "policy", f"ttl-expired {pkt.flow_key}", log)
-            out = pkt.with_ttl(pkt.ttl - 1)
+                return self._drop("policy", f"ttl-expired {pkt.flow_key}", log)
+            pkt.ttl -= 1
             log = [*log, f"{self.switch_id} reroute port={action.port} {pkt.flow_key}"]
-            return PipelineResult(
-                "forward", out, egress_port=action.port, decision_source="policy", log=log
-            )
+            return PipelineResult("forward", action.port, (), (), "policy", log)
         if isinstance(action, Modify):
             if action.field_name == "ttl":
-                pkt = pkt.with_ttl(int(action.value))
+                pkt.ttl = int(action.value)
             log = [
                 *log,
                 f"{self.switch_id} modify {action.field_name}={action.value} {pkt.flow_key}",
@@ -327,7 +340,7 @@ class Switch:
         held = self.conn_dec.lookup(key, now_ns)
         if held is not None:
             if held is Decision.DROP:
-                return self._drop(pkt, "conn_dec", f"drop {key} conn_dec")
+                return self._drop("conn_dec", f"drop {key} conn_dec")
             return self._forward(pkt, "conn_dec")
 
         if pkt.is_initial:
@@ -336,15 +349,15 @@ class Switch:
         buffered = self.buffer.lookup(key)
         if buffered is not None:
             if buffered is Decision.DROP:
-                return self._drop(pkt, "buffer", f"drop {key} buffer")
+                return self._drop("buffer", f"drop {key} buffer")
             return self._forward(pkt, "buffer")
 
         if pkt.recirc_count >= self.recirc_limit:
-            return self._drop(pkt, "recirc_limit", f"drop {key} recirc-limit")
-        out = pkt.recirculated()
+            return self._drop("recirc_limit", f"drop {key} recirc-limit")
+        pkt.recirc_count = n = pkt.recirc_count + 1
         return PipelineResult(
-            "recirculate", out, decision_source="recirc",
-            log=[f"{self.switch_id} recirculate {key} n={out.recirc_count}"],
+            "recirculate", None, (), (), "recirc",
+            [f"{self.switch_id} recirculate {key} n={n}"],
         )
 
     def classify(
@@ -366,14 +379,14 @@ class Switch:
 
     def _evaluate_initial(self, pkt: SimPacket, key: FlowKey, now_ns: int) -> PipelineResult:
         if not self.limiter.allow(pkt.src_ip, now_ns):
-            return self._drop(pkt, "rate", f"drop {key} rate-limited")
+            return self._drop("rate", f"drop {key} rate-limited")
 
         difc = pkt.difc  # no header: the empty label
         orig_bits, tracker = (0, 0) if difc is None else (difc.bits, difc.tracker_id)
         new_bits, entry = self.classify(orig_bits, tracker, pkt.src_ip, pkt.dst_ip)
         log: Log = ()
         if new_bits != orig_bits:
-            pkt = pkt.with_header(DifcHeader(new_bits, tracker))
+            pkt.set_header(DifcHeader(new_bits, tracker))
             log = [
                 f"{self.switch_id} rewrite-label {key} "
                 f"{orig_bits:064x}->{new_bits:064x}"
@@ -381,7 +394,7 @@ class Switch:
 
         if entry is None:
             decision = Decision.DROP
-            result = self._drop(pkt, "policy", f"drop {key} default-deny", log)
+            result = self._drop("policy", f"drop {key} default-deny", log)
         else:
             result = self._execute(pkt, entry, log)
             decision = (

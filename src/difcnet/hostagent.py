@@ -215,10 +215,11 @@ class HostAgent:
     # -- network tx/rx ----------------------------------------------------
 
     def label_outgoing(self, pid: int, pkt: SimPacket, now_ns: int = 0) -> SimPacket:
-        """Attach a label header when the packet opens a flow (or, for UDP,
-        to the first `udp_label_prefix` packets of a flow, fewer once the
-        switch acknowledges the label). Hosts without any label send bare
-        packets."""
+        """Write a label header into `pkt` when the packet opens a flow (or,
+        for UDP, into the first `udp_label_prefix` packets of a flow, fewer
+        once the switch acknowledges the label), as a TC egress hook writes
+        into the outgoing buffer, and return the same packet. Hosts without
+        any label send bare packets."""
         bits, tracker = self._pid(pid)
         key = pkt.flow_key
         wants_header = pkt.is_initial
@@ -228,7 +229,7 @@ class HostAgent:
                 wants_header = True
                 self.udp_sent[key] = sent + 1
         if wants_header and (bits or tracker):
-            pkt = pkt.with_header(DifcHeader(bits, tracker))
+            pkt.set_header(DifcHeader(bits, tracker))
         labeled = pkt.evil_bit
         # per packet, so the event is built here rather than through _emit
         self.events.append(AgentEvent(

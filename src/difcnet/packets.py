@@ -8,13 +8,17 @@ field (the "evil bit") marks the presence of the label header, so a
 packet's `evil_bit` is read from its header, `difc`, and no packet can hold
 one without the other.
 
-What is fixed per flow is worked out once per flow. The simulator builds a
-flow's first packet with the constructor and makes every later packet as a
-copy of it (`with_seq`), so every packet and every copy of the flow shares
-one FlowKey object, its hash, CRC and text. A packet's `describe()` text is
-cached on the packet and shared by its copies; `with_seq` and
-`with_header` clear it, because the ordinal, the flags and the evil bit
-are in the text.
+A packet in flight has one owner, the event that carries it, so whoever
+handles the event rewrites the packet in place, as a switch's match-action
+stages rewrite a parsed header vector: the sending host's agent writes the
+label header, and each switch hop lowers the TTL, counts a recirculation or
+rewrites the label. What is fixed per flow is worked out once per flow. The
+simulator builds a flow's template packet with the constructor, never
+sends it, and makes every sent packet as a copy of it (`with_seq`), the one
+copy a packet gets, so every packet of the flow shares one FlowKey object,
+its hash, CRC and text. A packet's `describe()` text is cached on the
+packet; `with_seq` and `set_header` clear it, because the ordinal, the
+flags and the evil bit are in the text.
 """
 
 from __future__ import annotations
@@ -48,15 +52,16 @@ PROTO_NAMES = {PROTO_TCP: "tcp", PROTO_UDP: "udp", PROTO_ICMP: "icmp"}
 
 @dataclass(slots=True)
 class SimPacket:
-    """A value: the pipeline never mutates a packet, it copies it. The
-    constructor makes the flow key from the address fields; the copy
-    helpers below share it. `dataclasses.replace` goes through the
-    constructor, so a copy with a changed address or port gets a key of
-    its own.
+    """One packet, owned by the one event that carries it: its handler may
+    rewrite the TTL, the recirculation count and the label header in place,
+    and no two pending events hold the same packet. The constructor makes
+    the flow key from the address fields; `with_seq` shares it.
+    `dataclasses.replace` goes through the constructor, so a copy with a
+    changed address or port gets a key of its own.
 
-    `describe()` renders its text once and caches it. `with_ttl` and
-    `recirculated` carry the cache over, since neither field is in the
-    text; `with_seq` and `with_header` clear it."""
+    `describe()` renders its text once and caches it. The TTL and the
+    recirculation count are not in the text and are assigned directly;
+    `with_seq` and `set_header` clear it."""
 
     src_ip: str
     dst_ip: str
@@ -99,7 +104,7 @@ class SimPacket:
             return True
         return self.difc is not None
 
-    # -- copies -----------------------------------------------------------
+    # -- the one copy, and the one in-place edit the text cache sees -----
 
     def _copy(self) -> SimPacket:
         new = _new_packet(SimPacket)
@@ -115,12 +120,7 @@ class SimPacket:
         new.control = self.control
         new.recirc_count = self.recirc_count
         new.flow_key = self.flow_key
-        new._text = self._text
-        return new
-
-    def with_ttl(self, ttl: int) -> SimPacket:
-        new = self._copy()
-        new.ttl = ttl
+        new._text = None  # the ordinal and the flags are in the text
         return new
 
     def with_seq(self, seq: int, tcp_flags: TcpFlags) -> SimPacket:
@@ -128,19 +128,13 @@ class SimPacket:
         new = self._copy()
         new.seq = seq
         new.tcp_flags = tcp_flags
-        new._text = None
         return new
 
-    def recirculated(self) -> SimPacket:
-        new = self._copy()
-        new.recirc_count = self.recirc_count + 1
-        return new
-
-    def with_header(self, header: DifcHeader) -> SimPacket:
-        new = self._copy()
-        new.difc = header
-        new._text = None
-        return new
+    def set_header(self, header: DifcHeader) -> None:
+        """Write the label header in place, clearing the cached text that
+        shows the evil bit."""
+        self.difc = header
+        self._text = None
 
     def describe(self) -> str:
         text = self._text

@@ -80,8 +80,10 @@ def flow_address(topology: Topology, flow_id: str, field: str, name: str) -> str
 class _FlowPlan(NamedTuple):
     """What is fixed for every packet of one flow, worked out by
     `send_flow`. Packet i (from 0) is sent at at_ns + i*gap with the event
-    number base + i + 1. Packet 0 is `first`, and every later packet is a
-    copy of it with its own seq and the TCP flags `later`."""
+    number base + i + 1. `first` is the flow's template and is never sent:
+    every packet is a copy of it with its own seq (`with_seq`), packet 0
+    with the template's TCP flags and every later one with `later`, so no
+    hop can rewrite the template."""
 
     src: str
     entry: str  # the switch the flow's packets enter at
@@ -225,10 +227,15 @@ class Network:
         host = self.topology.host_by_ip.get(src_ip)
         if host is None and pid is not None:
             raise DifcnetError(f"flow {flow_id!r}: pid {pid} needs a host as src, not {src!r}")
+        if accept_pid is not None and dst_ip not in self.topology.host_by_ip:
+            # no agent receives the flow, so nothing would ever accept it
+            raise DifcnetError(
+                f"flow {flow_id!r}: accept_pid {accept_pid} needs a host as dst, not {dst!r}"
+            )
         flags, later = (
             (TcpFlags.SYN, TcpFlags.ACK) if proto == PROTO_TCP else (TcpFlags.NONE, TcpFlags.NONE)
         )
-        # every later packet is a copy of this one, so the flow has one key
+        # the template: every packet is a copy of it, so the flow has one key
         first = SimPacket(src_ip, dst_ip, src_port, dst_port, proto, flags)
         rec = FlowRecord(flow_id, src, dst, first.flow_key, accept_pid=accept_pid)
         self.flows[flow_id] = rec
@@ -263,7 +270,7 @@ class Network:
     def _on_send(self, at: int, payload) -> None:
         flow, i = payload
         src, entry, agent, pid, rec, first, later, at_ns, gap, packets, base = flow
-        pkt = first.with_seq(i, later) if i else first
+        pkt = first.with_seq(i, later if i else first.tcp_flags)
         if agent is not None:
             pkt = agent.label_outgoing(pid, pkt, now_ns=at)
         rec.sent += 1
@@ -287,19 +294,18 @@ class Network:
         for gen in result.generated:
             self._push(at, "switch", (sid, gen))
         if result.verdict == "drop":
-            pkt = result.packet
             rec = self._flow_by_key.get(pkt.flow_key)
             if rec is not None:
                 rec.outcomes.append((pkt.seq, "dropped", f"{sid}:{result.decision_source}"))
                 rec.dropped += 1
         elif result.verdict == "recirculate":
-            self._push(at + sw.recirc_delay_ns, "switch", (sid, result.packet))
+            self._push(at + sw.recirc_delay_ns, "switch", (sid, pkt))
         else:
             target, latency, is_switch = self._next_hops[sid][result.egress_port]
             self._evseq = seq = self._evseq + 1
             _heappush(self._heap, (
                 at + latency, seq, "switch" if is_switch else "deliver",
-                (target, result.packet),
+                (target, pkt),
             ))
 
     def _on_deliver(self, at: int, payload) -> None:

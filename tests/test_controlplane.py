@@ -164,9 +164,10 @@ def test_a_connection_admitted_before_a_drop_rule_keeps_flowing():
     assert [(r.verdict, r.decision_source) for r in later] == [
         ("forward", "conn_dec"), ("forward", "buffer"),
     ]
-    fresh = sw.process_packet(_syn(A, C, sport=41002), RTT)
+    syn = _syn(A, C, sport=41002)
+    fresh = sw.process_packet(syn, RTT)
     assert (fresh.verdict, fresh.decision_source) == ("drop", "policy")
-    assert fresh.log == [f"S2 drop {fresh.packet.flow_key} rule@0"]
+    assert fresh.log == [f"S2 drop {syn.flow_key} rule@0"]
 
 
 def test_a_changed_switch_reports_the_new_source_lines():

@@ -209,9 +209,10 @@ A, B, C = "10.5.2.11", "10.5.2.12", "10.5.2.20"
 
 def test_labeled_initial_allowed():
     sw, _ = _switch()
-    res = sw.process_packet(_syn(A, C, tag_bit(0)), 100)
+    pkt = _syn(A, C, tag_bit(0))
+    res = sw.process_packet(pkt, 100)
     assert res.verdict == "forward"
-    assert res.packet.ttl == 63
+    assert pkt.ttl == 63  # the switch rewrites the packet it is given
     assert res.decision_source == "policy"
     (req,) = res.install_requests
     assert req.decision is Decision.ALLOW and req.at_ns == 100
@@ -279,10 +280,10 @@ def test_non_initial_miss_recirculates_then_drops():
     res = sw.process_packet(pkt, 100)
     assert res.verdict == "recirculate"
     assert sw.recirc_delay_ns == 15_000_000  # the network waits this long
-    assert res.packet.recirc_count == 1
-    res = sw.process_packet(res.packet, 200)
-    assert res.packet.recirc_count == 2
-    res = sw.process_packet(res.packet, 300)
+    assert pkt.recirc_count == 1
+    res = sw.process_packet(pkt, 200)
+    assert pkt.recirc_count == 2
+    res = sw.process_packet(pkt, 300)
     assert res.verdict == "drop"
     assert res.decision_source == "recirc_limit"
 
@@ -330,10 +331,13 @@ def test_privilege_rewrites_header_in_place():
     )
     compiled = compile_program(prog, lan)
     sw = Switch("S2", lan, compiled.configs["S2"])
-    res = sw.process_packet(_syn(A, C, tag_bit(0)), 100)
+    pkt = _syn(A, C, tag_bit(0))
+    pkt.describe()  # the rewrite must not leave the cached text behind
+    res = sw.process_packet(pkt, 100)
     assert res.verdict == "forward"
-    assert res.packet.difc.bits == 0  # tag stripped on the wire
-    assert res.packet.evil_bit
+    assert pkt.difc.bits == 0  # tag stripped on the wire
+    assert pkt.evil_bit
+    assert pkt.describe().endswith("/syn+labeled#0]")
     assert any("rewrite-label" in l for l in res.log)
 
 
@@ -347,9 +351,10 @@ def test_privilege_preserves_tracker():
     )
     compiled = compile_program(prog, lan)
     sw = Switch("S2", lan, compiled.configs["S2"])
-    res = sw.process_packet(_syn(A, C, tag_bit(0), tracker=1), 100)
-    assert res.packet.difc.tracker_id == 1
-    assert res.packet.difc.bits == 0
+    pkt = _syn(A, C, tag_bit(0), tracker=1)
+    sw.process_packet(pkt, 100)
+    assert pkt.difc.tracker_id == 1
+    assert pkt.difc.bits == 0
 
 
 def test_tracker_rule_matches():
@@ -417,8 +422,9 @@ def test_reroute_and_modify_actions():
     sw = Switch("S2", lan, compiled.configs["S2"])
     res = sw.process_packet(_syn(A, C), 100)
     assert res.verdict == "forward" and res.egress_port == 1
-    res = sw.process_packet(_syn(B, C), 100)
-    assert res.verdict == "forward" and res.packet.ttl == 3  # set then hop
+    pkt = _syn(B, C)
+    res = sw.process_packet(pkt, 100)
+    assert res.verdict == "forward" and pkt.ttl == 3  # set then hop
 
 
 def test_alert_action_forwards():
@@ -451,5 +457,6 @@ def test_hops_that_write_no_line_share_the_empty_log():
         res = sw.process_packet(pkt, 100)
         assert (res.verdict, res.decision_source) == ("forward", source)
         assert res.log == (), source  # a list, even an empty one, is not ()
-    res = sw.process_packet(_syn(B, C, sport=41002), 100)
-    assert res.log == [f"S2 drop {res.packet.flow_key} default-deny"]
+    pkt = _syn(B, C, sport=41002)
+    res = sw.process_packet(pkt, 100)
+    assert res.log == [f"S2 drop {pkt.flow_key} default-deny"]

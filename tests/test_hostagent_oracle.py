@@ -8,6 +8,8 @@ process, file, pending-flow and UDP state must be equal."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -194,7 +196,7 @@ class RefHostAgent:
                 wants_header = True
                 self.udp_sent[key] = sent + 1
         if wants_header and (label.bits or tracker):
-            pkt = pkt.with_header(DifcHeader(label.bits, tracker))
+            pkt = replace(pkt, difc=DifcHeader(label.bits, tracker))
         labeled = pkt.evil_bit
         self.events.append(RefAgentEvent(
             self._seq.next(), now_ns, self.host, "send", pid, 0, "", str(key),

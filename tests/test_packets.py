@@ -1,8 +1,9 @@
-"""Packet model: construction checks, flags, the copy helpers the pipeline
-uses per hop and the simulator uses per packet, checked against
+"""Packet model: construction checks, flags, the one copy the simulator
+makes per sent packet and the in-place header rewrite, checked against
 dataclasses.replace as the reference on random packets, and the per-flow
-sharing: a flow's later packets, copied from its first, against packets
-built fresh, and the cached describe() text against a fresh rendering."""
+sharing: a flow's packets, copied from its template, against packets built
+fresh, and the cached describe() text against a fresh rendering after any
+copies and in-place edits."""
 
 import ipaddress
 from dataclasses import fields, replace
@@ -74,33 +75,29 @@ def _same(copy: SimPacket, reference: SimPacket) -> None:
     assert copy.is_initial == reference.is_initial
 
 
-@given(packets(), st.integers(min_value=0, max_value=255))
-def test_with_ttl_matches_replace(pkt, ttl):
-    out = pkt.with_ttl(ttl)
-    _same(out, replace(pkt, ttl=ttl))
-    assert out is not pkt and pkt == replace(pkt)  # the original is untouched
-
-
 @given(packets(), _seqs, _flags)
 def test_with_seq_matches_replace(pkt, seq, flags):
     pkt.describe()  # the copy must not keep the original's text
-    _same(pkt.with_seq(seq, flags), replace(pkt, seq=seq, tcp_flags=flags))
-
-
-@given(packets())
-def test_recirculated_matches_replace(pkt):
-    _same(pkt.recirculated(), replace(pkt, recirc_count=pkt.recirc_count + 1))
+    before = replace(pkt)
+    out = pkt.with_seq(seq, flags)
+    _same(out, replace(pkt, seq=seq, tcp_flags=flags))
+    assert out is not pkt and pkt == before  # the original is untouched
 
 
 @given(packets(), _headers)
-def test_with_header_matches_replace(pkt, header):
-    _same(pkt.with_header(header), replace(pkt, difc=header))
+def test_set_header_rewrites_in_place_and_clears_the_text(pkt, header):
+    pkt.describe()  # the rewrite must not keep the old text
+    want = replace(pkt, difc=header)
+    key = pkt.flow_key
+    pkt.set_header(header)
+    _same(pkt, want)
+    assert pkt.flow_key is key
 
 
 @given(packets())
 def test_flow_key_built_once_and_shared_by_copies(pkt):
     assert pkt.flow_key == FlowKey(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port, pkt.protocol)
-    assert pkt.with_ttl(1).flow_key is pkt.flow_key
+    assert pkt.with_seq(1, TcpFlags.ACK).flow_key is pkt.flow_key
 
 
 def test_is_syn_reads_the_syn_bit_of_tcp_only():
@@ -120,10 +117,10 @@ def test_the_evil_bit_is_the_headers_presence():
         SimPacket("1.1.1.1", "2.2.2.2", 1, 2, PROTO_TCP, evil_bit=True)
     bare = SimPacket("1.1.1.1", "2.2.2.2", 1, 2, PROTO_UDP)
     assert not bare.evil_bit and not bare.is_initial
-    labelled = bare.with_header(DifcHeader())
-    assert labelled.evil_bit and labelled.is_initial
+    bare.set_header(DifcHeader())
+    assert bare.evil_bit and bare.is_initial
     with pytest.raises(AttributeError):
-        labelled.evil_bit = False
+        bare.evil_bit = False
     # an ICMP packet needs nothing besides its protocol number
     ping = SimPacket("1.1.1.1", "2.2.2.2", 1, 2, PROTO_ICMP)
     assert ping.is_initial and ping.describe() == "1.1.1.1:1>2.2.2.2:2/1[icmp#0]"
@@ -154,9 +151,11 @@ def test_later_packets_of_a_flow_equal_fresh_packets_and_share_its_key(key, kw, 
         want = _fresh(key, **{**kw, "seq": seq, "tcp_flags": flags})
         _same(got, want)
         _same_key(got.flow_key, want.flow_key)
-        # the key object is the first packet's, through every per-hop copy
-        for copy in (got, got.with_ttl(1), got.recirculated(), got.with_header(DifcHeader(1))):
-            assert copy.flow_key is first.flow_key
+        # the key object is the first packet's, through every in-place edit a hop makes
+        got.ttl -= 1
+        got.recirc_count += 1
+        got.set_header(DifcHeader(1))
+        assert got.flow_key is first.flow_key
 
 
 _address_changes = st.one_of(
@@ -204,14 +203,15 @@ _steps = st.one_of(
 
 @given(packets(), st.lists(_steps, max_size=8))
 def test_cached_describe_equals_a_fresh_rendering_after_any_copies(pkt, steps):
+    """Copies (`with_seq`) and the edits a hop makes in place, in any order."""
     assert pkt.describe() == describe_reference(pkt)
     for op, arg in steps:
         if op == "ttl":
-            pkt = pkt.with_ttl(arg)
+            pkt.ttl = arg
         elif op == "recirc":
-            pkt = pkt.recirculated()
+            pkt.recirc_count += 1
         elif op == "header":
-            pkt = pkt.with_header(arg)
+            pkt.set_header(arg)
         elif op == "seq":
             pkt = pkt.with_seq(*arg)
         else:

@@ -253,12 +253,16 @@ def test_a_flow_of_no_packets_registers_and_schedules_nothing():
         ({"accept_pid": 300.0}, None, "accept_pid must be an integer >= 0 or null, not 300.0"),
         ({"src": "external"}, None, "pid 100 needs a host as src, not 'external'"),
         ({"src": "192.0.2.66"}, None, "pid 100 needs a host as src, not '192.0.2.66'"),
+        ({"dst": "external", "accept_pid": 300}, None,
+         "accept_pid 300 needs a host as dst, not 'external'"),
+        ({"dst": "192.0.2.66", "accept_pid": 300}, None,
+         "accept_pid 300 needs a host as dst, not '192.0.2.66'"),
     ],
     ids=["negative", "float", "bool", "text", "negative-gap", "float-gap",
          "negative-default-gap", "reused-id", "src-port-too-big", "negative-dst-port",
          "text-port", "bool-port", "negative-start", "float-start", "negative-pid", "text-pid",
          "bool-pid", "negative-accept-pid", "float-accept-pid", "pid-from-external",
-         "pid-from-outside"],
+         "pid-from-outside", "accept-pid-to-external", "accept-pid-to-outside"],
 )
 def test_send_flow_rejects_bad_input_before_touching_state(kwargs, params, problem):
     net = lan(Network, params)
