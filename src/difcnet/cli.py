@@ -14,15 +14,35 @@ from .errors import DifcnetError
 from .labels import TagRegistry
 from .netcl import compile_program, diff_configs, parse_files
 from .netcl.ast import format_action
-from .netcl.compiler import PrivilegeEntry, TableEntry
+from .netcl.compiler import CompiledPolicy, PrivilegeEntry, TableEntry
 from .routes import DEFAULT_COVERAGE_ROWS, coverage_report
 from .scenario import load_scenario, run_scenario
-from .topology import load_topology
+from .topology import Topology, load_topology
 
 
-@click.group()
+class _Group(click.Group):
+    """Ends any command that raises a DifcnetError with the error's own
+    message on one `Error:` line and exit code 1, the way click reports a
+    bad argument, instead of a traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except DifcnetError as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Network-level information flow control: policy tools and simulator."""
+
+
+def _compile(
+    topology_path: str, *policy_lists: tuple[str, ...]
+) -> tuple[Topology, list[CompiledPolicy]]:
+    """The topology, and each list of policy files compiled against it."""
+    topo = load_topology(topology_path)
+    return topo, [compile_program(parse_files(list(paths)), topo) for paths in policy_lists]
 
 
 @main.command()
@@ -32,10 +52,7 @@ def main() -> None:
 @click.option("--quiet", is_flag=True, help="Only print failing checks.")
 def run(scenario: str, trace_path: str | None, quiet: bool) -> None:
     """Run a scenario file and evaluate its expectations."""
-    try:
-        result = run_scenario(load_scenario(scenario))
-    except DifcnetError as exc:
-        raise click.ClickException(str(exc))
+    result = run_scenario(load_scenario(scenario))
     for name, ok, detail in result.checks:
         if quiet and ok:
             continue
@@ -67,23 +84,20 @@ def _parse_rows(ctx, param, rows: tuple[str, ...]) -> tuple[tuple[int, int], ...
               help="steps:allowed pair, e.g. 4:2 (repeatable). Defaults depend on the topology name.")
 def routes(topology: str, target: str | None, rows: tuple[tuple[int, int], ...]) -> None:
     """Count lateral attack routes and report blocked fractions."""
-    try:
-        topo = load_topology(topology)
-        target = target or next((h.name for h in topo.hosts), "")
-        if target not in topo.host_by_name:
-            raise click.BadParameter(
-                f"no host {target!r} in topology {topo.name!r}", param_hint="'--target'"
-            )
-        row_spec = rows or DEFAULT_COVERAGE_ROWS.get(topo.name)
-        if row_spec is None:
-            raise click.ClickException(
-                f"no default rows for topology {topo.name!r}; pass --row steps:allowed"
-            )
-        n = len(topo.hosts) - 1
-        click.echo(f"topology={topo.name} hosts={len(topo.hosts)} target={target} candidates={n}")
-        report = coverage_report(topo, target, row_spec)
-    except DifcnetError as exc:
-        raise click.ClickException(str(exc))
+    topo = load_topology(topology)
+    target = target or next((h.name for h in topo.hosts), "")
+    if target not in topo.host_by_name:
+        raise click.BadParameter(
+            f"no host {target!r} in topology {topo.name!r}", param_hint="'--target'"
+        )
+    row_spec = rows or DEFAULT_COVERAGE_ROWS.get(topo.name)
+    if row_spec is None:
+        raise click.ClickException(
+            f"no default rows for topology {topo.name!r}; pass --row steps:allowed"
+        )
+    n = len(topo.hosts) - 1
+    click.echo(f"topology={topo.name} hosts={len(topo.hosts)} target={target} candidates={n}")
+    report = coverage_report(topo, target, row_spec)
     click.echo(f"{'steps':>5} {'allowed':>7} {'routes':>12} {'filter%':>8} {'labels%':>8}  basis")
     for row in report:
         basis = f"sampled {row.evaluated}" if row.sampled else "exhaustive"
@@ -98,12 +112,7 @@ def routes(topology: str, target: str | None, rows: tuple[tuple[int, int], ...])
 @click.option("--topology", "topology_path", required=True, type=click.Path(exists=True))
 def check(policies: tuple[str, ...], topology_path: str) -> None:
     """Parse and compile policies; report table usage per switch."""
-    try:
-        topo = load_topology(topology_path)
-        program = parse_files(list(policies))
-        compiled = compile_program(program, topo)
-    except DifcnetError as exc:
-        raise click.ClickException(str(exc))
+    _, (compiled,) = _compile(topology_path, policies)
     click.echo(
         f"{compiled.rule_count} rules, {len(compiled.host_labels)} labeled hosts, "
         f"{len(compiled.file_trackers)} tracked files, "
@@ -124,11 +133,7 @@ def check(policies: tuple[str, ...], topology_path: str) -> None:
 @click.option("--topology", "topology_path", required=True, type=click.Path(exists=True))
 def report(policies: tuple[str, ...], topology_path: str) -> None:
     """Show where entries land and the storage saved by placement."""
-    try:
-        topo = load_topology(topology_path)
-        compiled = compile_program(parse_files(list(policies)), topo)
-    except DifcnetError as exc:
-        raise click.ClickException(str(exc))
+    topo, (compiled,) = _compile(topology_path, policies)
     cp = ControlPlane(topo, compiled, rtt_ns=0)
     click.echo(cp.placement_report().format())
 
@@ -139,12 +144,7 @@ def report(policies: tuple[str, ...], topology_path: str) -> None:
 @click.option("--new", "new_paths", multiple=True, required=True, type=click.Path(exists=True))
 def apply(topology_path: str, old_paths: tuple[str, ...], new_paths: tuple[str, ...]) -> None:
     """Plan the incremental table update from one policy set to another."""
-    try:
-        topo = load_topology(topology_path)
-        old = compile_program(parse_files(list(old_paths)), topo)
-        new = compile_program(parse_files(list(new_paths)), topo)
-    except DifcnetError as exc:
-        raise click.ClickException(str(exc))
+    _, (old, new) = _compile(topology_path, old_paths, new_paths)
     plan = diff_configs(old.configs, new.configs)
     adds, removes = plan.counts()
     click.echo(f"plan: +{adds} entries, -{removes} entries")

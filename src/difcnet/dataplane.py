@@ -30,7 +30,7 @@ of such a false hit to one install delay.
 The pipeline rewrites the packet it is given in place (the TTL, the
 recirculation count, the label header) and returns a result that does not
 hold it. A hop that only forwards, decided by the transit, conn_dec,
-buffer or control path, returns the switch's shared result for its
+buffer or control (label ack) path, returns the switch's shared result for its
 (source, egress port), built on first use; shared results are never
 mutated, by the switch or by whoever reads them.
 """
@@ -45,7 +45,7 @@ from .header import DifcHeader, FlowKey
 from .hostagent import DEFAULT_UDP_LABEL_PREFIX
 from .netcl.ast import Alert, Allow, Drop, Modify, Reroute
 from .netcl.compiler import PrivilegeEntry, SwitchConfig, TableEntry
-from .packets import PROTO_UDP, ControlKind, SimPacket
+from .packets import PROTO_UDP, SimPacket
 from .topology import Topology
 
 CLASSIFY_CACHE_CAPACITY = 4_096
@@ -124,17 +124,16 @@ class DecisionBuffer:
         self._slots: dict[int, tuple[int, Decision]] = {}
         self.evictions = 0
 
-    def insert(self, key: FlowKey, decision: Decision) -> bool:
-        """Returns True when an existing occupant with a different hash was
-        evicted. The slot is the low index_bits of the CRC (buffer_slot)."""
+    def insert(self, key: FlowKey, decision: Decision) -> None:
+        """Store `decision` in the slot of the low index_bits of the CRC
+        (buffer_slot), counting an eviction when an occupant with a
+        different hash held it."""
         crc = key.crc32()
         slot = crc & self._mask
         prev = self._slots.get(slot)
         self._slots[slot] = (crc, decision)
-        evicted = prev is not None and prev[0] != crc
-        if evicted:
+        if prev is not None and prev[0] != crc:
             self.evictions += 1
-        return evicted
 
     def lookup(self, key: FlowKey) -> Decision | None:
         crc = key.crc32()
@@ -142,9 +141,6 @@ class DecisionBuffer:
         if entry is None or entry[0] != crc:
             return None
         return entry[1]
-
-    def clear(self) -> None:
-        self._slots.clear()
 
 
 class RateLimiter:
@@ -329,9 +325,9 @@ class Switch:
         return self._forward(pkt, "policy", log)
 
     def process_packet(self, pkt: SimPacket, now_ns: int) -> PipelineResult:
-        # control traffic (label acks) is switch generated and rides
-        # outside the enforcement tables
-        if pkt.control is not None:
+        # a label ack is switch generated and rides outside the
+        # enforcement tables
+        if pkt.label_ack:
             return self._forward(pkt, "control")
         if pkt.dst_ip not in self._enforced:
             return self._forward(pkt, "transit")
@@ -411,7 +407,7 @@ class Switch:
                     src_port=pkt.dst_port,
                     dst_port=pkt.src_port,
                     protocol=PROTO_UDP,
-                    control=ControlKind.LABEL_ACK,
+                    label_ack=True,
                 )
             ]
             result.log = [*result.log, f"{self.switch_id} label-ack {key}"]

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .header import DifcHeader, FlowKey
 from .labels import Label
-from .packets import PROTO_UDP, ControlKind, SimPacket
+from .packets import PROTO_UDP, SimPacket
 
 FIRST_AUTO_INODE = 10_001
 DEFAULT_UDP_LABEL_PREFIX = 3
@@ -239,7 +239,7 @@ class HostAgent:
         return pkt
 
     def deliver(self, pkt: SimPacket, now_ns: int = 0) -> None:
-        if pkt.control is ControlKind.LABEL_ACK:
+        if pkt.label_ack:
             acked = pkt.flow_key.reversed()
             self.udp_sent[acked] = self.udp_label_prefix
             self._emit(now_ns, "label-ack", flow=str(acked))

@@ -2,8 +2,10 @@
 
 A SimPacket is the unit moved between hosts and switches. It holds only
 what a switch pipeline, a host agent or a trace line reads: the 5-tuple,
-the TCP flags, the TTL, the label header, the per-flow ordinal, the control
-kind and the recirculation count. The reserved bit of the IP fragment
+the TCP flags, the TTL, the label header, the per-flow ordinal, the label
+ack flag and the recirculation count. A label ack is the one packet a
+switch makes: it tells a UDP sender that its label arrived, and it rides
+outside the enforcement tables. The reserved bit of the IP fragment
 field (the "evil bit") marks the presence of the label header, so a
 packet's `evil_bit` is read from its header, `difc`, and no packet can hold
 one without the other.
@@ -24,7 +26,7 @@ flags and the evil bit are in the text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum, IntFlag
+from enum import IntFlag
 
 from .header import DifcHeader, FlowKey
 
@@ -37,12 +39,6 @@ class TcpFlags(IntFlag):
     NONE = 0
     SYN = 1
     ACK = 2
-
-
-class ControlKind(Enum):
-    """Switch-generated packets that bypass policy lookup."""
-
-    LABEL_ACK = "label_ack"
 
 
 _SYN = int(TcpFlags.SYN)
@@ -72,7 +68,7 @@ class SimPacket:
     ttl: int = 64
     difc: DifcHeader | None = None
     seq: int = 0  # per-flow packet ordinal
-    control: ControlKind | None = None
+    label_ack: bool = False  # made by a switch, not sent by a flow
     recirc_count: int = 0
     flow_key: FlowKey = field(init=False, repr=False, compare=False)
     _text: str | None = field(init=False, repr=False, compare=False, default=None)
@@ -96,7 +92,7 @@ class SimPacket:
         """True when this packet opens policy evaluation for its flow: the
         TCP handshake start, any ICMP message, or a UDP packet that carries
         a label header (UDP has no handshake to anchor on)."""
-        if self.control is not None:
+        if self.label_ack:
             return False
         if self.protocol == PROTO_TCP:
             return self.is_syn
@@ -106,28 +102,23 @@ class SimPacket:
 
     # -- the one copy, and the one in-place edit the text cache sees -----
 
-    def _copy(self) -> SimPacket:
+    def with_seq(self, seq: int, tcp_flags: TcpFlags) -> SimPacket:
+        """Packet `seq` of this packet's flow, with `tcp_flags`: a copy
+        that shares the flow key."""
         new = _new_packet(SimPacket)
         new.src_ip = self.src_ip
         new.dst_ip = self.dst_ip
         new.src_port = self.src_port
         new.dst_port = self.dst_port
         new.protocol = self.protocol
-        new.tcp_flags = self.tcp_flags
+        new.tcp_flags = tcp_flags
         new.ttl = self.ttl
         new.difc = self.difc
-        new.seq = self.seq
-        new.control = self.control
+        new.seq = seq
+        new.label_ack = self.label_ack
         new.recirc_count = self.recirc_count
         new.flow_key = self.flow_key
         new._text = None  # the ordinal and the flags are in the text
-        return new
-
-    def with_seq(self, seq: int, tcp_flags: TcpFlags) -> SimPacket:
-        """Packet `seq` of this packet's flow, with `tcp_flags`."""
-        new = self._copy()
-        new.seq = seq
-        new.tcp_flags = tcp_flags
         return new
 
     def set_header(self, header: DifcHeader) -> None:
@@ -145,8 +136,8 @@ class SimPacket:
                 marks.append("syn")
             if self.difc is not None:
                 marks.append("labeled")
-            if self.control is not None:
-                marks.append(self.control.value)
+            if self.label_ack:
+                marks.append("label_ack")
             suffix = "+".join(marks)
             text = self._text = (
                 f"{self.flow_key}[{tag}{('/' + suffix) if suffix else ''}#{self.seq}]"

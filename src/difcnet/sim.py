@@ -5,6 +5,14 @@ Ties break on an event number handed out in scheduling order, and nothing
 in a trace line depends on object identity or wall-clock time, so two runs
 of the same scenario produce byte-identical traces.
 
+Every heap entry is (time, event number, handler, payload), and `run`
+calls `handler(time, payload)`. A switch or delivery event's payload is
+(target, packet, record): the `FlowRecord` of the flow that sent the
+packet, or None for a label ack, which a switch makes and no flow sends.
+So each drop and delivery is counted on the flow that sent the packet,
+even when two flows share a 5-tuple; the switches and the receiving
+agent then see one connection.
+
 Flows are scheduled one packet at a time. `send_flow` pushes only a flow's
 first send event, and each send event pushes the flow's next packet, so
 the heap holds one pending send per unfinished flow plus the events in
@@ -125,17 +133,9 @@ class Network:
         self.now = 0
         self._heap: list = []
         self._evseq = 0
-        self._handlers = {
-            "send": self._on_send,
-            "switch": self._on_switch,
-            "deliver": self._on_deliver,
-            "install": self._on_install,
-            "call": self._on_call,
-        }
         self.trace: list[str] = []
         self.flows: dict[str, FlowRecord] = {}
-        self._flow_by_key: dict = {}
-        self.external_delivered = 0  # non-control packets that left the network
+        self.external_delivered = 0  # flow packets (not label acks) that left the network
         self._bootstrap_agents(compiled)
 
     # -- wiring -----------------------------------------------------------
@@ -161,9 +161,9 @@ class Network:
                     f"t=0 label-file host={host.name} path={path} tracker={tracker}"
                 )
 
-    def _push(self, at_ns: int, kind: str, payload) -> None:
+    def _push(self, at_ns: int, handler, payload) -> None:
         self._evseq += 1
-        _heappush(self._heap, (at_ns, self._evseq, kind, payload))
+        _heappush(self._heap, (at_ns, self._evseq, handler, payload))
 
     def _log(self, at_ns: int, text: str) -> None:
         self.trace.append(f"t={at_ns} {text}")
@@ -177,7 +177,7 @@ class Network:
 
     def schedule_call(self, at_ns: int, label: str, fn) -> None:
         self._check_time(f"call {label!r}", at_ns)
-        self._push(at_ns, "call", (label, fn))
+        self._push(at_ns, self._on_call, (label, fn))
 
     # -- traffic entry ----------------------------------------------------
 
@@ -239,7 +239,6 @@ class Network:
         first = SimPacket(src_ip, dst_ip, src_port, dst_port, proto, flags)
         rec = FlowRecord(flow_id, src, dst, first.flow_key, accept_pid=accept_pid)
         self.flows[flow_id] = rec
-        self._flow_by_key[first.flow_key] = rec
         if packets == 0:
             return rec
         entry = host.switch if host is not None else self.topology.gateway
@@ -247,7 +246,7 @@ class Network:
         base = self._evseq
         self._evseq += packets  # one number per packet, see the module docstring
         flow = _FlowPlan(src, entry, agent, pid, rec, first, later, at_ns, gap, packets, base)
-        _heappush(self._heap, (at_ns, base + 1, "send", (flow, 0)))
+        _heappush(self._heap, (at_ns, base + 1, self._on_send, (flow, 0)))
         return rec
 
     def gc_conn_dec(self, idle_ns: int) -> int:
@@ -259,13 +258,13 @@ class Network:
     # -- event loop -------------------------------------------------------
 
     def run(self, until_ns: int | None = None) -> None:
-        heap, handlers, pop = self._heap, self._handlers, heapq.heappop
+        heap, pop = self._heap, heapq.heappop
         while heap:
             if until_ns is not None and heap[0][0] > until_ns:
                 break
-            at, _, kind, payload = pop(heap)
+            at, _, handler, payload = pop(heap)
             self.now = at
-            handlers[kind](at, payload)
+            handler(at, payload)
 
     def _on_send(self, at: int, payload) -> None:
         flow, i = payload
@@ -277,49 +276,49 @@ class Network:
         self.trace.append(f"t={at} send host={src} {pkt.describe()}")
         heap = self._heap
         self._evseq = seq = self._evseq + 1
-        _heappush(heap, (at + DEFAULT_LINK_LATENCY_NS, seq, "switch", (entry, pkt)))
+        _heappush(heap, (at + DEFAULT_LINK_LATENCY_NS, seq, self._on_switch, (entry, pkt, rec)))
         i += 1
         if i < packets:
-            _heappush(heap, (at_ns + i * gap, base + i + 1, "send", (flow, i)))
+            _heappush(heap, (at_ns + i * gap, base + i + 1, self._on_send, (flow, i)))
 
     def _on_switch(self, at: int, payload) -> None:
-        sid, pkt = payload
+        sid, pkt, rec = payload
         sw = self.switches[sid]
         result = sw.process_packet(pkt, at)
         for line in result.log:
             self._log(at, line)
         for req in result.install_requests:
             for pending in self.control.serve_conndec(req):
-                self._push(pending.at_ns, "install", pending)
-        for gen in result.generated:
-            self._push(at, "switch", (sid, gen))
+                self._push(pending.at_ns, self._on_install, pending)
+        for gen in result.generated:  # label acks, which belong to no flow
+            self._push(at, self._on_switch, (sid, gen, None))
         if result.verdict == "drop":
-            rec = self._flow_by_key.get(pkt.flow_key)
             if rec is not None:
                 rec.outcomes.append((pkt.seq, "dropped", f"{sid}:{result.decision_source}"))
                 rec.dropped += 1
         elif result.verdict == "recirculate":
-            self._push(at + sw.recirc_delay_ns, "switch", (sid, pkt))
+            self._push(at + sw.recirc_delay_ns, self._on_switch, (sid, pkt, rec))
         else:
             target, latency, is_switch = self._next_hops[sid][result.egress_port]
             self._evseq = seq = self._evseq + 1
             _heappush(self._heap, (
-                at + latency, seq, "switch" if is_switch else "deliver",
-                (target, pkt),
+                at + latency, seq, self._on_switch if is_switch else self._on_deliver,
+                (target, pkt, rec),
             ))
 
     def _on_deliver(self, at: int, payload) -> None:
-        target, pkt = payload
-        key = pkt.flow_key
-        rec = self._flow_by_key.get(key)
+        target, pkt, rec = payload
         agent = self.agents.get(target)
         if agent is not None:
             agent.deliver(pkt, now_ns=at)
-            if rec is not None and rec.accept_pid is not None and key in agent.in_labels:
+        if rec is not None:  # None: a label ack
+            key = pkt.flow_key
+            if agent is None:
+                self.external_delivered += 1
+            elif (
+                rec.accept_pid is not None and agent.ip == key.dst_ip and key in agent.in_labels
+            ):  # a reroute may deliver the flow to a host it is not addressed to
                 agent.accept(rec.accept_pid, key, now_ns=at)
-        elif pkt.control is None:
-            self.external_delivered += 1
-        if pkt.control is None and rec is not None:
             rec.outcomes.append((pkt.seq, "delivered", target))
             rec.delivered += 1
         self.trace.append(f"t={at} deliver host={target} {pkt.describe()}")

@@ -34,16 +34,15 @@ def test_run_quiet_hides_passes(runner):
     assert "[PASS]" not in res.output
 
 
-def test_run_writes_trace(runner, tmp_path):
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+def test_run_writes_trace(runner, tmp_path, name):
     out = tmp_path / "trace.txt"
     res = runner.invoke(
         main,
-        ["run", str(SCENARIO_DIR / "scenario1.yaml"), "--trace", str(out)],
+        ["run", str(SCENARIO_DIR / f"{name}.yaml"), "--trace", str(out)],
     )
     assert res.exit_code == 0, res.output
-    text = out.read_text()
-    assert "label-init" in text
-    assert text.endswith("\n")
+    assert out.read_bytes() == (REPO_ROOT / "tests" / "golden" / f"{name}.trace").read_bytes()
 
 
 def test_run_missing_file(runner):

@@ -11,7 +11,7 @@ from difcnet.errors import (
 from difcnet.header import DifcHeader, FlowKey
 from difcnet.hostagent import FIRST_AUTO_INODE, HostAgent, SeqSource
 from difcnet.labels import Label, tag_bit
-from difcnet.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP, ControlKind, SimPacket, TcpFlags
+from difcnet.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP, SimPacket, TcpFlags
 
 S = tag_bit(0)
 T = tag_bit(1)
@@ -169,7 +169,7 @@ def test_udp_labels_prefix_until_acked():
     # the ack arrives addressed back to us; its reverse is our flow key
     ack = SimPacket(
         src_ip="10.0.0.2", dst_ip="10.0.0.1", src_port=53, dst_port=41000,
-        protocol=PROTO_UDP, control=ControlKind.LABEL_ACK,
+        protocol=PROTO_UDP, label_ack=True,
     )
     a.deliver(ack)
     assert a.udp_sent[udp_pkt().flow_key] == 3  # the ack fills the count
@@ -184,7 +184,7 @@ def test_udp_stops_early_after_ack():
     assert a.label_outgoing(100, udp_pkt()).evil_bit
     ack = SimPacket(
         src_ip="10.0.0.2", dst_ip="10.0.0.1", src_port=53, dst_port=41000,
-        protocol=PROTO_UDP, control=ControlKind.LABEL_ACK,
+        protocol=PROTO_UDP, label_ack=True,
     )
     a.deliver(ack)
     assert not a.label_outgoing(100, udp_pkt()).evil_bit
@@ -250,7 +250,7 @@ def _populated_agent():
     a.label_outgoing(100, udp_pkt())
     a.deliver(SimPacket(
         src_ip="10.0.0.3", dst_ip="10.0.0.1", src_port=53, dst_port=41002,
-        protocol=PROTO_UDP, control=ControlKind.LABEL_ACK,
+        protocol=PROTO_UDP, label_ack=True,
     ))
     return a
 

@@ -25,7 +25,7 @@ from difcnet.hostagent import (
     pid_entity,
 )
 from difcnet.labels import Label, tag_bit
-from difcnet.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP, ControlKind, SimPacket, TcpFlags
+from difcnet.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP, SimPacket, TcpFlags
 
 # -- the reference agent -----------------------------------------------------
 
@@ -205,7 +205,7 @@ class RefHostAgent:
         return pkt
 
     def deliver(self, pkt, now_ns=0):
-        if pkt.control is ControlKind.LABEL_ACK:
+        if pkt.label_ack:
             acked = pkt.flow_key.reversed()
             self.udp_acked.add(acked)
             self._emit(now_ns, "label-ack", flow=str(acked))
@@ -358,7 +358,7 @@ def _apply(agents, h, step, now):
         if kind == "ack":  # the switch acknowledges the UDP flow agent -> src
             return agent.deliver(SimPacket(
                 src_ip=IPS[step[1]], dst_ip=agent.ip, src_port=80, dst_port=step[2],
-                protocol=PROTO_UDP, control=ControlKind.LABEL_ACK,
+                protocol=PROTO_UDP, label_ack=True,
             ), now_ns=now)
         if kind == "accept":
             return agent.accept(step[1], step[2], now_ns=now)

@@ -147,7 +147,7 @@ def test_send_flow_rejects_a_bad_endpoint_before_touching_state(flow, problem):
     with pytest.raises(DifcnetError) as exc:
         net.send_flow(flow_id="f", at_ns=0, **flow)
     assert str(exc.value) == f"flow 'f': {problem}"
-    assert not net.flows and not net._flow_by_key and not net._heap and net._evseq == 0
+    assert not net.flows and not net._heap and net._evseq == 0
 
 
 def test_firewall_takes_the_external_name_not_the_literal_external(tmp_path):

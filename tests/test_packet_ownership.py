@@ -54,14 +54,14 @@ class CopyingNetwork(Network):
             pkt = flow.agent.label_outgoing(flow.pid, pkt, now_ns=at)
         flow.rec.sent += 1
         self._log(at, f"send host={flow.src} {pkt.describe()}")
-        self._push(at + DEFAULT_LINK_LATENCY_NS, "switch", (flow.entry, pkt))
+        self._push(at + DEFAULT_LINK_LATENCY_NS, self._on_switch, (flow.entry, pkt, flow.rec))
         if i + 1 < flow.packets:  # the number send_flow reserved for it
             heapq.heappush(self._heap, (
-                flow.at_ns + (i + 1) * flow.gap, flow.base + i + 2, "send", (flow, i + 1),
+                flow.at_ns + (i + 1) * flow.gap, flow.base + i + 2, self._on_send, (flow, i + 1),
             ))
 
     def _on_switch(self, at: int, payload) -> None:
-        sid, pkt = payload
+        sid, pkt, rec = payload
         sw = self.switches[sid]
         pkt = replace(pkt)  # the switch rewrites a copy of its own
         sw._passes.clear()  # and builds every result anew
@@ -70,27 +70,28 @@ class CopyingNetwork(Network):
             self._log(at, line)
         for req in result.install_requests:
             for pending in self.control.serve_conndec(req):
-                self._push(pending.at_ns, "install", pending)
+                self._push(pending.at_ns, self._on_install, pending)
         for gen in result.generated:
-            self._push(at, "switch", (sid, gen))
+            self._push(at, self._on_switch, (sid, gen, None))
         if result.verdict == "drop":
-            rec = self._flow_by_key.get(pkt.flow_key)
             if rec is not None:
                 rec.outcomes.append((pkt.seq, "dropped", f"{sid}:{result.decision_source}"))
                 rec.dropped += 1
         elif result.verdict == "recirculate":
-            self._push(at + sw.recirc_delay_ns, "switch", (sid, pkt))
+            self._push(at + sw.recirc_delay_ns, self._on_switch, (sid, pkt, rec))
         else:
             target, latency, is_switch = self._next_hops[sid][result.egress_port]
-            self._push(at + latency, "switch" if is_switch else "deliver", (target, pkt))
+            hop = self._on_switch if is_switch else self._on_deliver
+            self._push(at + latency, hop, (target, pkt, rec))
 
 
 def watch_ownership(net: Network) -> None:
     """Check, at each pop of a switch or deliver event, that its packet is
-    held by no other pending event and is no flow's template."""
-    handlers = net._handlers
+    held by no other pending event and is no flow's template. The checks
+    replace the handlers on the instance, so call this before any flow is
+    sent: every event pushed afterwards carries a checking handler."""
     templates: dict[int, SimPacket] = {}  # by id, kept alive so ids stay unique
-    on_send = handlers["send"]
+    on_send = net._on_send
 
     def send(at, payload):
         first = payload[0].first
@@ -101,15 +102,16 @@ def watch_ownership(net: Network) -> None:
         def check(at, payload):
             pkt = payload[1]
             assert id(pkt) not in templates, f"t={at}: a flow's template was sent"
-            shared = [e for e in net._heap if e[2] in ("switch", "deliver") and e[3][1] is pkt]
+            shared = [e for e in net._heap if e[2] in carriers and e[3][1] is pkt]
             assert not shared, f"t={at}: {pkt.describe()} is also held by {shared}"
             handler(at, payload)
 
         return check
 
-    handlers["send"] = send
-    handlers["switch"] = owned(handlers["switch"])
-    handlers["deliver"] = owned(handlers["deliver"])
+    net._on_send = send
+    net._on_switch = owned(net._on_switch)
+    net._on_deliver = owned(net._on_deliver)
+    carriers = (net._on_switch, net._on_deliver)
 
 
 def assert_shared_results_untouched(net: Network) -> None:
@@ -199,11 +201,10 @@ params = st.builds(
 def run(cls, policy, flow_specs, p):
     topo = make_lan()
     net = cls(topo, compile_program(parse(policy), topo), p)
-    # every host runs every pid, since a reroute can deliver a flow to a
-    # host other than its dst, whose agent then accepts it with accept_pid
-    for agent in net.agents.values():
-        for pid in HOSTS.values():
-            agent.spawn(pid)
+    # each host runs its own pid: a flow's accept_pid is used only at its
+    # dst, even when a reroute delivers the flow elsewhere
+    for name, pid in HOSTS.items():
+        net.agents[name].spawn(pid)
     if cls is Network:
         watch_ownership(net)
     for spec in flow_specs:

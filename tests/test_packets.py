@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from difcnet.header import DifcHeader, FlowKey
 from difcnet.labels import LABEL_MASK
-from difcnet.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP, ControlKind, SimPacket, TcpFlags
+from difcnet.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP, SimPacket, TcpFlags
 
 _ips = st.integers(min_value=0, max_value=0xFFFFFFFF).map(
     lambda n: str(ipaddress.IPv4Address(n))
@@ -43,7 +43,7 @@ non_address_fields = st.fixed_dictionaries({
     "ttl": st.integers(min_value=0, max_value=255),
     "difc": st.none() | _headers,
     "seq": _seqs,
-    "control": st.none() | st.sampled_from(list(ControlKind)),
+    "label_ack": st.booleans(),
     "recirc_count": st.integers(min_value=0, max_value=8),
 })
 
@@ -185,8 +185,8 @@ def describe_reference(pkt: SimPacket) -> str:
         marks.append("syn")
     if pkt.difc is not None:
         marks.append("labeled")
-    if pkt.control is not None:
-        marks.append(pkt.control.value)
+    if pkt.label_ack:
+        marks.append("label_ack")
     shown = f"/{'+'.join(marks)}" if marks else ""
     key = f"{pkt.src_ip}:{pkt.src_port}>{pkt.dst_ip}:{pkt.dst_port}/{pkt.protocol}"
     return f"{key}[{tag}{shown}#{pkt.seq}]"

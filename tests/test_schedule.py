@@ -53,7 +53,6 @@ class PerPacketNetwork(Network):
         key = FlowKey(src_ip, src_port, dst_ip, dst_port, proto)
         rec = FlowRecord(flow_id, src, dst, key, accept_pid=accept_pid)
         self.flows[flow_id] = rec
-        self._flow_by_key[key] = rec
         host = self.topology.host_by_ip.get(src_ip)
         entry = host.switch if host is not None else self.topology.gateway
         agent = self.agents[host.name] if pid is not None else None
@@ -63,7 +62,7 @@ class PerPacketNetwork(Network):
                 flags = TcpFlags.SYN if i == 0 else TcpFlags.ACK
             self._push(
                 at_ns + i * gap,
-                "send",
+                self._on_send,
                 (src, entry, agent, pid, flow_id, key, flags, i),
             )
         return rec
@@ -76,11 +75,10 @@ class PerPacketNetwork(Network):
         )
         if agent is not None:
             pkt = agent.label_outgoing(pid, pkt, now_ns=at)
-        rec = self.flows.get(flow_id)
-        if rec is not None:
-            rec.sent += 1
+        rec = self.flows[flow_id]
+        rec.sent += 1
         self._log(at, f"send host={src} {pkt.describe()}")
-        self._push(at + DEFAULT_LINK_LATENCY_NS, "switch", (entry, pkt))
+        self._push(at + DEFAULT_LINK_LATENCY_NS, self._on_switch, (entry, pkt, rec))
 
 
 def lan(cls, params=None):
@@ -219,7 +217,7 @@ def test_the_heap_holds_one_send_per_flow():
 def test_a_flow_of_no_packets_registers_and_schedules_nothing():
     net = lan(Network)
     rec = net.send_flow(flow_id="f", src="A", dst="C", at_ns=MS, pid=100, packets=0)
-    assert net.flows == {"f": rec} and net._flow_by_key[rec.key] is rec
+    assert net.flows == {"f": rec}
     assert not net._heap and net._evseq == 0
     net.run()
     assert (rec.sent, rec.delivered, rec.dropped) == (0, 0, 0)
@@ -268,12 +266,12 @@ def test_send_flow_rejects_bad_input_before_touching_state(kwargs, params, probl
     net = lan(Network, params)
     used = net.send_flow(flow_id="used", src="B", dst="C", at_ns=0, pid=200, packets=2,
                          gap_ns=100_000)
-    before = (dict(net.flows), dict(net._flow_by_key), list(net._heap), net._evseq)
+    before = (dict(net.flows), list(net._heap), net._evseq)
     spec = dict(flow_id="f", src="A", dst="C", at_ns=MS, pid=100) | kwargs
     with pytest.raises(DifcnetError) as exc:
         net.send_flow(**spec)
     assert str(exc.value) == f"flow {spec['flow_id']!r}: {problem}"
-    assert (dict(net.flows), dict(net._flow_by_key), list(net._heap), net._evseq) == before
+    assert (dict(net.flows), list(net._heap), net._evseq) == before
     net.run()
     assert net.flows["used"] is used and used.sent == 2
 
@@ -284,7 +282,7 @@ def test_a_start_before_the_clock_is_refused_before_touching_state():
     net.send_flow(flow_id="a", src="A", dst="C", at_ns=0, pid=100, packets=4, gap_ns=100_000)
     net.run(until_ns=250_000)
     assert net.now == 200_000  # the last event run
-    before = (dict(net.flows), dict(net._flow_by_key), list(net._heap), net._evseq)
+    before = (dict(net.flows), list(net._heap), net._evseq)
     with pytest.raises(DifcnetError) as exc:
         net.send_flow(flow_id="b", src="B", dst="C", at_ns=199_999, pid=200)
     assert str(exc.value) == (
@@ -295,7 +293,7 @@ def test_a_start_before_the_clock_is_refused_before_touching_state():
     assert str(exc.value) == (
         "call 'late': at_ns must be an integer no earlier than now (200000 ns), not 100000"
     )
-    assert (dict(net.flows), dict(net._flow_by_key), list(net._heap), net._evseq) == before
+    assert (dict(net.flows), list(net._heap), net._evseq) == before
     net.send_flow(flow_id="b", src="B", dst="C", at_ns=200_000, pid=200)  # now is not past
     net.schedule_call(200_000, "on time", lambda: None)
     net.run()

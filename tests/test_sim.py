@@ -226,6 +226,45 @@ def test_external_delivery_and_spoofed_source():
     assert spoof.verdict == "drop"  # default deny, and no reverse install crash
 
 
+@pytest.mark.parametrize(
+    "src, dst, pid, verdict",
+    [("A", "B", 100, "allow"), ("B", "C", 200, "drop")],
+    ids=["delivered", "dropped"],
+)
+def test_flows_that_share_a_5_tuple_each_count_their_own_packets(src, dst, pid, verdict):
+    # the switches see one connection, but each packet is counted on the
+    # flow that sent it
+    net = lan_network()
+    net.agents[src].spawn(pid)
+    a = net.send_flow(flow_id="a", src=src, dst=dst, at_ns=0, pid=pid)
+    b = net.send_flow(flow_id="b", src=src, dst=dst, at_ns=50 * MS, pid=pid)
+    net.run()
+    assert a.key == b.key
+    for rec in (a, b):
+        assert rec.verdict == verdict
+        assert rec.sent == rec.delivered + rec.dropped == 3
+        assert sorted(seq for seq, _, _ in rec.outcomes) == [0, 1, 2]
+
+
+def test_accept_pid_applies_only_at_the_flows_dst():
+    # port 1 of S2 is host A, so the reroute delivers the labelled SYN of
+    # A's flow to B back to A, which runs no pid 200; only B, the dst,
+    # accepts with accept_pid. The later packets follow the conn_dec entry
+    # to B, bare, so nothing is pending there to accept.
+    net = lan_network(
+        policy="label_host(ip=A, label={S0})\nif match(dst_ip==any) then reroute(1)\n"
+    )
+    net.agents["A"].spawn(100)
+    net.agents["B"].spawn(200)
+    rec = net.send_flow(flow_id="f", src="A", dst="B", at_ns=0, pid=100, accept_pid=200)
+    net.run()
+    assert (rec.sent, rec.delivered, rec.dropped) == (3, 3, 0)
+    assert sorted(rec.outcomes) == [(0, "delivered", "A"), (1, "delivered", "B"),
+                                    (2, "delivered", "B")]
+    assert all(e.kind != "accept" for agent in net.agents.values() for e in agent.events)
+    assert rec.key in net.agents["A"].in_labels  # delivered, pending, never accepted
+
+
 def test_label_init_trace_lines():
     net = lan_network()
     assert "t=0 label-init host=A label={TA}" in net.trace
@@ -314,11 +353,11 @@ def test_packets_of_a_flow_share_one_key(monkeypatch):
     ]
     net.run()
     by_value = {rec.key: rec.key for rec in flows}
-    data = [pkt for pkt in seen if pkt.control is None]
+    data = [pkt for pkt in seen if not pkt.label_ack]
     assert len(data) > sum(rec.sent for rec in flows)  # every hop and delivery is seen
     assert all(pkt.flow_key is by_value[pkt.flow_key] for pkt in data)
     assert {id(pkt.flow_key) for pkt in data} == {id(rec.key) for rec in flows}
-    assert any(pkt.control is not None for pkt in seen)  # label acks carry keys of their own
+    assert any(pkt.label_ack for pkt in seen)  # label acks carry keys of their own
 
 
 
