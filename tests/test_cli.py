@@ -34,7 +34,7 @@ def test_run_quiet_hides_passes(runner):
     assert "[PASS]" not in res.output
 
 
-@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3", "scenario4"])
 def test_run_writes_trace(runner, tmp_path, name):
     out = tmp_path / "trace.txt"
     res = runner.invoke(

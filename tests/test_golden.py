@@ -1,4 +1,4 @@
-"""Golden traces: the three shipped scenarios and one seeded stress run on
+"""Golden traces: the four shipped scenarios and one seeded stress run on
 enterprise, compared byte for byte with the files under tests/golden/.
 
 The stress run exercises every place the switch pipeline copies a packet:
@@ -27,7 +27,7 @@ from difcnet.topology import load_topology
 from tests.conftest import POLICY_DIR, SCENARIO_DIR, TOPOLOGY_DIR
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-SCENARIOS = ("scenario1", "scenario2", "scenario3")
+SCENARIOS = ("scenario1", "scenario2", "scenario3", "scenario4")
 STRESS_SEED = 20240522
 
 # listing2 plus rules that reach the pipeline's rarer actions. Host1 is
