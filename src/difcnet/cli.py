@@ -152,22 +152,23 @@ def apply(topology_path: str, old_paths: tuple[str, ...], new_paths: tuple[str, 
         if update.empty:
             continue
         click.echo(f"  {sid}: +{len(update.adds)} -{len(update.removes)}")
-        for kind, item in update.adds:
-            click.echo(f"    + [{kind}] {_format_plan_item(item, new.registry)}")
-        for kind, item in update.removes:
-            click.echo(f"    - [{kind}] {_format_plan_item(item, old.registry)}")
+        for item in update.adds:
+            click.echo(f"    + {_format_plan_item(item, new.registry)}")
+        for item in update.removes:
+            click.echo(f"    - {_format_plan_item(item, old.registry)}")
 
 
 def _format_plan_item(item, registry: TagRegistry) -> str:
-    """One plan entry on one line: priority, NetCL source line, action and
-    match, with tag names for label bits and sorted addresses."""
+    """One plan entry on one line: its kind (the table of a match entry,
+    privilege or init), priority, NetCL source line, action and match, with
+    tag names for label bits and sorted addresses."""
     if isinstance(item, TableEntry):
-        action = format_action(item.action)
+        kind, action = item.match.table, format_action(item.action)
     elif isinstance(item, PrivilegeEntry):
-        action = f"{item.direction}({registry.format_label(item.mask)})"
+        kind, action = "privilege", f"{item.direction}({registry.format_label(item.mask)})"
     else:
         ip, bits = item
-        return f"{ip} label {registry.format_label(bits)}"
+        return f"[init] {ip} label {registry.format_label(bits)}"
     match = item.match
     parts = []
     if match.label_mask:
@@ -178,7 +179,7 @@ def _format_plan_item(item, registry: TagRegistry) -> str:
         if side is not None:
             parts.append(f"{name} {'not ' if side.negate else ''}{','.join(sorted(side.values))}")
     condition = " and ".join(parts) or "any"
-    return f"priority {item.priority} line {item.source_line}: {action} if {condition}"
+    return f"[{kind}] priority {item.priority} line {item.source_line}: {action} if {condition}"
 
 
 if __name__ == "__main__":

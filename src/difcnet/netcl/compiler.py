@@ -31,7 +31,6 @@ action (reroute port, `modify` field) stay per rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from ..errors import (
     CompileError,
@@ -126,8 +125,10 @@ class PrivilegeEntry:
 
 @dataclass(frozen=True)
 class SwitchConfig:
-    """One switch's state. `entries` is in ascending priority, so the first
-    entry that matches a packet is the one with the lowest priority number."""
+    """One switch's state. `entries` and `privilege_entries` are each in
+    strictly ascending priority, so a priority names at most one entry of a
+    list, and the first entry that matches a packet is the one with the
+    lowest priority number."""
 
     switch_id: str
     entries: tuple[TableEntry, ...] = ()
@@ -135,12 +136,13 @@ class SwitchConfig:
     init_packets: tuple[tuple[str, int], ...] = ()  # (host ip, label bits)
 
     def __post_init__(self):
-        for prev, entry in zip(self.entries, self.entries[1:]):
-            if entry.priority < prev.priority:
-                raise CompileError(
-                    f"switch {self.switch_id}: entry of priority {entry.priority} "
-                    f"follows priority {prev.priority}"
-                )
+        for entries in (self.entries, self.privilege_entries):
+            for prev, entry in zip(entries, entries[1:]):
+                if entry.priority <= prev.priority:
+                    raise CompileError(
+                        f"switch {self.switch_id}: entry of priority {entry.priority} "
+                        f"follows priority {prev.priority}"
+                    )
 
     def entry_count(self) -> int:
         return len(self.entries) + len(self.privilege_entries)
@@ -396,20 +398,24 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
     )
 
 
-_priority = attrgetter("priority")
+def _by_priority(entries) -> tuple:
+    """The first of `entries` met at each priority, in ascending priority."""
+    first: dict[int, object] = {}
+    for entry in entries:
+        first.setdefault(entry.priority, entry)
+    return tuple(first[p] for p in sorted(first))
 
 
 def merge_to_single_switch(compiled: CompiledPolicy, switch_id: str) -> SwitchConfig:
     """Collapse a deployment onto one switch holding every entry, used to
-    check that distribution never changes verdicts. An entry replicated on
-    several switches counts once, as its first occurrence."""
+    check that distribution never changes verdicts. The compiler puts one
+    entry object on every switch a rule lands on, so an entry replicated on
+    several switches counts once, by its priority."""
     configs = compiled.configs.values()
-    entries = dict.fromkeys(e for cfg in configs for e in cfg.entries)
-    priv = dict.fromkeys(e for cfg in configs for e in cfg.privilege_entries)
     return SwitchConfig(
         switch_id=switch_id,
-        entries=tuple(sorted(entries, key=_priority)),
-        privilege_entries=tuple(sorted(priv, key=_priority)),
+        entries=_by_priority(e for cfg in configs for e in cfg.entries),
+        privilege_entries=_by_priority(e for cfg in configs for e in cfg.privilege_entries),
         init_packets=tuple(p for cfg in configs for p in cfg.init_packets),
     )
 
@@ -419,9 +425,9 @@ def merge_to_single_switch(compiled: CompiledPolicy, switch_id: str) -> SwitchCo
 
 @dataclass(frozen=True)
 class SwitchUpdate:
-    # (kind, entry): a match entry's MatchSpec.table, "privilege" or "init"
-    adds: tuple[tuple[str, object], ...]
-    removes: tuple[tuple[str, object], ...]
+    # match entries, privilege entries and (host ip, label bits) init packets
+    adds: tuple
+    removes: tuple
 
     @property
     def empty(self) -> bool:
@@ -443,24 +449,16 @@ class UpdatePlan:
 
 
 def _unmatched(old, new) -> tuple[list, list]:
-    """(items of `new` equal to no item of `old`, items of `old` equal to no
-    item of `new`), each in its sequence's order. Equal entries have equal
-    priorities, so an entry is compared only with the other side's entries
-    of its own priority: one comparison per entry where a switch's
-    priorities are unique, as the compiler makes them."""
-    positions: dict[int, list[int]] = {}
-    for i, entry in enumerate(old):
-        positions.setdefault(entry.priority, []).append(i)
-    kept = [False] * len(old)
-    adds = []
-    for entry in new:
-        found = False
-        for i in positions.get(entry.priority, ()):
-            if old[i] == entry:
-                kept[i] = found = True
-        if not found:
-            adds.append(entry)
-    return adds, [entry for entry, k in zip(old, kept) if not k]
+    """(entries of `new` equal to no entry of `old`, entries of `old` equal
+    to no entry of `new`), each in its sequence's order. A priority names at
+    most one entry of each side, so each priority on both sides is one
+    equality test."""
+    olds = {e.priority: e for e in old}
+    kept = {e.priority for e in new if e.priority in olds and olds[e.priority] == e}
+    return (
+        [e for e in new if e.priority not in kept],
+        [e for e in old if e.priority not in kept],
+    )
 
 
 def diff_configs(old: dict[str, SwitchConfig], new: dict[str, SwitchConfig]) -> UpdatePlan:
@@ -476,15 +474,9 @@ def diff_configs(old: dict[str, SwitchConfig], new: dict[str, SwitchConfig]) -> 
         priv_adds, priv_removes = _unmatched(a.privilege_entries, b.privilege_entries)
         old_init, new_init = set(a.init_packets), set(b.init_packets)
         plan[s] = SwitchUpdate(
-            adds=(
-                *((e.match.table, e) for e in entry_adds),
-                *(("privilege", e) for e in priv_adds),
-                *(("init", p) for p in b.init_packets if p not in old_init),
-            ),
+            adds=(*entry_adds, *priv_adds, *(p for p in b.init_packets if p not in old_init)),
             removes=(
-                *((e.match.table, e) for e in entry_removes),
-                *(("privilege", e) for e in priv_removes),
-                *(("init", p) for p in a.init_packets if p not in new_init),
+                *entry_removes, *priv_removes, *(p for p in a.init_packets if p not in new_init)
             ),
         )
     return UpdatePlan(plan)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .errors import DifcnetError, ScenarioError
@@ -225,56 +226,45 @@ def _schedule_flows(net: Network, scn: Scenario) -> None:
 
 
 def _schedule_events(net: Network, topology: Topology, scn: Scenario) -> None:
+    """One scheduled call per setup or events entry."""
     for where, raw in scn.events:
-        op = raw.get("op")
+        op = raw["op"]
         at = int(raw.get("at_ms", 0) * MS)
-        host = raw.get("host")
         if op == "update":
-            paths = [scn.base_dir / p for p in raw["policies"]]
-            new_program = parse_files([str(p) for p in paths])
-            new_compiled = compile_program(new_program, topology)
-            net.schedule_call(
-                at,
-                "policy-update",
-                lambda nc=new_compiled: net.control.apply_update(net.switches, nc),
-            )
-            continue
-        if op == "gc":
+            program = parse_files([str(scn.base_dir / p) for p in raw["policies"]])
+            new_compiled = compile_program(program, topology)
+            call = partial(net.control.apply_update, net.switches, new_compiled)
+            net.schedule_call(at, "policy-update", call)
+        elif op == "gc":
             idle = int(raw.get("idle_ms", 60_000) * MS)
-            net.schedule_call(at, "conn-dec-gc", lambda i=idle: net.gc_conn_dec(i))
-            continue
-        if host not in net.agents:
-            raise ScenarioError(f"{where}: needs a known host, not {host!r}")
-        fn = _located(where, _agent_call(net, net.agents[host], op, raw))
-        net.schedule_call(at, f"event host={host} op={op}", lambda f=fn, t=at: f(t))
+            net.schedule_call(at, "conn-dec-gc", partial(net.gc_conn_dec, idle))
+        elif raw.get("host") in net.agents:
+            call = partial(_agent_event, net, where, raw, at)
+            net.schedule_call(at, f"event host={raw['host']} op={op}", call)
+        else:
+            raise ScenarioError(f"{where}: needs a known host, not {raw.get('host')!r}")
 
 
-def _located(where: str, fn):
-    """`fn`, with an agent's error prefixed by the entry that scheduled it."""
-
-    def call(t: int) -> None:
-        try:
-            fn(t)
-        except DifcnetError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
-
-    return call
-
-
-def _agent_call(net: Network, agent, op: str, raw: dict):
-    pid = raw.get("pid")  # a count, for every op that reads it
-    if op == "spawn":
-        return lambda t: agent.spawn(pid, now_ns=t)
-    if op == "exit":
-        return lambda t: agent.exit(pid, now_ns=t)
-    if op == "read":
-        return lambda t: agent.read(pid, agent.inode_of(raw["path"]), now_ns=t)
-    if op == "write":
-        return lambda t: agent.write(pid, agent.inode_of(raw["path"]), now_ns=t)
-    if op == "create":
-        return lambda t: agent.create(pid, raw["path"], now_ns=t)
-    if op == "accept":
-        # load_scenario checked that the flow is in the file
-        return lambda t: agent.accept(pid, net.flows[raw["flow"]].key, now_ns=t)
-    # reboot: load_scenario rejects every op not handled here or in _schedule_events
-    return lambda t: agent.reboot(now_ns=t)
+def _agent_event(net: Network, where: str, raw: dict, t: int) -> None:
+    """Runs an agent's entry at time `t`, with an agent's error prefixed by
+    `where`, the entry. load_scenario rejects every op not handled here or
+    in _schedule_events, and checks the fields each op reads."""
+    agent = net.agents[raw["host"]]
+    op, pid = raw["op"], raw.get("pid")
+    try:
+        if op == "spawn":
+            agent.spawn(pid, now_ns=t)
+        elif op == "exit":
+            agent.exit(pid, now_ns=t)
+        elif op == "read":
+            agent.read(pid, agent.inode_of(raw["path"]), now_ns=t)
+        elif op == "write":
+            agent.write(pid, agent.inode_of(raw["path"]), now_ns=t)
+        elif op == "create":
+            agent.create(pid, raw["path"], now_ns=t)
+        elif op == "accept":
+            agent.accept(pid, net.flows[raw["flow"]].key, now_ns=t)
+        else:  # reboot
+            agent.reboot(now_ns=t)
+    except DifcnetError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None

@@ -2,8 +2,10 @@
 privilege entries, and the structural config diff."""
 
 import dataclasses
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
 
 from difcnet.errors import CompileError, PlacementError
 from difcnet.labels import tag_bit
@@ -13,7 +15,9 @@ from difcnet.netcl import (
     merge_to_single_switch,
     parse,
 )
+from difcnet.netcl.compiler import SwitchConfig
 from tests.conftest import make_lan, make_split
+from tests.test_first_match import compile_lines, policies
 
 
 def compile_text(text, topo=None):
@@ -339,6 +343,35 @@ def test_merge_deduplicates_replicated_entries():
     assert merged.switch_id == "one"
 
 
+def merge_to_single_switch_reference(compiled, switch_id):
+    """The earlier merge: an entry replicated on several switches is found
+    by hashing each entry in full, and its first occurrence is kept."""
+    configs = compiled.configs.values()
+    entries = dict.fromkeys(e for cfg in configs for e in cfg.entries)
+    priv = dict.fromkeys(e for cfg in configs for e in cfg.privilege_entries)
+    return SwitchConfig(
+        switch_id=switch_id,
+        entries=tuple(sorted(entries, key=attrgetter("priority"))),
+        privilege_entries=tuple(sorted(priv, key=attrgetter("priority"))),
+        init_packets=tuple(p for cfg in configs for p in cfg.init_packets),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(policies())
+def test_merge_by_priority_equals_the_hashing_reference(policy):
+    """The same merged config, down to the entry instances."""
+    _, labelings, body = policy
+    compiled = compile_lines(labelings + body)
+    got = merge_to_single_switch(compiled, "one")
+    want = merge_to_single_switch_reference(compiled, "one")
+    assert got == want
+    for got_list, want_list in (
+        (got.entries, want.entries), (got.privilege_entries, want.privilege_entries)
+    ):
+        assert [id(e) for e in got_list] == [id(e) for e in want_list]
+
+
 def test_diff_is_empty_for_identical_policies():
     a = compile_text(LAN_RULES)
     b = compile_text(LAN_RULES)
@@ -360,7 +393,7 @@ def test_diff_lists_only_real_changes():
     plan = diff_configs(old.configs, new.configs)
     adds, removes = plan.counts()
     assert adds == 1 and removes == 0
-    assert plan.per_switch["S2"].adds[0][0] == "exact"
+    assert plan.per_switch["S2"].adds[0].match.table == "exact"
     assert plan.per_switch["S1"].empty
 
 

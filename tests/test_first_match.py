@@ -214,6 +214,20 @@ def test_switch_config_rejects_entries_out_of_priority_order():
     first = TableEntry(MatchSpec(), Allow(), priority=0)
     second = TableEntry(MatchSpec(), Drop(), priority=1)
     SwitchConfig("S1", entries=(first, second))
-    SwitchConfig("S1", entries=(first, first))  # equal priorities keep their order
+    with pytest.raises(CompileError, match="S1.*priority 0 follows priority 0"):
+        SwitchConfig("S1", entries=(first, first))  # a priority names one entry
     with pytest.raises(CompileError, match="S1.*priority 0 follows priority 1"):
         SwitchConfig("S1", entries=(second, first))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edited())
+def test_every_list_of_a_compiled_switch_has_strictly_ascending_priorities(policy):
+    """Each rule has a priority of its own, and a switch holds each rule at
+    most once, in source order."""
+    labelings, old_body, new_body = policy
+    for body in (old_body, new_body):
+        for cfg in compile_lines(labelings + body).configs.values():
+            for entries in (cfg.entries, cfg.privilege_entries):
+                priorities = [e.priority for e in entries]
+                assert priorities == sorted(set(priorities))

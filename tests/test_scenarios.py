@@ -94,6 +94,36 @@ def test_event_requires_known_host(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "event, error",
+    [
+        ({"op": "spawn", "pid": 7}, "Host1: pid 7 is already live"),
+        ({"op": "exit", "pid": 9}, "Host1: pid 9 is not live"),
+        ({"op": "read", "pid": 7, "path": "/nope"}, "Host1: no file at /nope"),
+        ({"op": "write", "pid": 7, "path": "/nope"}, "Host1: no file at /nope"),
+        ({"op": "create", "pid": 9, "path": "/new"}, "Host1: pid 9 is not live"),
+        ({"op": "accept", "pid": 7, "flow": "f"},
+         "Host1: nothing pending on 10.1.2.12:40000>10.1.2.11:80/6"),
+    ],
+    ids=lambda v: v["op"] if isinstance(v, dict) else "",
+)
+def test_an_agent_error_mid_run_names_its_entry(tmp_path, event, error):
+    """The scenario loads; the agent's error is raised when the entry runs,
+    prefixed by the file, the entry and its op, as `difcnet run` prints it."""
+    scn = _minimal_scenario(
+        tmp_path,
+        {
+            "setup": [{"host": "Host1", "op": "spawn", "pid": 7}],
+            "events": [{"host": "Host1", "at_ms": 1, **event}],
+            "flows": [{"id": "f", "src": "Host2", "dst": "Host1", "at_ms": 5,
+                       "src_port": 40000, "dst_port": 80}],
+        },
+    )
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(scn)
+    assert str(exc.value) == f"{tmp_path / 'scn.yaml'}: events[0] (op {event['op']!r}): {error}"
+
+
 def test_flow_entry_missing_field(tmp_path):
     # caught when the scenario loads, not when the flow is scheduled
     with pytest.raises(ScenarioError, match="missing") as exc:
