@@ -40,9 +40,14 @@ def main() -> None:
 def _compile(
     topology_path: str, *policy_lists: tuple[str, ...]
 ) -> tuple[Topology, list[CompiledPolicy]]:
-    """The topology, and each list of policy files compiled against it."""
+    """The topology, and each list of policy files compiled against it as a
+    policy version that follows the one before."""
     topo = load_topology(topology_path)
-    return topo, [compile_program(parse_files(list(paths)), topo) for paths in policy_lists]
+    versions: list[CompiledPolicy] = []
+    for paths in policy_lists:
+        previous = versions[-1] if versions else None
+        versions.append(compile_program(parse_files(list(paths)), topo, previous))
+    return topo, versions
 
 
 @main.command()

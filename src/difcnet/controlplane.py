@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dataplane import Decision, InstallRequest, Switch
-from .errors import CapacityExceeded, UnknownHost
+from .errors import CapacityExceeded, DifcnetError, UnknownHost
 from .netcl.compiler import (
     CompiledPolicy,
     UpdatePlan,
@@ -40,6 +40,18 @@ class PlacementReport:
             f"{self.average_reduction * 100:.1f}%"
         )
         return "\n".join(lines)
+
+
+def _renumbered(old: CompiledPolicy, new: CompiledPolicy) -> str:
+    """Each tag of `old` that `new` gives another index, and each file of
+    `old` that `new` gives another tracker id, or "" if none."""
+    tags, files = new.registry.name_to_id, new.file_trackers
+    return ", ".join([
+        *(f"tag {name} (index {i} -> {tags[name]})"
+          for name, i in old.registry.name_to_id.items() if tags.get(name, i) != i),
+        *(f"file {path}@{host} (tracker {i} -> {files[host, path]})"
+          for (host, path), i in old.file_trackers.items() if files.get((host, path), i) != i),
+    ])
 
 
 class ControlPlane:
@@ -84,7 +96,15 @@ class ControlPlane:
         config object and its cache. Each packet is enforced at exactly one
         switch, so switches need no common update instant. conn_dec and
         decision-buffer entries survive: a connection admitted before the
-        update keeps flowing."""
+        update keeps flowing.
+
+        Hosts keep stamping the tag bits and tracker ids of the policy in
+        force, so a policy that gives one of its tags another bit, or one of
+        its files another tracker id, is refused before any switch swaps;
+        `compile_program(..., previous=)` keeps the numbering."""
+        moved = _renumbered(self.compiled, new_compiled)
+        if moved:
+            raise DifcnetError(f"update refused, it renumbers the policy in force: {moved}")
         plan = diff_configs(self.compiled.configs, new_compiled.configs)
         for sid, update in plan.per_switch.items():
             if update.empty or sid not in switches:

@@ -153,7 +153,9 @@ class CompiledPolicy:
     registry: TagRegistry
     configs: dict[str, SwitchConfig]
     host_labels: dict[str, int]  # ip -> assigned label bits
-    file_trackers: dict[tuple[str, str], int]  # (host name, path) -> tracker id
+    # (host name, path) -> tracker id; like `registry`, it also holds what
+    # the versions before this one numbered
+    file_trackers: dict[tuple[str, str], int]
     rule_count: int = 0
 
     def label_of_ip(self, ip: str) -> Label:
@@ -277,8 +279,16 @@ def _conjunct_effect(
     return 0, 0, None, FieldMatch(frozenset(ips)), placements
 
 
-def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
+def compile_program(
+    program: Program, topology: Topology, previous: CompiledPolicy | None = None
+) -> CompiledPolicy:
+    """`program`'s configs for every switch of `topology`. Compiled against
+    `previous`, the policy version it follows in a run, it continues that
+    version's numbering: every tag keeps its bit and every tracked file its
+    tracker id, and new ones take numbers no earlier version used."""
     registry = TagRegistry()
+    for name in previous.registry.name_to_id if previous else ():
+        registry.register(name)  # in index order, so each keeps its index
     _register_tags(program, registry)
 
     # Host label assignments. Directive names may be hosts or groups; in the
@@ -286,8 +296,8 @@ def compile_program(program: Program, topology: Topology) -> CompiledPolicy:
     # the same host union.
     host_labels: dict[str, int] = {}
     directive_labels: dict[str, int] = {}  # directive name -> label bits
-    file_trackers: dict[tuple[str, str], int] = {}
-    next_tracker = 1
+    file_trackers = dict(previous.file_trackers) if previous else {}
+    next_tracker = max(file_trackers.values(), default=0) + 1
     for stmt in program.labelings:
         if isinstance(stmt, LabelHost):
             bits = registry.label_of(stmt.tags)

@@ -10,7 +10,7 @@ from functools import partial
 from pathlib import Path
 
 from .errors import DifcnetError, ScenarioError
-from .netcl import compile_program, parse_files
+from .netcl import CompiledPolicy, compile_program, parse_files
 from .scenario_checks import check_expectation_names, evaluate_expectations
 from .sim import FLOW_PROTOCOLS, Network, SimParams
 from .topology import LIST, MAPPING, PID, PORT, STRING, STRINGS, Kind, Topology, check_entry
@@ -195,11 +195,11 @@ class ScenarioResult:
 def run_scenario(scn: Scenario) -> ScenarioResult:
     topology = load_topology(scn.topology_path)
     program = parse_files([str(p) for p in scn.policy_paths])
-    compiled = compile_program(program, topology)
+    net = Network(topology, compile_program(program, topology), build_params(scn.params))
+    # the last policy version numbers every tag and file of the earlier ones
+    last = _schedule_events(net, topology, scn)
     # every name the scenario uses is checked before the first event
-    check_expectation_names(str(scn.path), scn.expect, topology, compiled)
-    net = Network(topology, compiled, build_params(scn.params))
-    _schedule_events(net, topology, scn)
+    check_expectation_names(str(scn.path), scn.expect, topology, last)
     _schedule_flows(net, scn)
     try:
         net.run()
@@ -207,7 +207,7 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         raise  # a setup or events entry, named where it was scheduled
     except DifcnetError as exc:
         raise ScenarioError(f"{scn.path}: at {net.now / MS:g} ms: {exc}") from None
-    checks = evaluate_expectations(net, compiled, topology, scn.expect)
+    checks = evaluate_expectations(net, last, scn.expect)
     return ScenarioResult(scn, net, checks)
 
 
@@ -225,15 +225,18 @@ def _schedule_flows(net: Network, scn: Scenario) -> None:
             raise ScenarioError(f"{scn.path}: flows[{i}]: {exc}") from None
 
 
-def _schedule_events(net: Network, topology: Topology, scn: Scenario) -> None:
-    """One scheduled call per setup or events entry."""
+def _schedule_events(net: Network, topology: Topology, scn: Scenario) -> CompiledPolicy:
+    """One scheduled call per setup or events entry. Each update's policy is
+    compiled against the version before it, in file order; returns the last
+    version."""
+    compiled = net.control.compiled
     for where, raw in scn.events:
         op = raw["op"]
         at = int(raw.get("at_ms", 0) * MS)
         if op == "update":
             program = parse_files([str(scn.base_dir / p) for p in raw["policies"]])
-            new_compiled = compile_program(program, topology)
-            call = partial(net.control.apply_update, net.switches, new_compiled)
+            compiled = compile_program(program, topology, compiled)
+            call = partial(net.control.apply_update, net.switches, compiled)
             net.schedule_call(at, "policy-update", call)
         elif op == "gc":
             idle = int(raw.get("idle_ms", 60_000) * MS)
@@ -243,6 +246,7 @@ def _schedule_events(net: Network, topology: Topology, scn: Scenario) -> None:
             net.schedule_call(at, f"event host={raw['host']} op={op}", call)
         else:
             raise ScenarioError(f"{where}: needs a known host, not {raw.get('host')!r}")
+    return compiled
 
 
 def _agent_event(net: Network, where: str, raw: dict, t: int) -> None:

@@ -63,7 +63,7 @@ def _state_check(compiled, name: str, state, missing: str, spec: dict):
     return name, ok, detail
 
 
-def evaluate_expectations(net, compiled, topology, expect: dict):
+def evaluate_expectations(net, compiled, expect: dict):
     checks: list[tuple[str, bool, str]] = []
 
     for flow_id, want in expect.get("flows", {}).items():

@@ -538,6 +538,37 @@ def test_apply_prints_one_short_line_per_plan_entry(runner, tmp_path):
     )
 
 
+def test_apply_compiles_the_new_policy_against_the_old(runner):
+    """listing1_update names Audit ahead of Host1's other tags. Compiled on
+    its own it would move every tag, and the plan would also replace the
+    Top_Secret drop rule and the init packets of Host2 and PACS; compiled
+    against the old policy, as a run compiles an update, those stay."""
+    new = str(POLICY_DIR / "listing1_update.ncl")
+    res = runner.invoke(main, [
+        "apply", "--topology", HOSPITAL, "--old", LISTING1, "--old", LISTING1_BENIGN,
+        "--new", new, "--new", LISTING1_BENIGN,
+    ])
+    assert res.exit_code == 0, res.output
+    assert res.output == (
+        "plan: +7 entries, -6 entries\n"
+        "  S1: +1 -1\n"
+        "    + [ternary] priority 6 line 21: allow if label has {PACS} and dst 203.0.113.10\n"
+        "    - [ternary] priority 5 line 20: allow if label has {PACS} and dst 203.0.113.10\n"
+        "  S2: +6 -5\n"
+        "    + [exact] priority 1 line 11: drop if src 203.0.113.10 and dst 10.1.2.11\n"
+        "    + [ternary] priority 2 line 14: allow if label has {Audit, Host1} and dst 10.1.2.20\n"
+        "    + [ternary] priority 3 line 15: allow if label has {PACS} and dst 10.1.2.12\n"
+        "    + [ternary] priority 4 line 16: allow if label has {Host2, Top_Secret} and dst 10.1.2.20\n"
+        "    + [exact] priority 5 line 20: allow if src 203.0.113.10 and dst 10.1.2.11\n"
+        "    + [init] 10.1.2.11 label {Audit, Host1}\n"
+        "    - [ternary] priority 1 line 10: allow if label has {Host1} and dst 10.1.2.20\n"
+        "    - [ternary] priority 2 line 11: allow if label has {PACS} and dst 10.1.2.12\n"
+        "    - [ternary] priority 3 line 12: allow if label has {Host2, Top_Secret} and dst 10.1.2.20\n"
+        "    - [exact] priority 4 line 19: allow if src 203.0.113.10 and dst 10.1.2.11\n"
+        "    - [init] 10.1.2.11 label {Host1}\n"
+    )
+
+
 def test_apply_lists_addresses_sorted(runner, tmp_path):
     topo = tmp_path / "topo.yaml"
     topo.write_text(

@@ -134,8 +134,8 @@ packets = st.tuples(
 )
 
 
-def compile_lines(lines):
-    return compile_program(parse("\n".join(lines) + "\n"), TOPO)
+def compile_lines(lines, previous=None):
+    return compile_program(parse("\n".join(lines) + "\n"), TOPO, previous)
 
 
 def assert_same_match(config, pkt):
@@ -181,16 +181,17 @@ def test_first_match_after_apply_update_equals_a_fresh_compile(policy, pkts):
     """Every switch classifies the packets before the update, so a stale
     classify-cache answer would show. After `ControlPlane.apply_update`,
     each switch's classification equals the uncached privilege stage and
-    first match over a fresh compile of the new policy, down to the source
-    line, and its match entries agree with the three-table reference."""
+    first match over a fresh compile of the new policy (against the old
+    one, as an update is compiled), down to the source line, and its match
+    entries agree with the three-table reference."""
     labelings, old_body, new_body = policy
     old = compile_lines(labelings + old_body)
     switches = {s: Switch(s, TOPO, old.configs[s]) for s in TOPO.switches}
     for sw in switches.values():
         for pkt in pkts:
             sw.classify(*pkt)
-    ControlPlane(TOPO, old, 0).apply_update(switches, compile_lines(labelings + new_body))
-    fresh = compile_lines(labelings + new_body)
+    ControlPlane(TOPO, old, 0).apply_update(switches, compile_lines(labelings + new_body, old))
+    fresh = compile_lines(labelings + new_body, old)
     for sid, sw in switches.items():
         cfg = fresh.configs[sid]
         for pkt in pkts:

@@ -69,12 +69,13 @@ def _problems(doc, load, file) -> list[str]:
     return problems
 
 
-@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3", "scenario4"])
 def test_every_scenario_field_of_the_wrong_kind_fails_at_load(tmp_path, name):
     doc = read_yaml(SCENARIO_DIR / f"{name}.yaml")
     # the mutant lives elsewhere, so it names its files by absolute path
     doc["topology"] = str(SCENARIO_DIR / doc["topology"])
-    doc["policies"] = [str(SCENARIO_DIR / p) for p in doc["policies"]]
+    for entry in (doc, *(e for e in doc.get("events", []) if e["op"] == "update")):
+        entry["policies"] = [str(SCENARIO_DIR / p) for p in entry["policies"]]
     assert _problems(doc, load_scenario, tmp_path / "scn.yaml") == []
 
 

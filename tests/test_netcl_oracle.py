@@ -212,14 +212,22 @@ def ref_register_tags(program, registry):
                     registry.register(t)
 
 
-def ref_compile(program, topology):
+def ref_compile(program, topology, previous=None):
+    """With `previous`, the version before in a run, the tags it numbered
+    register first, in index order, and the files it numbered keep their
+    ids, which run from 1 without a gap."""
     registry = TagRegistry()
+    file_trackers = {}
+    if previous is not None:
+        ids = previous.registry.name_to_id
+        for name in sorted(ids, key=ids.get):
+            registry.register(name)
+        file_trackers.update(previous.file_trackers)
     ref_register_tags(program, registry)
 
     host_labels = {}
     directive_labels = {}
-    file_trackers = {}
-    next_tracker = 1
+    next_tracker = len(file_trackers) + 1
     for stmt in program.labelings:
         if isinstance(stmt, LabelHost):
             label = registry.label_of(stmt.tags)
@@ -485,12 +493,16 @@ def _check_both(text, topo):
         _same_error(err, want_err)
         return "compile error"
     assert err is None, f"compile rejected what the reference accepts: {err}"
+    _same_compile(compiled, want)
+    return "compiled"
+
+
+def _same_compile(compiled, want):
     assert _configs(compiled) == _configs(want)
     assert compiled.host_labels == want.host_labels
     assert compiled.file_trackers == want.file_trackers
     assert compiled.registry.name_to_id == want.registry.name_to_id
     assert compiled.rule_count == want.rule_count
-    return "compiled"
 
 
 TOPOLOGIES = {"lan": make_lan(), "split": make_split()}
@@ -546,6 +558,50 @@ def test_equal_conjuncts_share_one_field_match():
     first, second = compiled.configs["S2"].entries
     assert first.match.src is second.match.src
     assert first.match.dst is second.match.dst
+
+
+# -- policy versions in one run ----------------------------------------------
+
+# labelings a version may put ahead of HEADER, so that a fresh compile of it
+# would give TA, /f@C or a file of an earlier version another number
+EXTRA_LABELINGS = (
+    "label_host(ip=A, label={TQ})", "label_file(ip=B, file=/h)", "label_file(ip=A, file=/g)",
+    "label_file(ip=C, file=/f)",
+)
+
+
+@st.composite
+def versions(draw):
+    texts = []
+    for _ in range(draw(st.integers(2, 3))):
+        extra = draw(st.lists(st.sampled_from(EXTRA_LABELINGS), max_size=3, unique=True))
+        texts.append("".join(f"{line}\n" for line in extra) + draw(policies(bad=False)))
+    return texts
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=versions(), topo=st.sampled_from(sorted(TOPOLOGIES)))
+def test_versions_compiled_in_turn_equal_the_reference_and_keep_their_numbering(texts, topo):
+    """Each version compiled against the one before equals the reference
+    compiled the same way. Every tag keeps its index and every file its
+    tracker id, and a new file takes an id above every earlier one."""
+    previous = want_previous = None
+    for text in texts:
+        program = parse(text)
+        compiled, err = _outcome(compile_program, program, TOPOLOGIES[topo], previous)
+        want, want_err = _outcome(ref_compile, program, TOPOLOGIES[topo], want_previous)
+        if want_err is not None:
+            _same_error(err, want_err)
+            continue
+        assert err is None, f"compile rejected what the reference accepts: {err}"
+        _same_compile(compiled, want)
+        if previous is not None:
+            assert compiled.registry.name_to_id.items() >= previous.registry.name_to_id.items()
+            assert compiled.file_trackers.items() >= previous.file_trackers.items()
+            last = max(previous.file_trackers.values(), default=0)
+            for key, i in compiled.file_trackers.items():
+                assert key in previous.file_trackers or i > last
+        previous, want_previous = compiled, want
 
 
 # -- tag registration --------------------------------------------------------

@@ -8,7 +8,7 @@ from difcnet.sim import SimParams
 
 from tests.conftest import SCENARIO_DIR, TOPOLOGY_DIR
 
-SCENARIOS = ["scenario1.yaml", "scenario2.yaml", "scenario3.yaml"]
+SCENARIOS = ["scenario1.yaml", "scenario2.yaml", "scenario3.yaml", "scenario4.yaml"]
 
 
 @pytest.mark.parametrize("fname", SCENARIOS)
@@ -34,6 +34,7 @@ def test_scenario_names():
         "exfiltration-hospital",
         "unauthorized-access-enterprise",
         "tracked-declassification-enterprise",
+        "update-hospital",
     ]
 
 

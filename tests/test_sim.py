@@ -383,9 +383,7 @@ def test_every_switch_and_agent_runs_the_network_params():
     assert (alone.recirc_delay_ns, alone.buffer.index_bits) == (15 * MS, SimParams().index_bits)
 
 
-# -- open verdict bugs ---------------------------------------------------------
-# Each test states the verdict the simulator should give; each fails today.
-# The change that fixes a bug turns its test into a plain one.
+# -- policy versions in one run ------------------------------------------------
 
 HOSPITAL_TEXT = "\n".join(
     (POLICY_DIR / name).read_text() for name in ("listing1.ncl", "listing1_benign.ncl")
@@ -397,10 +395,13 @@ def hospital_network(text):
     return Network(topo, compile_program(parse(text), topo)), topo
 
 
-@pytest.mark.xfail(strict=True, reason="an update renumbers tags the agents keep stamping")
+# a new tag named ahead of the others: a fresh compile gives Host2,
+# Top_Secret and PACS other bits
+RELABELLED = "label_host(ip=Host1, label={Host1, Audit})\n" + HOSPITAL_TEXT
+
+
 def test_a_live_pid_keeps_its_verdict_across_an_update_that_renumbers_tags():
-    relabelled = "label_host(ip=Host1, label={Host1, Audit})\n" + HOSPITAL_TEXT
-    fresh, topo = hospital_network(relabelled)
+    fresh, topo = hospital_network(RELABELLED)
     fresh.agents["Host2"].spawn(200)
     want = fresh.send_flow(flow_id="f", src="Host2", dst="PACS", at_ns=1 * MS, pid=200)
     fresh.run()
@@ -408,11 +409,73 @@ def test_a_live_pid_keeps_its_verdict_across_an_update_that_renumbers_tags():
 
     net, _ = hospital_network(HOSPITAL_TEXT)
     net.agents["Host2"].spawn(200)  # before the update
-    new = compile_program(parse(relabelled), topo)
+    new = compile_program(parse(RELABELLED), topo, net.control.compiled)
     net.schedule_call(1, "policy-update", lambda: net.control.apply_update(net.switches, new))
     rec = net.send_flow(flow_id="f", src="Host2", dst="PACS", at_ns=1 * MS, pid=200)
     net.run()
     assert (rec.delivered, rec.sent) == (want.delivered, want.sent)
+
+
+def test_an_update_that_renumbers_the_running_tags_is_refused_before_any_switch_swaps():
+    net, topo = hospital_network(HOSPITAL_TEXT)
+    running = net.control.compiled
+    configs = {sid: sw.config for sid, sw in net.switches.items()}
+    with pytest.raises(DifcnetError) as exc:
+        net.control.apply_update(net.switches, compile_program(parse(RELABELLED), topo))
+    assert str(exc.value) == (
+        "update refused, it renumbers the policy in force: tag Host2 (index 1 -> 2), "
+        "tag Top_Secret (index 2 -> 3), tag PACS (index 3 -> 4)"
+    )
+    assert net.control.compiled is running
+    assert all(sw.config is configs[sid] for sid, sw in net.switches.items())
+
+
+ENTERPRISE_TEXT = "\n".join(
+    (POLICY_DIR / name).read_text() for name in ("listing3.ncl", "listing3_benign.ncl")
+) + "\nif match(dst_ip==external_network) then allow\n"
+
+
+def test_a_tracked_file_keeps_its_tracker_id_across_an_update():
+    """Server1's pid reads the sensitive file and sends to Dev_Admin's pid,
+    which sends to external. An update that tracks another file first must
+    not give the sensitive file another tracker id: the agents stamp the old
+    one, and the outbound flow would leave the network."""
+    topo = load_topology(TOPOLOGY_DIR / "enterprise.yaml")
+    other = "label_file(ip=Server1, file=/server1/other)\n" + ENTERPRISE_TEXT
+
+    def outbound(update):
+        net = Network(topo, compile_program(parse(ENTERPRISE_TEXT), topo))
+        server, admin = net.agents["Server1"], net.agents["Dev_Admin"]
+        server.spawn(100)
+        admin.spawn(300)
+        server.read(100, server.inode_of("/server1/sensitive_file"))
+        net.send_flow(flow_id="in", src="Server1", dst="Dev_Admin", at_ns=1 * MS, pid=100,
+                      accept_pid=300)
+        if update:
+            new = compile_program(parse(other), topo, net.control.compiled)
+            assert new.file_trackers[("Server1", "/server1/other")] == 2
+            net.schedule_call(50 * MS, "policy-update",
+                              lambda: net.control.apply_update(net.switches, new))
+        rec = net.send_flow(flow_id="out", src="Dev_Admin", dst="external", at_ns=100 * MS,
+                            pid=300)
+        net.run()
+        assert admin.pids[300][1] == 1  # the tracker it read, through Server1's flow
+        return rec.delivered, rec.dropped, [line for line in net.trace if " drop " in line]
+
+    delivered, dropped, drops = outbound(update=False)
+    assert (delivered, dropped) == (0, 3)
+    assert drops[0].endswith(" S1 drop 10.0.3.10:41000>203.0.113.10:80/6 rule@1")
+    assert outbound(update=True) == (delivered, dropped, drops)
+    # compiled afresh, the sensitive file would be tracker 2; the update is refused
+    net = Network(topo, compile_program(parse(ENTERPRISE_TEXT), topo))
+    moved = r"file /server1/sensitive_file@Server1 \(tracker 1 -> 2\)$"
+    with pytest.raises(DifcnetError, match=moved):
+        net.control.apply_update(net.switches, compile_program(parse(other), topo))
+
+
+# -- open verdict bugs ---------------------------------------------------------
+# Each test states the verdict the simulator should give; each fails today.
+# The change that fixes a bug turns its test into a plain one.
 
 
 @pytest.mark.xfail(strict=True, reason="a bare UDP packet is never initial")
