@@ -231,7 +231,7 @@ def _schedule_events(net: Network, topology: Topology, scn: Scenario) -> Compile
     version."""
     compiled = net.control.compiled
     for where, raw in scn.events:
-        op = raw["op"]
+        op, host = raw["op"], raw.get("host")
         at = int(raw.get("at_ms", 0) * MS)
         if op == "update":
             program = parse_files([str(scn.base_dir / p) for p in raw["policies"]])
@@ -241,11 +241,11 @@ def _schedule_events(net: Network, topology: Topology, scn: Scenario) -> Compile
         elif op == "gc":
             idle = int(raw.get("idle_ms", 60_000) * MS)
             net.schedule_call(at, "conn-dec-gc", partial(net.gc_conn_dec, idle))
-        elif raw.get("host") in net.agents:
+        elif host in net.agents:
             call = partial(_agent_event, net, where, raw, at)
-            net.schedule_call(at, f"event host={raw['host']} op={op}", call)
+            net.schedule_call(at, f"event host={host} op={op}", call)
         else:
-            raise ScenarioError(f"{where}: needs a known host, not {raw.get('host')!r}")
+            raise ScenarioError(f"{where}: needs a known host, not {host!r}")
     return compiled
 
 
