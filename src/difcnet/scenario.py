@@ -236,8 +236,7 @@ def _schedule_events(net: Network, topology: Topology, scn: Scenario) -> Compile
         if op == "update":
             program = parse_files([str(scn.base_dir / p) for p in raw["policies"]])
             compiled = compile_program(program, topology, compiled)
-            call = partial(net.control.apply_update, net.switches, compiled)
-            net.schedule_call(at, "policy-update", call)
+            net.schedule_call(at, "policy-update", partial(net.apply_update, compiled))
         elif op == "gc":
             idle = int(raw.get("idle_ms", 60_000) * MS)
             net.schedule_call(at, "conn-dec-gc", partial(net.gc_conn_dec, idle))

@@ -43,7 +43,7 @@ from .controlplane import ControlPlane
 from .dataplane import InstallRequest, SimParams, Switch
 from .errors import DifcnetError, UnknownName
 from .hostagent import HostAgent, SeqSource
-from .netcl.compiler import CompiledPolicy
+from .netcl.compiler import CompiledPolicy, UpdatePlan
 from .packets import PROTO_NAMES, PROTO_TCP, SimPacket, TcpFlags
 from .topology import DEFAULT_LINK_LATENCY_NS, PID, PORT, Topology, is_count
 
@@ -136,30 +136,31 @@ class Network:
         self.trace: list[str] = []
         self.flows: dict[str, FlowRecord] = {}
         self.external_delivered = 0  # flow packets (not label acks) that left the network
-        self._bootstrap_agents(compiled)
+        self._label_agents(None, compiled, 0)
 
     # -- wiring -----------------------------------------------------------
 
-    def _bootstrap_agents(self, compiled: CompiledPolicy) -> None:
-        """Start of day, in host-name order: each host that the policy
-        labels or whose files it tracks gets its label and file bindings."""
+    def _label_agents(self, before: CompiledPolicy | None, after: CompiledPolicy, at: int) -> None:
+        """Puts `after`'s labels in force on the agents at time `at`, when the
+        network is built (`before` is None) and at each update: in host-name
+        order, each host whose label differs from `before`'s, or on which
+        `after` tracks files that `before` did not, gets its label and those
+        files."""
+        labels, tracked = (before.host_labels, before.file_trackers) if before else ({}, {})
         files: dict[str, list[tuple[str, int]]] = {}
-        for (name, path), tracker in sorted(compiled.file_trackers.items()):
-            files.setdefault(name, []).append((path, tracker))
+        for (name, path), tracker in sorted(after.file_trackers.items()):
+            if (name, path) not in tracked:
+                files.setdefault(name, []).append((path, tracker))
         for host in sorted(self.topology.hosts, key=attrgetter("name")):
             bound = files.get(host.name, ())
-            if host.ip not in compiled.host_labels and not bound:
+            label = after.label_of_ip(host.ip)
+            if label.bits == labels.get(host.ip, 0) and not bound:
                 continue
-            label = compiled.label_of_ip(host.ip)
-            self.agents[host.name].initialize(label, tuple(bound))
-            self.trace.append(
-                f"t=0 label-init host={host.name} "
-                f"label={compiled.registry.format_label(label.bits)}"
-            )
+            self.agents[host.name].initialize(label, tuple(bound), now_ns=at)
+            self._log(at, f"label-init host={host.name} "
+                          f"label={after.registry.format_label(label.bits)}")
             for path, tracker in bound:
-                self.trace.append(
-                    f"t=0 label-file host={host.name} path={path} tracker={tracker}"
-                )
+                self._log(at, f"label-file host={host.name} path={path} tracker={tracker}")
 
     def _push(self, at_ns: int, handler, payload) -> None:
         self._evseq += 1
@@ -248,6 +249,16 @@ class Network:
         flow = _FlowPlan(src, entry, agent, pid, rec, first, later, at_ns, gap, packets, base)
         _heappush(self._heap, (at_ns, base + 1, self._on_send, (flow, 0)))
         return rec
+
+    def apply_update(self, compiled: CompiledPolicy) -> UpdatePlan:
+        """Puts policy version `compiled` in force now and returns its plan:
+        the switches by `ControlPlane.apply_update`, which refuses a
+        renumbering before anything changes, then the agents by the rule
+        the network was built with."""
+        before = self.control.compiled
+        plan = self.control.apply_update(self.switches, compiled)
+        self._label_agents(before, compiled, self.now)
+        return plan
 
     def gc_conn_dec(self, idle_ns: int) -> int:
         removed = 0
