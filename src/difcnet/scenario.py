@@ -239,7 +239,7 @@ def _schedule_events(net: Network, topology: Topology, scn: Scenario) -> Compile
             net.schedule_call(at, "policy-update", partial(net.apply_update, compiled))
         elif op == "gc":
             idle = int(raw.get("idle_ms", 60_000) * MS)
-            net.schedule_call(at, "conn-dec-gc", partial(net.gc_conn_dec, idle))
+            net.schedule_call(at, "", partial(net.gc_conn_dec, idle))  # it logs its count
         elif host in net.agents:
             call = partial(_agent_event, net, where, raw, at)
             net.schedule_call(at, f"event host={host} op={op}", call)

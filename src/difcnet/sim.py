@@ -261,9 +261,10 @@ class Network:
         return plan
 
     def gc_conn_dec(self, idle_ns: int) -> int:
-        removed = 0
-        for sw in self.switches.values():
-            removed += sw.conn_dec.gc(self.now, idle_ns)
+        """Removes the conn_dec entries idle for longer than `idle_ns`, logs
+        how many and returns the count."""
+        removed = sum(sw.conn_dec.gc(self.now, idle_ns) for sw in self.switches.values())
+        self._log(self.now, f"conn-dec-gc removed={removed}")
         return removed
 
     # -- event loop -------------------------------------------------------

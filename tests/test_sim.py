@@ -279,9 +279,11 @@ def test_gc_conn_dec():
     assert len(net.switches["S2"].conn_dec) == 2
     # clock sits at the install instant, so a nonzero idle keeps both
     assert net.gc_conn_dec(idle_ns=1) == 0
+    assert net.trace[-1] == f"t={net.now} conn-dec-gc removed=0"
     net.now += 60_000 * MS
     assert net.gc_conn_dec(idle_ns=1000 * MS) == 2
     assert len(net.switches["S2"].conn_dec) == 0
+    assert net.trace[-1] == f"t={net.now} conn-dec-gc removed=2"
 
 
 def test_schedule_call_logs_label():
