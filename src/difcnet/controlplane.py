@@ -43,14 +43,15 @@ class PlacementReport:
 
 
 def _renumbered(old: CompiledPolicy, new: CompiledPolicy) -> str:
-    """Each tag of `old` that `new` gives another index, and each file of
-    `old` that `new` gives another tracker id, or "" if none."""
+    """Each tag of `old` that `new` gives another index or lacks, and each
+    file of `old` that `new` gives another tracker id or lacks, or "" if
+    none: `new`'s numbering must extend `old`'s."""
     tags, files = new.registry.name_to_id, new.file_trackers
     return ", ".join([
-        *(f"tag {name} (index {i} -> {tags[name]})"
-          for name, i in old.registry.name_to_id.items() if tags.get(name, i) != i),
-        *(f"file {path}@{host} (tracker {i} -> {files[host, path]})"
-          for (host, path), i in old.file_trackers.items() if files.get((host, path), i) != i),
+        *(f"tag {name} (index {i} -> {tags.get(name, 'missing')})"
+          for name, i in old.registry.name_to_id.items() if tags.get(name) != i),
+        *(f"file {path}@{host} (tracker {i} -> {files.get((host, path), 'missing')})"
+          for (host, path), i in old.file_trackers.items() if files.get((host, path)) != i),
     ])
 
 
@@ -99,9 +100,10 @@ class ControlPlane:
         update keeps flowing.
 
         Hosts keep stamping the tag bits and tracker ids of the policy in
-        force, so a policy that gives one of its tags another bit, or one of
-        its files another tracker id, is refused before any switch swaps;
-        `compile_program(..., previous=)` keeps the numbering."""
+        force, so a policy whose numbering does not extend it, one that
+        gives one of its tags or files another number or lacks one, is
+        refused before any switch swaps; `compile_program(..., previous=)`
+        keeps the numbering."""
         moved = _renumbered(self.compiled, new_compiled)
         if moved:
             raise DifcnetError(f"update refused, it renumbers the policy in force: {moved}")

@@ -432,6 +432,35 @@ def test_an_update_that_renumbers_the_running_tags_is_refused_before_any_switch_
     assert all(sw.config is configs[sid] for sid, sw in net.switches.items())
 
 
+def test_an_update_that_gives_a_running_tag_index_to_another_name_is_refused():
+    """A fresh compile of the same text with Top_Secret renamed Audit gives
+    Audit Top_Secret's index, so a pid stamped with Top_Secret's bit would
+    read as Audit: the new numbering lacks a running tag."""
+    def state(net):
+        agents = {name: (a.host_label, dict(a.files), dict(a.pids)) for name, a in net.agents.items()}
+        return net.control.compiled, [id(sw.config) for sw in net.switches.values()], agents
+
+    def refused(net, new):
+        before, trace = state(net), list(net.trace)
+        with pytest.raises(DifcnetError) as exc:
+            net.apply_update(new)
+        assert state(net) == before and net.trace == trace
+        return str(exc.value)
+
+    net, topo = hospital_network(HOSPITAL_TEXT)
+    net.agents["Host2"].spawn(200)
+    renamed = compile_program(parse(HOSPITAL_TEXT.replace("Top_Secret", "Audit")), topo)
+    assert renamed.registry.name_to_id["Audit"] == 2
+    assert refused(net, renamed) == (
+        "update refused, it renumbers the policy in force: tag Top_Secret (index 2 -> missing)"
+    )
+    # likewise a tracked file that a fresh compile no longer tracks
+    net = lan_network(policy=LAN_POLICY + "label_file(ip=A, file=/f)\n")
+    assert refused(net, compile_program(parse(LAN_POLICY), net.topology)) == (
+        "update refused, it renumbers the policy in force: file /f@A (tracker 1 -> missing)"
+    )
+
+
 ENTERPRISE_TEXT = "\n".join(
     (POLICY_DIR / name).read_text() for name in ("listing3.ncl", "listing3_benign.ncl")
 ) + "\nif match(dst_ip==external_network) then allow\n"
