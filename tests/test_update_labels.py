@@ -100,7 +100,8 @@ def agent_states(net: Network) -> dict:
 def test_an_updated_network_labels_its_agents_like_a_fresh_one(drawn):
     compiled = []
     for version in drawn:
-        compiled.append(compile_program(parse(version_text(version)), TOPO, *compiled[-1:]))
+        previous = compiled[-1] if compiled else None
+        compiled.append(compile_program(parse(version_text(version)), TOPO, previous))
     net = Network(TOPO, compiled[0])
     for k, version in enumerate(compiled):
         at = k * ROUND_NS
