@@ -24,12 +24,19 @@ Sharing: one `compile_program` call works out each distinct conjunct's
 effect once (its label bits, tracker id, address match, and for a
 destination its placements) and reuses it for every rule that holds an
 equal conjunct, so rules with the same source or destination share one
-`FieldMatch`. The memo lives for that call only. Checks that depend on the
-action (reroute port, `modify` field) stay per rule.
+`FieldMatch`. On top of that it folds each distinct predicate once: `parse`
+gives rules with the same predicate text one conjunct tuple, and the
+compile maps that tuple, by identity, to one `MatchSpec` and placement
+tuple shared by those rules. A program built by hand whose equal tuples
+are distinct objects only folds them again, to equal results. The memos
+live for that call only. Checks that depend on the action (reroute port,
+`modify` field) and the entries, which carry the rule's priority and
+line, stay per rule.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from ..errors import (
@@ -56,6 +63,7 @@ from .ast import (
 )
 
 MODIFIABLE_FIELDS = ("ttl", "options")
+_TTL = re.compile(r"[0-9]+")  # ASCII digits only: str.isdecimal() takes "٣"
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,14 +174,18 @@ class CompiledPolicy:
 def _register_tags(program: Program, registry: TagRegistry) -> None:
     # Bit positions follow first appearance in source order. A tag that is
     # both declassified and endorsed is a contradiction, raised for the
-    # first such tag before any tag registers. `parse` shares equal
-    # conjunct and action nodes, so the distinct nodes (by identity, in
-    # source order) are gathered first and each is looked at once.
+    # first such tag before any tag registers. `parse` shares conjunct
+    # tuples, conjunct nodes and action nodes, so the distinct nodes (by
+    # identity, in source order) are gathered first, walking each distinct
+    # tuple once, and each node is looked at once.
     nodes: dict[int, object] = {}
+    tuples: set[int] = set()
     for stmt in program.statements:
         if isinstance(stmt, Rule):
-            for c in stmt.conjuncts:
-                nodes[id(c)] = c
+            if id(stmt.conjuncts) not in tuples:
+                tuples.add(id(stmt.conjuncts))
+                for c in stmt.conjuncts:
+                    nodes[id(c)] = c
             nodes[id(stmt.action)] = stmt.action
         else:
             nodes[id(stmt)] = stmt
@@ -197,7 +209,7 @@ def _check_modify(action: Modify, line: int) -> None:
     if action.field_name not in MODIFIABLE_FIELDS:
         raise CompileError(f"line {line}: field {action.field_name!r} is not modifiable")
     if action.field_name == "ttl" and not (
-        action.value.isdecimal() and int(action.value) <= 255
+        _TTL.fullmatch(action.value) and int(action.value) <= 255
     ):
         raise CompileError(
             f"line {line}: ttl must be an integer from 0 to 255, not {action.value!r}"
@@ -251,6 +263,8 @@ def _conjunct_effect(
             return 0, tracker_of(file_trackers, c.rhs), None, None, None
         except DifcnetError as exc:
             raise CompileError(f"line {line}: {exc}") from None
+    if c.rhs == "any" and c.op != "==":
+        raise CompileError(f"line {line}: != is not supported on 'any'")
     if c.lhs == "src_ip":
         if c.rhs == "any":
             return 0, 0, None, None, None
@@ -277,6 +291,46 @@ def _conjunct_effect(
             f"line {line}: destination {c.rhs!r} has no attached switch"
         ) from None
     return 0, 0, None, FieldMatch(frozenset(ips)), placements
+
+
+def _predicate(
+    conjuncts: tuple[Conjunct, ...],
+    line: int,
+    effects: dict[Conjunct, _Effect],
+    registry: TagRegistry,
+    topology: Topology,
+    directive_labels: dict[str, int],
+    file_trackers: dict[tuple[str, str], int],
+    all_placements: tuple[str, ...],
+) -> tuple[MatchSpec, tuple[str, ...]]:
+    """The match pattern and placements of the predicate `conjuncts`, first
+    met on source line `line`: the conjuncts' effects, each looked up in or
+    added to `effects`, folded in order."""
+    label_mask = 0
+    tracker_match = 0
+    src_field: FieldMatch | None = None
+    dst_field: FieldMatch | None = None
+    placements: tuple[str, ...] | None = None
+    for c in conjuncts:
+        effect = effects.get(c)
+        if effect is None:
+            effect = effects[c] = _conjunct_effect(
+                c, line, registry, topology, directive_labels, file_trackers, all_placements
+            )
+        bits, tracker, src, dst, where = effect
+        label_mask |= bits
+        if tracker:
+            tracker_match = tracker
+        if src is not None:
+            src_field = src
+        if dst is not None:
+            dst_field = dst
+        if where is not None:
+            placements = where
+    spec = MatchSpec(
+        label_mask=label_mask, tracker_match=tracker_match, src=src_field, dst=dst_field
+    )
+    return spec, all_placements if placements is None else placements
 
 
 def compile_program(
@@ -328,35 +382,18 @@ def compile_program(
     entries: dict[str, list[TableEntry]] = {s: [] for s in topology.switches}
     privilege: dict[str, list[PrivilegeEntry]] = {s: [] for s in topology.switches}
 
-    # one compile call works out each distinct conjunct's effect once
+    # one compile call works out each distinct conjunct's effect once, and
+    # each distinct conjunct tuple's match pattern and placements once
     effects: dict[Conjunct, _Effect] = {}
+    predicates: dict[int, tuple[MatchSpec, tuple[str, ...]]] = {}  # by id(rule.conjuncts)
     for rule in program.rules:
-        label_mask = 0
-        tracker_match = 0
-        src_field: FieldMatch | None = None
-        dst_field: FieldMatch | None = None
-        placements: tuple[str, ...] | None = None
-
-        for c in rule.conjuncts:
-            effect = effects.get(c)
-            if effect is None:
-                effect = effects[c] = _conjunct_effect(
-                    c, rule.line, registry, topology, directive_labels, file_trackers,
-                    all_placements,
-                )
-            bits, tracker, src, dst, where = effect
-            label_mask |= bits
-            if tracker:
-                tracker_match = tracker
-            if src is not None:
-                src_field = src
-            if dst is not None:
-                dst_field = dst
-            if where is not None:
-                placements = where
-
-        if placements is None:
-            placements = all_placements
+        folded = predicates.get(id(rule.conjuncts))
+        if folded is None:
+            folded = predicates[id(rule.conjuncts)] = _predicate(
+                rule.conjuncts, rule.line, effects, registry, topology, directive_labels,
+                file_trackers, all_placements,
+            )
+        spec, placements = folded
 
         if isinstance(rule.action, Reroute):
             for s in placements:
@@ -366,13 +403,6 @@ def compile_program(
                     )
         if isinstance(rule.action, Modify):
             _check_modify(rule.action, rule.line)
-
-        spec = MatchSpec(
-            label_mask=label_mask,
-            tracker_match=tracker_match,
-            src=src_field,
-            dst=dst_field,
-        )
 
         if isinstance(rule.action, (Declassify, Endorse)):
             mask = registry.label_of(rule.action.tags)

@@ -17,13 +17,18 @@ Grammar, one statement per line:
 policies intentionally omitted from an excerpt and is ignored. Names
 resolve later, at compile time, against the topology bindings.
 
-Policies repeat most of their conjunct and action texts, so one `parse`
-call parses each distinct text once and shares the frozen node among the
-rules that contain it. The memo lives for that call only. A text is first
-parsed on the line where it first appears, so the first error raised is
-the one a text-by-text parse would raise. An error's column is the
-1-based position of the offending conjunct in the raw line, leading
-indentation included; it is worked out only for a text not seen before.
+Sharing: policies repeat most of their predicate, conjunct and action
+texts, so one `parse` call parses each distinct text once and shares what
+it gives among the rules that contain it. A predicate text (everything
+between `match(` and its closing parenthesis, spacing included) maps to
+one tuple of conjunct nodes, so rules with the same predicate text share
+that tuple; a predicate written with other spacing shares only the
+conjunct nodes. The memos live for that call only. A text is first parsed
+on the line where it first appears, so the first error raised is the one
+a text-by-text parse would raise, and a text that fails never enters a
+memo. An error's column is the 1-based position of the offending
+conjunct in the raw line, leading indentation included; it is worked out
+only for a predicate not seen before.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ _COMPARISON = re.compile(
 )
 _ACTION_CALL = re.compile(r"^(?P<name>[a-z_]+)\((?P<args>.*)\)$")
 _NAME = re.compile(r"^[\w.\-/@]+$")
+_PORT = re.compile(r"[0-9]+")  # ASCII digits only: str.isdigit() takes "²"
 _TAG = re.compile(r"\w+")
 
 
@@ -117,7 +123,7 @@ def _parse_action(text: str, line_no: int):
         raise NetclSyntaxError(f"unknown action {text!r}", line_no)
     name, args = m.group("name"), m.group("args")
     if name == "reroute":
-        if not args.strip().isdigit():
+        if not _PORT.fullmatch(args.strip()):
             raise NetclSyntaxError("reroute takes an egress port number", line_no)
         return Reroute(int(args))
     if name == "modify":
@@ -137,6 +143,7 @@ def parse(source: str) -> Program:
     and column information on the first malformed statement."""
     statements = []
     priority = 0
+    pred_nodes: dict[str, tuple[Conjunct, ...]] = {}  # raw predicate text -> nodes
     conjunct_nodes: dict[str, Conjunct] = {}  # stripped text -> node
     action_nodes: dict[str, Action] = {}
     for line_no, raw in enumerate(source.splitlines(), start=1):
@@ -144,6 +151,35 @@ def parse(source: str) -> Program:
         if not line or line.startswith("..."):
             continue
 
+        # the three statement patterns are anchored and disjoint, so the
+        # commonest one goes first
+        m = _RULE.match(line)
+        if m:
+            pred, text = m.groups()  # the stripped line leaves the action stripped
+            conjuncts = pred_nodes.get(pred)
+            if conjuncts is None:
+                nodes = []
+                at = m.start("pred")  # offset of the chunk in the stripped line
+                for chunk in pred.split("&&"):
+                    stripped = chunk.strip()
+                    node = conjunct_nodes.get(stripped)
+                    if node is None:
+                        column = (
+                            len(raw) - len(raw.lstrip()) + at + len(chunk) - len(chunk.lstrip())
+                            + 1
+                        )
+                        node = conjunct_nodes[stripped] = _parse_conjunct(
+                            stripped, line_no, column
+                        )
+                    nodes.append(node)
+                    at += len(chunk) + 2  # the chunk and its "&&"
+                conjuncts = pred_nodes[pred] = tuple(nodes)
+            action = action_nodes.get(text)
+            if action is None:
+                action = action_nodes[text] = _parse_action(text, line_no)
+            statements.append(Rule(conjuncts, action, priority, line_no))
+            priority += 1
+            continue
         m = _LABEL_HOST.match(line)
         if m:
             statements.append(
@@ -153,27 +189,6 @@ def parse(source: str) -> Program:
         m = _LABEL_FILE.match(line)
         if m:
             statements.append(LabelFile(m.group("host"), m.group("path"), line_no))
-            continue
-        m = _RULE.match(line)
-        if m:
-            conjuncts = []
-            at = m.start("pred")  # offset of the chunk in the stripped line
-            for chunk in m.group("pred").split("&&"):
-                text = chunk.strip()
-                node = conjunct_nodes.get(text)
-                if node is None:
-                    column = (
-                        len(raw) - len(raw.lstrip()) + at + len(chunk) - len(chunk.lstrip()) + 1
-                    )
-                    node = conjunct_nodes[text] = _parse_conjunct(text, line_no, column)
-                conjuncts.append(node)
-                at += len(chunk) + 2  # the chunk and its "&&"
-            text = m.group("action")  # the stripped line leaves it stripped
-            action = action_nodes.get(text)
-            if action is None:
-                action = action_nodes[text] = _parse_action(text, line_no)
-            statements.append(Rule(tuple(conjuncts), action, priority, line_no))
-            priority += 1
             continue
         raise NetclSyntaxError(f"cannot parse statement {line!r}", line_no)
     return Program(tuple(statements))

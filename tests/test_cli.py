@@ -113,12 +113,26 @@ def test_check_output_pinned(runner, name):
     assert res.output == PINNED_CHECK[name]
 
 
-def test_check_rejects_bad_policy(runner, tmp_path):
-    bad = tmp_path / "bad.ncl"
-    bad.write_text("if match(dst_ip==any) then explode\n")
-    res = runner.invoke(main, ["check", str(bad), "--topology", HOSPITAL])
-    assert res.exit_code != 0
-    assert "Error" in res.output
+MALFORMED_POLICY_DIR = REPO_ROOT / "tests" / "data" / "malformed_policy"
+# each fixture, checked against hospital, once ended in a ValueError
+# traceback or compiled to a rule that matched what it should not
+MALFORMED_POLICY = {
+    "unknown_action": "line 1, col 0: unknown action 'explode'",
+    "reroute_superscript_port": "line 2, col 0: reroute takes an egress port number",
+    "ttl_arabic_indic": "line 2: ttl must be an integer from 0 to 255, not '٣'",
+    "src_not_any": "line 2: != is not supported on 'any'",
+    "dst_not_any": "line 2: != is not supported on 'any'",
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_POLICY)
+def test_check_rejects_bad_policy(runner, name):
+    assert sorted(MALFORMED_POLICY) == sorted(p.stem for p in MALFORMED_POLICY_DIR.glob("*.ncl"))
+    path = MALFORMED_POLICY_DIR / f"{name}.ncl"
+    res = runner.invoke(main, ["check", str(path), "--topology", HOSPITAL])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == f"Error: {MALFORMED_POLICY[name]}\n"
 
 
 def test_report_shows_placement(runner):

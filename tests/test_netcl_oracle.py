@@ -1,17 +1,22 @@
 """The memoised parser and compiler against slow references.
 
-`parse` parses each distinct conjunct and action text once per call and
-`compile_program` works out each distinct conjunct's effect once per call
-and registers tags looking at each distinct node once. The references
-below are the text-by-text parser, the rule-by-rule compiler and the
-two-pass tag registration they replaced. On random policies drawn from a
-small vocabulary, so that texts repeat, both sides must give equal
+`parse` parses each distinct predicate, conjunct and action text once per
+call, and rules with the same predicate text share one conjunct tuple.
+`compile_program` works out each distinct conjunct's effect once per
+call, folds each distinct conjunct tuple into a match pattern and
+placements once, and registers tags looking at each distinct node once.
+The references below are the text-by-text parser, the rule-by-rule
+compiler and the two-pass tag registration they replaced. On random
+policies drawn from a small vocabulary, whose rules draw whole predicate
+texts from a small pool so that predicates repeat with other actions and
+conjunct texts repeat across predicates, both sides must give equal
 programs and configs, or the same first error.
 """
 
 import re
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +53,6 @@ from difcnet.netcl.compiler import (
     PrivilegeEntry,
     SwitchConfig,
     TableEntry,
-    _check_modify,
     _register_tags,
 )
 from tests.conftest import make_lan, make_split
@@ -124,7 +128,7 @@ def _ref_action(text, line_no):
         raise NetclSyntaxError(f"unknown action {text!r}", line_no)
     name, args = m.group("name"), m.group("args")
     if name == "reroute":
-        if not args.strip().isdigit():
+        if not re.fullmatch("[0-9]+", args.strip()):
             raise NetclSyntaxError("reroute takes an egress port number", line_no)
         return Reroute(int(args))
     if name == "modify":
@@ -178,6 +182,17 @@ def ref_parse(source):
 
 
 # -- reference compiler: every conjunct of every rule resolved afresh ------
+
+
+def ref_check_modify(action, line):
+    if action.field_name not in ("ttl", "options"):
+        raise CompileError(f"line {line}: field {action.field_name!r} is not modifiable")
+    if action.field_name == "ttl" and not (
+        re.fullmatch("[0-9]+", action.value) and int(action.value) <= 255
+    ):
+        raise CompileError(
+            f"line {line}: ttl must be an integer from 0 to 255, not {action.value!r}"
+        )
 
 
 def ref_register_tags(program, registry):
@@ -283,6 +298,8 @@ def ref_compile(program, topology, previous=None):
                     raise CompileError(f"line {rule.line}: no tracker assigned for {c.rhs}")
                 tracker_match = file_trackers[key]
                 continue
+            if c.rhs == "any" and c.op == "!=":
+                raise CompileError(f"line {rule.line}: != is not supported on 'any'")
             if c.lhs == "src_ip":
                 if c.rhs == "any":
                     continue
@@ -327,7 +344,7 @@ def ref_compile(program, topology, previous=None):
                         f"line {rule.line}: switch {s} has no egress port {rule.action.port}"
                     )
         if isinstance(rule.action, Modify):
-            _check_modify(rule.action, rule.line)
+            ref_check_modify(rule.action, rule.line)
 
         spec = MatchSpec(
             label_mask=label_mask,
@@ -386,11 +403,12 @@ CLEAN_CONJUNCTS = (
     "pkt_label contains TP", "dst_ip == B", "src_ip  !=  C",
 )
 # parse, then fail to compile on at least one topology: a labelled source
-# under !=, unknown names, a host-less destination, the group only lan has,
-# tracker values with no tracker
+# under !=, != on any, unknown names, a host-less destination, the group
+# only lan has, tracker values with no tracker
 UNCOMPILABLE_CONJUNCTS = (
-    "src_ip!=A", "src_ip==Ghost", "dst_ip==Ghost", "dst_ip==10.9.9.9", "dst_ip==Clients",
-    "src_ip!=Clients", "tracker_id==/g@C", "tracker_id!=/f@C", "tracker_id==nowhere",
+    "src_ip!=A", "src_ip!=any", "dst_ip!=any", "src_ip==Ghost", "dst_ip==Ghost",
+    "dst_ip==10.9.9.9", "dst_ip==Clients", "src_ip!=Clients", "tracker_id==/g@C",
+    "tracker_id!=/f@C", "tracker_id==nowhere",
 )
 # fail to parse; several are also a substring of an earlier conjunct on
 # the line, which is where a column found by text search would point
@@ -402,9 +420,11 @@ CLEAN_ACTIONS = (
     "drop", "allow", "alert", "reroute(0)", "reroute(1)", "modify(ttl=9)",
     "modify(options=x)", "declassify({TA})", "declassify({TB, TA})", "endorse({TP})",
 )
+# a port and a ttl are ASCII digits: "²" is a digit and "٣" a decimal to str
 BAD_ACTIONS = (
     "explode", "reroute(x)", "modify(ttl)", "declassify({})", "modify(ttl=300)",
-    "modify(tos=1)", "endorse({TA})", "reroute(3)", "reroute(9)",
+    "modify(tos=1)", "endorse({TA})", "reroute(3)", "reroute(9)", "reroute(²)",
+    "modify(ttl=٣)",
 )
 BAD_STATEMENTS = (
     "label_file(ip=Ghost, file=/f)", "label_host(ip=A)", "nonsense here",
@@ -414,24 +434,34 @@ BAD_STATEMENTS = (
 
 
 @st.composite
-def rule_lines(draw, bad):
+def predicate_texts(draw, bad):
     texts = draw(st.lists(st.sampled_from(CLEAN_CONJUNCTS), min_size=1, max_size=4))
-    # one rule in six gets a wrong conjunct, and one in six a wrong action
+    # one predicate in six gets a wrong conjunct
     if bad and draw(st.integers(0, 5)) == 0:
         wrong = draw(st.sampled_from(UNCOMPILABLE_CONJUNCTS + UNPARSABLE_CONJUNCTS))
         texts.insert(draw(st.integers(0, len(texts))), wrong)
     seps = [draw(st.sampled_from(("&&", " && ", "  &&", "&& "))) for _ in texts[1:]]
-    pred = texts[0] + "".join(sep + text for sep, text in zip(seps, texts[1:]))
+    return texts[0] + "".join(sep + text for sep, text in zip(seps, texts[1:]))
+
+
+@st.composite
+def rule_lines(draw, bad, preds):
+    pred = draw(st.sampled_from(preds))
+    # one rule in six gets a wrong action
     actions = BAD_ACTIONS if bad and draw(st.integers(0, 5)) == 0 else CLEAN_ACTIONS
     line = f"if match({pred}) then {draw(st.sampled_from(actions))}"
     indent = draw(st.sampled_from(("", " ", "    ", "\t")))
     # a comment may repeat a conjunct's text, which must not move a column
-    comment = draw(st.sampled_from(("", "  # note", f" # {texts[-1]}", " #" + pred)))
+    last = pred.rsplit("&&", 1)[-1].strip()
+    comment = draw(st.sampled_from(("", "  # note", f" # {last}", " #" + pred)))
     return indent + line + comment
 
 
 @st.composite
 def policies(draw, bad):
+    # the rules draw whole predicate texts from a pool of at most six, so
+    # the same predicate recurs, mostly with another action
+    preds = draw(st.lists(predicate_texts(bad), min_size=1, max_size=6))
     lines = [HEADER]
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.integers(0, 9))
@@ -440,7 +470,7 @@ def policies(draw, bad):
         elif kind == 1 and bad:
             lines.append(draw(st.sampled_from(BAD_STATEMENTS)))
         else:
-            lines.append(draw(rule_lines(bad)))
+            lines.append(draw(rule_lines(bad, preds)))
     return "\n".join(lines) + "\n"
 
 
@@ -531,9 +561,24 @@ def test_the_vocabulary_reaches_every_outcome():
         "if match(dst_ip==C && C) then drop\n": "parse error",
         "if match(src_ip!=A) then drop\n": "compile error",
         "if match(dst_ip==10.9.9.9) then drop\n": "compile error",
+        "if match(src_ip!=any && dst_ip==B) then allow\n": "compile error",
+        "if match(dst_ip==any) then reroute(²)\n": "parse error",
+        "if match(dst_ip==B) then modify(ttl=٣)\n": "compile error",
     }
     for text, outcome in cases.items():
         assert _check_both(HEADER + text, topo) == outcome
+
+
+def test_a_repeated_predicate_checks_its_action_on_its_own_line():
+    """The second rule shares the first one's predicate, match pattern and
+    placements, but its port is checked on its own line."""
+    text = HEADER + (
+        "if match(src_ip==B && dst_ip==B) then reroute(0)\n"
+        "if match(src_ip==B && dst_ip==B) then reroute(9)\n"
+    )
+    assert _check_both(text, TOPOLOGIES["lan"]) == "compile error"
+    with pytest.raises(CompileError, match="^line 4: switch S2 has no egress port 9$"):
+        compile_program(parse(text), TOPOLOGIES["lan"])
 
 
 def test_repeated_texts_share_one_node():
@@ -545,6 +590,38 @@ def test_repeated_texts_share_one_node():
     assert first.conjuncts[0] is second.conjuncts[1]
     assert first.conjuncts[1] is second.conjuncts[0]
     assert first.action is second.action
+
+
+def test_repeated_predicates_share_one_tuple_and_one_match_spec():
+    program = parse(
+        "if match(src_ip==B && dst_ip==C) then drop\n"
+        "if match(src_ip==B && dst_ip==C) then allow  # the same text\n"
+        "if match(src_ip==B &&dst_ip==C) then alert  # other spacing\n"
+    )
+    first, second, third = program.rules
+    assert first.conjuncts is second.conjuncts
+    assert third.conjuncts is not first.conjuncts
+    assert all(a is b for a, b in zip(first.conjuncts, third.conjuncts))
+    entries = compile_program(program, TOPOLOGIES["lan"]).configs["S2"].entries
+    assert entries[0].match is entries[1].match
+    assert entries[2].match is not entries[0].match
+    assert entries[2].match == entries[0].match
+    assert entries[2].match.src is entries[0].match.src
+
+
+def test_a_policy_of_600_rules_over_40_predicates_compiles_40_match_specs():
+    preds = [
+        f"pkt_label contains T{i} && dst_ip=={dst}" for i in range(20) for dst in ("B", "C")
+    ]
+    actions = ("allow", "drop", "alert")
+    text = "".join(
+        f"if match({preds[k % len(preds)]}) then {actions[k % len(actions)]}\n"
+        for k in range(600)
+    )
+    compiled = compile_program(parse(text), TOPOLOGIES["split"])
+    entries = [e for cfg in compiled.configs.values() for e in cfg.entries]
+    assert len({id(e) for e in entries}) == 600
+    assert len({id(e.match) for e in entries}) == 40
 
 
 def test_equal_conjuncts_share_one_field_match():
